@@ -42,11 +42,9 @@ from .reservoir import (
     TdrState,
     activation_ideal,
     derive_seed,
-    node_preactivation_ideal,
     reseed_for_node,
     resolve_weights,
     run_reservoir,
-    tdr_step,
     write_states_csv,
 )
 from .readout import (

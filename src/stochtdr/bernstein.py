@@ -208,21 +208,44 @@ def spread_delays(n: int, L: int) -> list[int]:
     return [(j * stride) % L for j in range(n)]
 
 
+def bernstein_mux_packed(copies, beta):
+    """Adder + MUX Bernstein node on bit-packed streams, e.g. (n, H, W) words.
+
+    The first axis of ``copies`` (n input copies) and ``beta`` (n+1
+    coefficient streams) indexes streams; any batch axes lead the word axis.
+    A bit-sliced ripple counter adds the copies into n.bit_length() planes,
+    and a decoder selects out = OR_k (beta_k & [count == k]).  All-zero
+    padding counts 0, so zero-padded beta_0 keeps the output padding zero.
+    """
+    n = len(copies)
+    if len(beta) != n + 1:
+        raise ValueError(f"need {n + 1} coefficient streams for {n} copies, "
+                         f"got {len(beta)}")
+    planes: list[np.ndarray] = []
+    for j, carry in enumerate(copies):
+        for i, p in enumerate(planes):
+            planes[i], carry = p ^ carry, p & carry
+        if (j + 1).bit_length() > len(planes):
+            planes.append(carry)
+    inverted = [~p for p in planes]
+    out = np.zeros_like(beta[0])
+    for k, sel in enumerate(beta):
+        for i, p in enumerate(planes):
+            sel = sel & (p if k >> i & 1 else inverted[i])
+        out |= sel
+    return out
+
+
 def stochastic_bernstein_eval(copies: list[BitStream],
                               beta_streams: list[BitStream]) -> BitStream:
     """Adder + MUX evaluator: output bit r comes from coefficient stream V_r.
 
     V_r is the ones-count across the copies at position r; with independent
     copies of ones-probability u the output ones-probability is the
-    Bernstein polynomial of the coefficient probabilities at u.
+    Bernstein polynomial of the coefficient probabilities at u.  The streams
+    are packed, run through :func:`bernstein_mux_packed` and unpacked.
     """
-    n = len(copies)
-    if len(beta_streams) != n + 1:
-        raise ValueError(f"need {n + 1} coefficient streams for {n} copies, "
-                         f"got {len(beta_streams)}")
     L = _check_equal_length(*copies, *beta_streams)
-    v = np.zeros(L, dtype=np.int64)
-    for c in copies:
-        v += c.bits
-    beta_bits = np.stack([b.bits for b in beta_streams])
-    return BitStream(beta_bits[v, np.arange(L)])
+    out = bernstein_mux_packed(np.packbits(np.stack([c.bits for c in copies]), axis=-1),
+                               np.packbits(np.stack([b.bits for b in beta_streams]), axis=-1))
+    return BitStream(np.unpackbits(out, count=L))

@@ -10,6 +10,7 @@ Plotting stays out of process; see the demo scripts for figure rendering.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -273,6 +274,15 @@ def _validate(cfg: ExperimentConfig) -> None:
         grid = getattr(cfg, name)
         if grid is not None and not grid:
             raise ConfigError(f"{name} is empty")
+    if cfg.command != "fit-activation":
+        # a reservoir the sweep would reject is a config error, not a failure mid-sweep
+        Hs = cfg.H_grid if cfg.command == "bench" and cfg.H_grid else [cfg.H]
+        alphas = cfg.alpha_grid if cfg.command == "metrics" and cfg.alpha_grid else [cfg.alpha]
+        for H, alpha, L in itertools.product(Hs, alphas, cfg.L):
+            try:
+                _tdr_config(cfg, H=H, alpha=alpha, L=L).validate()
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ the advancing LFSRs, exactly as a hardware part would between bursts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .reservoir import Reservoir, TdrConfig, derive_seed, fresh_config
+from .reservoir import Reservoir, TdrConfig, derive_seed
 from .streams import quantize
 
 DEFAULT_NOISE_AMPLITUDE = 0.05
@@ -127,7 +127,7 @@ def metric_study(cfg: TdrConfig, m: int, runs: int = 10, seed: int = 0,
     kq = np.empty(runs, dtype=np.int64)
     gr = np.empty(runs, dtype=np.int64)
     for r in range(runs):
-        run_cfg = fresh_config(
+        run_cfg = replace(
             cfg, master_seed=derive_seed(cfg.master_seed, _TAG_RUN, r))
         probe_seed = derive_seed(seed, _TAG_RUN, r)
         kq[r] = kernel_quality(run_cfg, m, probe_seed, rel_tol)

@@ -15,8 +15,13 @@ which the ``stochastic`` backend realizes gate for gate: comparator-based
 B2S of the operands, XNOR for the input weighting, one MUX (select
 probability alpha) mixing input against feedback, a second MUX (select 0.5)
 averaging in the bias, an adder+MUX Bernstein node for the activation, and
-an up/down-counter S2B whose q-bit word enters the delay line.  The two
-ideal backends evaluate the same composition in exact arithmetic, so the
+an up/down-counter S2B whose q-bit word enters the delay line.  Past the
+comparators and the boolean XNOR/MUX logic every gate works on packed
+words: copy j of the adder input is the window ring[:, L-d_j : 2L-d_j] of
+ring = [m | m] (a rotation by d_j without a copy), the n windows are
+packed, the adder plus MUX runs bit-sliced in
+:func:`bernstein.bernstein_mux_packed`, and S2B is a population count.  The
+two ideal backends evaluate the same composition in exact arithmetic, so the
 stochastic state matrix converges to the ``ideal-bernstein`` one as the
 stream length L grows.  Select thresholds are quantized at width q in the
 stochastic backend; the ideal backends use the exact alpha and 0.5.
@@ -25,11 +30,13 @@ stochastic backend; the ideal backends use the exact alpha and 0.5.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bernstein as bp
+from . import streams
 from .streams import (
     DEFAULT_Q,
     maximal_taps,
@@ -127,6 +134,9 @@ class TdrConfig:
         if self.backend == "stochastic":
             if self.L is None or self.L < 1:
                 raise ValueError("stochastic backend needs a stream length L >= 1")
+            if self.L < self.n:
+                raise ValueError(f"stream length L={self.L} is shorter than the Bernstein "
+                                 f"degree n={self.n}: the adder's rotated copies would repeat")
         if self.n < 1:
             raise ValueError("Bernstein degree must be >= 1")
 
@@ -210,12 +220,6 @@ def activation_ideal(s, cfg: TdrConfig):
     return out if out.ndim else float(out)
 
 
-def node_preactivation_ideal(u: float, i: int, x_fb: float, cfg: TdrConfig) -> float:
-    """Two-MUX mixing law: 0.5*(alpha*(w_i*u) + (1-alpha)*x_fb) + 0.5*theta_i."""
-    w, theta = resolve_weights(cfg)
-    return 0.5 * (cfg.alpha * (w[i] * u) + (1.0 - cfg.alpha) * x_fb) + 0.5 * theta[i]
-
-
 @functools.lru_cache(maxsize=128)
 def _fitted_betas(gamma: float, n: int, q: int) -> tuple[float, ...]:
     """Width-q quantized Bernstein coefficients for the sine activation.
@@ -268,12 +272,14 @@ class Reservoir:
         L, q, H, n = cfg.L, cfg.q, cfg.H, cfg.n
         full = (1 << q) - 1
         self._half = 1 << (q - 1)
-        self._w_offsets = real_to_offset(self.weights, q)
-        self._t_offsets = real_to_offset(self.biases, q)
+        # words and thresholds share one narrow type, so no comparator widens
+        self._word_dtype = np.uint8 if q <= 8 else np.uint16
+        self._w_offsets = real_to_offset(self.weights, q).astype(self._word_dtype)
+        self._t_offsets = real_to_offset(self.biases, q).astype(self._word_dtype)
         self._alpha_thr = quantize_probability(cfg.alpha, q)
         self._bias_thr = quantize_probability(0.5, q)
         self._beta_thr = np.array(
-            [int(round(b * full)) for b in self.activation_spec.beta])
+            [int(round(b * full)) for b in self.activation_spec.beta], dtype=self._word_dtype)
         self._copy_delays = bp.spread_delays(n, L)
 
         if cfg.reseed_policy == "per-node":
@@ -282,7 +288,7 @@ class Reservoir:
                 starts = np.array([pos[reseed_for_node(cfg.master_seed, i, role, q)]
                                    for i in range(H)])
                 idx = (starts[:, None] + np.arange(L)[None, :]) % cycle.size
-                return cycle[idx].astype(np.int32)
+                return cycle[idx].astype(self._word_dtype)
 
             # constant operands freeze into fixed streams under re-seeding
             self._in_words = node_words(ROLE_INPUT)
@@ -291,16 +297,16 @@ class Reservoir:
             self._T = node_words(ROLE_BIAS) <= self._t_offsets[:, None]
             self._SM = node_words(ROLE_SELECT_MIX) <= self._alpha_thr
             self._SB = node_words(ROLE_SELECT_BIAS) <= self._bias_thr
-            self._beta_bits = np.stack(
-                [(node_words(ROLE_COEFF_BASE + k) <= self._beta_thr[k])
-                 for k in range(n + 1)], axis=1).astype(np.uint8)
+            self._beta = np.packbits(np.stack(
+                [node_words(ROLE_COEFF_BASE + k) <= self._beta_thr[k]
+                 for k in range(n + 1)]), axis=-1)
         else:
             # free-running draws slice these pre-tiled cycles contiguously
             self._tiled = {}
             for role in self._roles():
                 cycle, _ = self._cycle(role)
                 reps = -(-(cycle.size + H * L) // cycle.size)
-                self._tiled[role] = np.tile(cycle, reps).astype(np.int32)
+                self._tiled[role] = np.tile(cycle.astype(self._word_dtype), reps)
 
     def _initial_lfsr_pos(self) -> dict[int, int] | None:
         if self.cfg.backend != "stochastic" or self.cfg.reseed_policy != "none":
@@ -338,6 +344,8 @@ class Reservoir:
 
     def step(self, state: TdrState, u: float) -> tuple[TdrState, np.ndarray]:
         """Consume one held input sample; returns (new state, node outputs)."""
+        if not math.isfinite(u):
+            raise ValueError(f"input {u} is not finite")
         off = real_to_offset(u, self.cfg.q)
         if abs(float(offset_to_real(off, self.cfg.q)) - float(u)) > 1e-12:
             raise ValueError(f"input {u} not representable at width q={self.cfg.q}")
@@ -363,39 +371,38 @@ class Reservoir:
 
     def _step_stochastic(self, state: TdrState, u_off: int) -> tuple[TdrState, np.ndarray]:
         cfg = self.cfg
-        L, n = cfg.L, cfg.n
+        L = cfg.L
         pos = self._read_positions(state.current_step)
-        fb_offsets = state.delay_line[pos] + self._half
+        fb_offsets = (state.delay_line[pos] + self._half).astype(self._word_dtype)[:, None]
 
         if cfg.reseed_policy == "per-node":
             new_pos = state.lfsr_pos
             U = self._in_words <= u_off
-            F = self._fb_words <= fb_offsets[:, None]
+            F = self._fb_words <= fb_offsets
             W, T, SM, SB = self._W, self._T, self._SM, self._SB
-            beta_bits = self._beta_bits
+            beta = self._beta
         else:
             new_pos = dict(state.lfsr_pos)
             U = self._draw_words(ROLE_INPUT, new_pos) <= u_off
             W = self._draw_words(ROLE_WEIGHT, new_pos) <= self._w_offsets[:, None]
             T = self._draw_words(ROLE_BIAS, new_pos) <= self._t_offsets[:, None]
-            F = self._draw_words(ROLE_FEEDBACK, new_pos) <= fb_offsets[:, None]
+            F = self._draw_words(ROLE_FEEDBACK, new_pos) <= fb_offsets
             SM = self._draw_words(ROLE_SELECT_MIX, new_pos) <= self._alpha_thr
             SB = self._draw_words(ROLE_SELECT_BIAS, new_pos) <= self._bias_thr
-            beta_bits = np.stack(
-                [(self._draw_words(ROLE_COEFF_BASE + k, new_pos) <= self._beta_thr[k])
-                 for k in range(n + 1)], axis=1).astype(np.uint8)
+            beta = np.packbits(np.stack(
+                [self._draw_words(ROLE_COEFF_BASE + k, new_pos) <= self._beta_thr[k]
+                 for k in range(cfg.n + 1)]), axis=-1)
 
-        wu = U == W                      # XNOR: signed multiply
-        m1 = np.where(SM, wu, F)         # alpha-select: input path vs feedback
-        m2 = np.where(SB, m1, T)         # 0.5-select: average in the bias
-        v = np.zeros((self.H, L), dtype=np.int64)
-        for d in self._copy_delays:
-            v += np.roll(m2, d, axis=1)
-        out = np.take_along_axis(beta_bits, v[:, None, :], axis=1)[:, 0, :]
-        ones = out.sum(axis=1, dtype=np.int64)
+        # XNOR multiplies input by weight, the alpha-MUX mixes in the feedback,
+        # the 0.5-MUX averages in the bias
+        m2 = (SB & ((SM & (U == W)) | (~SM & F))) | (~SB & T)
+        ring = np.concatenate([m2, m2], axis=1)
+        copies = np.packbits(
+            np.stack([ring[:, L - d:2 * L - d] for d in self._copy_delays]), axis=-1)
+        out = bp.bernstein_mux_packed(copies, beta)
+        ones = np.bitwise_count(out).sum(axis=-1, dtype=np.int64)
 
-        from .streams import ones_count_to_offset
-        offs = ones_count_to_offset(ones, L, cfg.q)
+        offs = streams.ones_count_to_offset(ones, L, cfg.q)
         line = state.delay_line.copy()
         line[pos] = offs - self._half
         new = TdrState(line, state.current_step + 1, new_pos)
@@ -419,15 +426,6 @@ class Reservoir:
         return (X, state) if return_state else X
 
 
-def tdr_step(state: TdrState, u: float, cfg: TdrConfig) -> tuple[TdrState, np.ndarray]:
-    """One macro step of a reservoir built from ``cfg``.
-
-    Convenience wrapper; loops should build a :class:`Reservoir` once and
-    call :meth:`Reservoir.step` to reuse the precomputed tables.
-    """
-    return Reservoir(cfg).step(state, u)
-
-
 def run_reservoir(inputs, cfg: TdrConfig) -> np.ndarray:
     """State matrix (one row per input sample) for a fresh reservoir run."""
     return Reservoir(cfg).run(inputs)
@@ -440,8 +438,3 @@ def write_states_csv(path, X: np.ndarray) -> None:
         fh.write("step," + ",".join(f"x{i + 1}" for i in range(X.shape[1])) + "\n")
         for p, row in enumerate(X):
             fh.write(str(p) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-
-
-def fresh_config(cfg: TdrConfig, **overrides) -> TdrConfig:
-    """Copy a config with field overrides (sweep helper)."""
-    return replace(cfg, **overrides)
