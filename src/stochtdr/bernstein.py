@@ -58,14 +58,22 @@ class BernsteinSpec:
         return bernstein_eval(np.asarray(self.beta), u)
 
 
+def _basis(k: int, n: int, u: np.ndarray) -> np.ndarray:
+    return math.comb(n, k) * u**k * (1.0 - u) ** (n - k)
+
+
+def _check_unit_interval(u: np.ndarray) -> None:
+    if np.any(u < 0.0) or np.any(u > 1.0):
+        raise ValueError("basis argument outside [0, 1]")
+
+
 def bernstein_basis(k: int, n: int, u):
     """Basis polynomial b_{k,n}(u) = C(n,k) u^k (1-u)^(n-k)."""
     if not 0 <= k <= n:
         raise ValueError(f"basis index k={k} outside 0..{n}")
     u = np.asarray(u, dtype=np.float64)
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise ValueError("basis argument outside [0, 1]")
-    return math.comb(n, k) * u**k * (1.0 - u) ** (n - k)
+    _check_unit_interval(u)
+    return _basis(k, n, u)
 
 
 def bernstein_eval(beta, u):
@@ -73,9 +81,10 @@ def bernstein_eval(beta, u):
     beta = np.asarray(beta, dtype=np.float64)
     n = beta.size - 1
     u = np.asarray(u, dtype=np.float64)
+    _check_unit_interval(u)
     out = np.zeros_like(u, dtype=np.float64)
     for k in range(n + 1):
-        out = out + beta[k] * bernstein_basis(k, n, u)
+        out = out + beta[k] * _basis(k, n, u)
     return out if out.ndim else float(out)
 
 
@@ -134,6 +143,14 @@ def transform_activation(gamma: float, delta_s: float = DEFAULT_DELTA_S) -> Tran
     return TransformedActivation(gamma, delta_s)
 
 
+def check_fit_size(n: int, grid_size: int) -> None:
+    """Raise ValueError unless n >= 1 and the fit grid has >= 10(n+1) points."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    if grid_size < 10 * (n + 1):
+        raise ValueError(f"grid_size must be >= {10 * (n + 1)} for degree {n}")
+
+
 def fit_bernstein_coeffs(fbar, n: int = DEFAULT_DEGREE, grid_size: int | None = None,
                          source: str = "") -> BernsteinSpec:
     """Box-constrained least-squares fit of ``fbar`` on a uniform [0,1] grid.
@@ -143,12 +160,9 @@ def fit_bernstein_coeffs(fbar, n: int = DEFAULT_DEGREE, grid_size: int | None = 
     unconstrained solution; iteration stops when the objective changes by
     less than 1e-10.  The constrained optimum is never worse than clipping.
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
     if grid_size is None:
         grid_size = max(10 * (n + 1), 201)
-    if grid_size < 10 * (n + 1):
-        raise ValueError(f"grid_size must be >= {10 * (n + 1)} for degree {n}")
+    check_fit_size(n, grid_size)
     u = np.linspace(0.0, 1.0, grid_size)
     f = np.asarray(fbar(u), dtype=np.float64)
     A = np.column_stack([bernstein_basis(k, n, u) for k in range(n + 1)])
@@ -187,7 +201,7 @@ def make_independent_copies(s: BitStream, n: int,
     """
     if n < 1:
         raise ValueError("need at least one copy")
-    if s.L <= n:
+    if s.L < n:
         raise ValueError(f"stream length {s.L} too short for {n} rotated copies")
     if delays is None:
         delays = list(range(n))

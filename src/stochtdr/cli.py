@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bernstein import fit_bernstein_coeffs, transform_activation
+from .bernstein import check_fit_size, fit_bernstein_coeffs, transform_activation
 from .metrics import metric_study
 from .reservoir import Reservoir, TdrConfig, derive_seed, write_states_csv
 from .streams import quantize
@@ -274,15 +274,18 @@ def _validate(cfg: ExperimentConfig) -> None:
         grid = getattr(cfg, name)
         if grid is not None and not grid:
             raise ConfigError(f"{name} is empty")
-    if cfg.command != "fit-activation":
-        # a reservoir the sweep would reject is a config error, not a failure mid-sweep
+    # a fit or reservoir the run would reject is a config error, not a failure mid-run
+    try:
+        if cfg.command == "fit-activation":
+            transform_activation(cfg.gamma, cfg.delta_s)
+            check_fit_size(cfg.degree, cfg.grid_size)
+            return
         Hs = cfg.H_grid if cfg.command == "bench" and cfg.H_grid else [cfg.H]
         alphas = cfg.alpha_grid if cfg.command == "metrics" and cfg.alpha_grid else [cfg.alpha]
         for H, alpha, L in itertools.product(Hs, alphas, cfg.L):
-            try:
-                _tdr_config(cfg, H=H, alpha=alpha, L=L).validate()
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
+            _tdr_config(cfg, H=H, alpha=alpha, L=L).validate()
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +383,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     extra: dict = {}
 
     if cfg.command == "fit-activation":
-        if cfg.gamma == 0.0:
-            raise ConfigError("gamma must be nonzero for activation fitting")
         spec = fit_bernstein_coeffs(
             transform_activation(cfg.gamma, cfg.delta_s), cfg.degree,
             grid_size=cfg.grid_size,

@@ -1,12 +1,21 @@
 """Application-independent reservoir quality metrics: kernel quality and
 generalization rank.
 
-Both drive the reservoir with H probe sequences of length m and take the
-rank of the H x H matrix of final state vectors.  Kernel quality uses
-independent random probes (separation); generalization rank perturbs one
-base probe with small noise (a low rank means similar inputs collapse to
-similar states).  Under the free-running PRNG policy the probe runs share
-the advancing LFSRs, exactly as a hardware part would between bursts.
+Both drive the reservoir with H probe sequences of length m, each from a
+zeroed delay line, and take the rank of the H x H matrix of final state
+vectors.  Kernel quality uses independent random probes (separation);
+generalization rank perturbs one base probe with small noise (a low rank
+means similar inputs collapse to similar states).
+
+The probes go to :meth:`Reservoir.run` as one ``(H, m)`` block.  The ideal
+backends advance all H probes together, one ``(H, H)`` step per macro step,
+instead of paying the per-step Python overhead H times.  The ``stochastic``
+backend runs the rows in turn, because a bit-identical batched bit-level
+step measured slower (0.81-0.85 s against 0.64-0.70 s for H = m = 50,
+L = 1000 on a 2-core Xeon with 2 MiB of L2 per core): its 2.5 MB boolean
+operands no longer fit in L2.  Under the
+free-running PRNG policy the probe runs share the advancing LFSRs in row
+order, as a hardware part would between bursts.
 """
 
 from __future__ import annotations
@@ -37,21 +46,6 @@ def numerical_rank(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def _final_states(res: Reservoir, probes: np.ndarray) -> np.ndarray:
-    """Run each probe row from a reset delay line; columns are final states.
-
-    LFSR positions carry across probe runs so the free-running policy sees
-    one continuous pseudo-random sequence.
-    """
-    state = res.initial_state()
-    cols = []
-    for row in probes:
-        state = state.reset_dynamics()
-        X, state = res.run(row, state=state, return_state=True)
-        cols.append(X[-1])
-    return np.stack(cols, axis=1)
-
-
 def kernel_quality(cfg: TdrConfig, m: int, seed: int = 0,
                    rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the final-state matrix under H independent random probes."""
@@ -59,7 +53,7 @@ def kernel_quality(cfg: TdrConfig, m: int, seed: int = 0,
         raise ValueError("probe length must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, _TAG_KQ))
     probes = quantize(rng.uniform(-1.0, 1.0, (cfg.H, m)), cfg.q)
-    return numerical_rank(_final_states(Reservoir(cfg), probes), rel_tol)
+    return numerical_rank(Reservoir(cfg).run(probes)[:, -1, :].T, rel_tol)
 
 
 def generalization_rank(cfg: TdrConfig, m: int, seed: int = 0,
@@ -74,7 +68,7 @@ def generalization_rank(cfg: TdrConfig, m: int, seed: int = 0,
     base = rng.uniform(-1.0, 1.0, m)
     noise = rng.uniform(-noise_amplitude, noise_amplitude, (cfg.H, m))
     probes = quantize(np.clip(base[None, :] + noise, -1.0, 1.0), cfg.q)
-    return numerical_rank(_final_states(Reservoir(cfg), probes), rel_tol)
+    return numerical_rank(Reservoir(cfg).run(probes)[:, -1, :].T, rel_tol)
 
 
 @dataclass

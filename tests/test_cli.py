@@ -1,4 +1,4 @@
-"""Command-line exit codes for configurations the reservoir rejects."""
+"""Command-line exit codes for configurations the reservoir or the fit rejects."""
 
 import pytest
 
@@ -11,6 +11,8 @@ from stochtdr import cli
     ["bench", "sinesquare", "--H-grid", "4,0"],
     ["metrics", "--alpha-grid", "0.2,1.5"],
     ["simulate", "--q", "99"],
+    ["fit-activation", "--degree", "0"],
+    ["fit-activation", "--degree", "3", "--grid", "5"],
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

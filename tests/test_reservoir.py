@@ -78,9 +78,15 @@ def oracle_run(res: Reservoir, inputs) -> np.ndarray:
 
 
 @pytest.mark.parametrize("policy", ["per-node", "none"])
-@pytest.mark.parametrize("n,q", [(1, 8), (3, 10), (6, 8), (8, 10)])
-def test_stochastic_run_matches_gate_oracle(policy, n, q):
-    H, L, steps = 4, 37, 6
+@pytest.mark.parametrize("H,L,n,q", [
+    pytest.param(4, 37, 1, 8, id="1-8"),
+    pytest.param(4, 37, 3, 10, id="3-10"),
+    pytest.param(4, 37, 6, 8, id="6-8"),
+    pytest.param(4, 37, 8, 10, id="8-10"),
+    pytest.param(3, 5, 5, 8, id="L=n=5"),  # the shortest streams the config accepts
+])
+def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q):
+    steps = 6
     cfg = TdrConfig(H=H, alpha=0.3, gamma=2.0, L=L, n=n, q=q, master_seed=11 * n + q,
                     biases="random", reseed_policy=policy, backend="stochastic")
     res = Reservoir(cfg)
