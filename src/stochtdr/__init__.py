@@ -31,7 +31,6 @@ from .bernstein import (
     bernstein_eval,
     fit_bernstein_coeffs,
     make_independent_copies,
-    power_to_bernstein,
     spread_delays,
     stochastic_bernstein_eval,
     transform_activation,
@@ -44,7 +43,6 @@ from .reservoir import (
     derive_seed,
     reseed_for_node,
     resolve_weights,
-    run_reservoir,
     write_states_csv,
 )
 from .readout import (

@@ -88,24 +88,6 @@ def bernstein_eval(beta, u):
     return out if out.ndim else float(out)
 
 
-def power_to_bernstein(a) -> np.ndarray:
-    """Power-form coefficients a_0..a_n -> Bernstein coefficients of degree n.
-
-    beta_k = sum_{i<=k} [C(k,i) / C(n,i)] a_i; the returned polynomial equals
-    the power form pointwise.  Coefficients are returned as-is, so callers
-    requesting stochastic representability (BernsteinSpec) see out-of-range
-    values reported instead of silently clipped.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.size < 1:
-        raise ValueError("need a 1-D power coefficient vector")
-    n = a.size - 1
-    beta = np.zeros(n + 1)
-    for k in range(n + 1):
-        beta[k] = sum(math.comb(k, i) / math.comb(n, i) * a[i] for i in range(k + 1))
-    return beta
-
-
 @dataclass(frozen=True)
 class TransformedActivation:
     """sin(gamma * s) shifted and scaled into the unit square.
@@ -143,12 +125,18 @@ def transform_activation(gamma: float, delta_s: float = DEFAULT_DELTA_S) -> Tran
     return TransformedActivation(gamma, delta_s)
 
 
-def check_fit_size(n: int, grid_size: int) -> None:
-    """Raise ValueError unless n >= 1 and the fit grid has >= 10(n+1) points."""
+def check_fit_size(n: int, grid_size: int | None = None) -> int:
+    """The fit grid size, max(10(n+1), 201) points unless given.
+
+    Raises ValueError unless n >= 1 and the grid has >= 10(n+1) points.
+    """
     if n < 1:
         raise ValueError("degree must be >= 1")
+    if grid_size is None:
+        return max(10 * (n + 1), 201)
     if grid_size < 10 * (n + 1):
         raise ValueError(f"grid_size must be >= {10 * (n + 1)} for degree {n}")
+    return grid_size
 
 
 def fit_bernstein_coeffs(fbar, n: int = DEFAULT_DEGREE, grid_size: int | None = None,
@@ -160,9 +148,7 @@ def fit_bernstein_coeffs(fbar, n: int = DEFAULT_DEGREE, grid_size: int | None = 
     unconstrained solution; iteration stops when the objective changes by
     less than 1e-10.  The constrained optimum is never worse than clipping.
     """
-    if grid_size is None:
-        grid_size = max(10 * (n + 1), 201)
-    check_fit_size(n, grid_size)
+    grid_size = check_fit_size(n, grid_size)
     u = np.linspace(0.0, 1.0, grid_size)
     f = np.asarray(fbar(u), dtype=np.float64)
     A = np.column_stack([bernstein_basis(k, n, u) for k in range(n + 1)])

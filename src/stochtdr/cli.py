@@ -1,6 +1,15 @@
 """Command-line harness: activation fitting, capacity-metric sweeps,
 benchmarks, and raw state-matrix simulation, all emitting tidy CSV.
 
+Every option is one ``ExperimentConfig`` field, declared with ``_opt``: its
+metadata holds the value parser, the commands whose subparser has the flag,
+the flag spelling when it is not ``--<field>``, its config-file keys, and
+the argparse extras (choices, help).  The four subparsers, the config-file
+key lookup and the ``config.txt`` lines are all generated from those fields,
+and flags and file values go through the same value parser.  A config file
+(``--config``, flat ``key = value`` lines) may set any option that has a
+file key, whichever command reads it; flags override the file.
+
 Every command is deterministic in (resolved config, master seed): rerunning
 writes byte-identical CSV, and sweep points are dispatched to workers but
 collected in grid order, so the parallelism degree never changes output.
@@ -10,12 +19,12 @@ Plotting stays out of process; see the demo scripts for figure rendering.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +32,8 @@ import numpy as np
 from . import __version__
 from .bernstein import check_fit_size, fit_bernstein_coeffs, transform_activation
 from .metrics import metric_study
-from .reservoir import Reservoir, TdrConfig, derive_seed, write_states_csv
+from .reservoir import (BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, derive_seed,
+                        write_states_csv)
 from .streams import quantize
 from .tasks import evaluate_classification, evaluate_regression, write_sequence_csv
 
@@ -41,107 +51,166 @@ class ConfigError(ValueError):
     """Bad flag, file key, or value; maps to exit code 2."""
 
 
+# ---------------------------------------------------------------------------
+# value parsers: flag or file text -> value, raising ValueError
+
+
+def _int(text: str) -> int:
+    """An integer literal, or a float literal with an integral value (1e3)."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "0", "1"):
+        raise ValueError("want true, false, 0 or 1")
+    return text.lower() in ("true", "1")
+
+
+def _L_list(text: str) -> list[int | None]:
+    """Comma list of stream lengths; 'inf' marks the ideal (infinite) limit."""
+    return [None if t.strip().lower() in ("inf", "infinity", "none") else _int(t)
+            for t in text.split(",")]
+
+
+def _grid(text: str, kind) -> list:
+    """Grid syntax: 'start:step:stop' (inclusive) or a comma list."""
+    if ":" not in text:
+        return [kind(t) for t in text.split(",") if t.strip()]
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError("want start:step:stop")
+    start, step, stop = (float(p) for p in parts)
+    if step <= 0:
+        raise ValueError("grid step must be positive")
+    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    return [kind(repr(round(start + k * step, 12))) for k in range(count)]
+
+
+_float_grid = functools.partial(_grid, kind=float)
+_int_grid = functools.partial(_grid, kind=_int)
+
+
+# ---------------------------------------------------------------------------
+# the option table
+
+
+def _fmt(v) -> str:
+    """A value as CSV or config-file text; _fmt(None) is the 'inf' of an L list."""
+    if v is None:
+        return "inf"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+_COMMANDS = {
+    "fit-activation": "fit Bernstein coefficients",
+    "metrics": "kernel quality / generalization rank sweep",
+    "bench": "run a benchmark task",
+    "simulate": "write a raw state matrix",
+}
+
+
+def _opt(default, parse, commands=tuple(_COMMANDS), *, flag=None, keys=None, **argparse_kw):
+    """An ExperimentConfig field that is also an option.
+
+    ``parse`` turns flag or file text into the value; ``commands`` have the
+    flag, spelled ``flag`` or else ``--<field>`` with dashes; ``keys`` are
+    the config-file keys, the field name unless given; ``argparse_kw``
+    (choices, help, action) goes to ``add_argument``.
+    """
+    meta = {"parse": parse, "commands": commands, "flag": flag, "keys": keys,
+            "argparse": argparse_kw}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class ExperimentConfig:
     """Fully resolved invocation: command, reservoir fields, sweep grids."""
 
     command: str
-    task: str | None = None
-    H: int = 50
-    tau: int | None = None
-    alpha: float = 0.2
-    gamma: float = 2.0
-    L: list[int | None] = field(default_factory=lambda: [1000])
-    degree: int = 5
-    q: int = 8
-    seed: int = 0
-    runs: int = 10
-    backend: str = "ideal-exact"
-    reseed: str = "per-node"
-    lam: float = 1e-6
-    washout: int = 50
-    out: str = "out"
-    workers: int = 1
-    m: int = 50
-    train: int = 1000
-    test: int = 1000
-    alpha_grid: list[float] | None = None
-    gamma_grid: list[float] | None = None
-    H_grid: list[int] | None = None
-    noise: float = 0.05
-    rank_tol: float = 1e-6
-    delta_s: float = 2.0
-    grid_size: int = 201
-    input: str | None = None
-    dump_sequences: bool = False
+    task: str | None = _opt(None, str, ("bench",), flag="task", keys=(),
+                            choices=["narma10", "sinesquare"])
+    H: int = _opt(50, _int)
+    tau: int | None = _opt(None, _int)
+    alpha: float = _opt(0.2, float)
+    gamma: float = _opt(2.0, float)
+    L: list[int | None] = _opt([1000], _L_list, action="append",
+                               help="stream length; repeat for a sweep; 'inf' for ideal")
+    degree: int = _opt(5, _int)
+    q: int = _opt(8, _int)
+    seed: int = _opt(0, _int)
+    runs: int = _opt(10, _int)
+    backend: str = _opt("ideal-exact", str, choices=BACKENDS)
+    reseed: str = _opt("per-node", str, choices=RESEED_POLICIES)
+    lam: float = _opt(1e-6, float, flag="--lambda", keys=("lam", "lambda"))
+    washout: int = _opt(50, _int)
+    out: str = _opt("out", str, keys=())
+    workers: int = _opt(1, _int)
+    m: int = _opt(50, _int, ("metrics", "simulate"))
+    train: int = _opt(1000, _int, ("bench",))
+    test: int = _opt(1000, _int, ("bench",))
+    alpha_grid: list[float] | None = _opt(None, _float_grid, ("metrics",))
+    gamma_grid: list[float] | None = _opt(None, _float_grid, ("metrics",))
+    H_grid: list[int] | None = _opt(None, _int_grid, ("bench",))
+    noise: float = _opt(0.05, float, ("metrics",))
+    rank_tol: float = _opt(1e-6, float, ("metrics",))
+    delta_s: float = _opt(2.0, float, ("fit-activation",))
+    grid_size: int | None = _opt(None, _int, ("fit-activation",), flag="--grid")
+    input: str | None = _opt(None, str, ("simulate",),
+                             help="CSV with a 'u' column to drive the reservoir")
+    dump_sequences: bool = _opt(False, _bool, ("bench",), action="store_const", const="true")
 
     def file_items(self) -> list[tuple[str, str]]:
         """key = value lines that reparse to this config (see parse_config)."""
-        items: list[tuple[str, str]] = []
-        for key, val in vars(self).items():
-            if key in ("command", "task", "out") or val is None:
-                continue
-            if isinstance(val, list):
-                items.append((key, ",".join("inf" if v is None else repr(v) for v in val)))
-            elif isinstance(val, bool):
-                items.append((key, "true" if val else "false"))
-            elif isinstance(val, float):
-                items.append((key, repr(val)))
-            else:
-                items.append((key, str(val)))
+        items = []
+        for f in _OPTIONS:
+            val = getattr(self, f.name)
+            if _file_keys(f) and val is not None:
+                items.append((f.name, ",".join(map(_fmt, val)) if isinstance(val, list)
+                              else _fmt(val)))
         return items
+
+
+_OPTIONS = [f for f in fields(ExperimentConfig) if f.metadata]
+
+
+def _flag(f) -> str:
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
+
+
+def _file_keys(f) -> tuple[str, ...]:
+    keys = f.metadata["keys"]
+    return (f.name,) if keys is None else keys
+
+
+_BY_FILE_KEY = {key: f for f in _OPTIONS for key in _file_keys(f)}
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
-def _parse_number(token: str, kind, key: str):
+def _parse_value(f, key: str, text: str):
+    """Flag or file text -> the value of option ``f``; ``key`` names it in errors."""
     try:
-        return kind(token)
-    except ValueError:
-        raise ConfigError(f"malformed value {token!r} for {key}") from None
-
-
-def _parse_grid(spec: str, key: str, kind=float) -> list:
-    """Grid syntax: 'start:step:stop' (inclusive) or a comma list."""
-    spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"malformed grid {spec!r} for {key}; want start:step:stop")
-        start, step, stop = (_parse_number(p, float, key) for p in parts)
-        if step <= 0:
-            raise ConfigError(f"grid step must be positive in {key}={spec!r}")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        vals = [round(start + k * step, 12) for k in range(count)]
-        return [kind(v) for v in vals]
-    return [_parse_number(p, kind, key) for p in spec.split(",") if p.strip()]
-
-
-def _parse_L_token(token: str) -> int | None:
-    token = token.strip().lower()
-    if token in ("inf", "infinity", "none"):
-        return None
-    try:
-        return int(float(token)) if "e" in token else int(token)
-    except ValueError:
-        raise ConfigError(f"malformed value {token!r} for L") from None
-
-
-_FILE_KEYS = {
-    "H": ("H", int), "tau": ("tau", int), "alpha": ("alpha", float),
-    "gamma": ("gamma", float), "degree": ("degree", int), "q": ("q", int),
-    "seed": ("seed", int), "runs": ("runs", int), "backend": ("backend", str),
-    "reseed": ("reseed", str), "lambda": ("lam", float), "lam": ("lam", float),
-    "washout": ("washout", int), "workers": ("workers", int), "m": ("m", int),
-    "train": ("train", int), "test": ("test", int), "noise": ("noise", float),
-    "rank_tol": ("rank_tol", float), "delta_s": ("delta_s", float),
-    "grid_size": ("grid_size", int), "input": ("input", str),
-    "dump_sequences": ("dump_sequences", bool),
-    "L": ("L", "L_list"), "alpha_grid": ("alpha_grid", "fgrid"),
-    "gamma_grid": ("gamma_grid", "fgrid"), "H_grid": ("H_grid", "igrid"),
-}
+        value = f.metadata["parse"](text)
+    except ValueError as e:
+        raise ConfigError(f"malformed value {text!r} for {key}: {e}") from None
+    choices = f.metadata["argparse"].get("choices")
+    if choices and value not in choices:
+        raise ConfigError(f"invalid value {text!r} for {key}; choose from {', '.join(choices)}")
+    return value
 
 
 def _read_config_file(path: str) -> dict:
@@ -158,22 +227,10 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        norm = key.replace("-", "_")
-        if norm not in _FILE_KEYS:
+        f = _BY_FILE_KEY.get(key.replace("-", "_"))
+        if f is None:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        field_name, kind = _FILE_KEYS[norm]
-        if kind == "L_list":
-            out[field_name] = [_parse_L_token(t) for t in val.split(",")]
-        elif kind == "fgrid":
-            out[field_name] = _parse_grid(val, key, float)
-        elif kind == "igrid":
-            out[field_name] = _parse_grid(val, key, int)
-        elif kind is bool:
-            if val.lower() not in ("true", "false", "0", "1"):
-                raise ConfigError(f"malformed value {val!r} for {key}")
-            out[field_name] = val.lower() in ("true", "1")
-        else:
-            out[field_name] = _parse_number(val, kind, key)
+        out[f.name] = _parse_value(f, key, val)
     return out
 
 
@@ -182,81 +239,30 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stochtdr",
         description="Stochastic-logic time delay reservoir experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--H", type=int)
-        p.add_argument("--tau", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--L", action="append", metavar="L",
-                       help="stream length; repeat for a sweep; 'inf' for ideal")
-        p.add_argument("--degree", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--runs", type=int)
-        p.add_argument("--backend",
-                       choices=["ideal-exact", "ideal-bernstein", "stochastic"])
-        p.add_argument("--reseed", choices=["none", "per-node"])
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--washout", type=int)
-        p.add_argument("--out", type=str)
-        p.add_argument("--config", type=str)
-        p.add_argument("--workers", type=int)
-
-    p_fit = sub.add_parser("fit-activation", help="fit Bernstein coefficients")
-    common(p_fit)
-    p_fit.add_argument("--delta-s", dest="delta_s", type=float)
-    p_fit.add_argument("--grid", dest="grid_size", type=int)
-
-    p_met = sub.add_parser("metrics", help="kernel quality / generalization rank sweep")
-    common(p_met)
-    p_met.add_argument("--m", type=int)
-    p_met.add_argument("--alpha-grid", dest="alpha_grid", type=str)
-    p_met.add_argument("--gamma-grid", dest="gamma_grid", type=str)
-    p_met.add_argument("--noise", type=float)
-    p_met.add_argument("--rank-tol", dest="rank_tol", type=float)
-
-    p_bench = sub.add_parser("bench", help="run a benchmark task")
-    p_bench.add_argument("task", choices=["narma10", "sinesquare"])
-    common(p_bench)
-    p_bench.add_argument("--train", type=int)
-    p_bench.add_argument("--test", type=int)
-    p_bench.add_argument("--H-grid", dest="H_grid", type=str)
-    p_bench.add_argument("--dump-sequences", dest="dump_sequences",
-                         action="store_const", const=True)
-
-    p_sim = sub.add_parser("simulate", help="write a raw state matrix")
-    common(p_sim)
-    p_sim.add_argument("--m", type=int)
-    p_sim.add_argument("--input", type=str,
-                       help="CSV with a 'u' column to drive the reservoir")
+    for command, help_text in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for f in _OPTIONS:
+            if command in f.metadata["commands"]:
+                flag = _flag(f)
+                dest = {"dest": f.name} if flag.startswith("-") else {}
+                p.add_argument(flag, **dest, **f.metadata["argparse"])
+        p.add_argument("--config", help="'key = value' file; flags override it")
     return parser
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Resolve defaults <- config file <- flags into an ExperimentConfig."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    cfg = ExperimentConfig(command=ns.command, task=getattr(ns, "task", None))
-
-    if getattr(ns, "config", None):
-        for field_name, value in _read_config_file(ns.config).items():
-            setattr(cfg, field_name, value)
-
-    for key, value in vars(ns).items():
-        if key in ("command", "task", "config") or value is None:
-            continue
-        if key == "L":
-            cfg.L = [_parse_L_token(t) for t in value]
-        elif key == "alpha_grid":
-            cfg.alpha_grid = _parse_grid(value, "alpha-grid", float)
-        elif key == "gamma_grid":
-            cfg.gamma_grid = _parse_grid(value, "gamma-grid", float)
-        elif key == "H_grid":
-            cfg.H_grid = _parse_grid(value, "H-grid", int)
-        else:
-            setattr(cfg, key, value)
-
+    ns = _build_parser().parse_args(argv)
+    cfg = ExperimentConfig(command=ns.command)
+    if ns.config:
+        for name, value in _read_config_file(ns.config).items():
+            setattr(cfg, name, value)
+    for f in _OPTIONS:
+        text = getattr(ns, f.name, None)
+        if text is not None:
+            if isinstance(text, list):  # a repeated flag (--L) extends one comma list
+                text = ",".join(text)
+            setattr(cfg, f.name, _parse_value(f, _flag(f).lstrip("-"), text))
     _validate(cfg)
     return cfg
 
@@ -266,24 +272,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"runs must be >= 1, got {cfg.runs}")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
-    if not cfg.L:
-        raise ConfigError("L sweep list is empty")
-    if cfg.backend == "stochastic" and any(l is None for l in cfg.L):
-        raise ConfigError("stochastic backend needs finite L (got 'inf')")
     for name in ("alpha_grid", "gamma_grid", "H_grid"):
-        grid = getattr(cfg, name)
-        if grid is not None and not grid:
+        if getattr(cfg, name) == []:
             raise ConfigError(f"{name} is empty")
     # a fit or reservoir the run would reject is a config error, not a failure mid-run
     try:
         if cfg.command == "fit-activation":
             transform_activation(cfg.gamma, cfg.delta_s)
             check_fit_size(cfg.degree, cfg.grid_size)
-            return
-        Hs = cfg.H_grid if cfg.command == "bench" and cfg.H_grid else [cfg.H]
-        alphas = cfg.alpha_grid if cfg.command == "metrics" and cfg.alpha_grid else [cfg.alpha]
-        for H, alpha, L in itertools.product(Hs, alphas, cfg.L):
-            _tdr_config(cfg, H=H, alpha=alpha, L=L).validate()
+        for point in _sweep(cfg):
+            _tdr_config(cfg, point).validate()
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -292,36 +290,39 @@ def _validate(cfg: ExperimentConfig) -> None:
 # execution
 
 
-def _tdr_config(cfg: ExperimentConfig, *, H=None, alpha=None, gamma=None,
-                L="unset", master_seed=0) -> TdrConfig:
-    eff_L = (cfg.L[0] if L == "unset" else L)
-    return TdrConfig(
-        H=H if H is not None else cfg.H,
-        alpha=alpha if alpha is not None else cfg.alpha,
-        gamma=gamma if gamma is not None else cfg.gamma,
-        tau=cfg.tau,
-        L=None if cfg.backend != "stochastic" else eff_L,
-        n=cfg.degree, q=cfg.q, master_seed=master_seed,
-        reseed_policy=cfg.reseed, backend=cfg.backend)
+def _sweep(cfg: ExperimentConfig) -> list[dict]:
+    """The run's reservoir grid points in output order, as TdrConfig overrides.
+
+    metrics sweeps alpha x gamma x L and bench H x L; simulate runs the
+    first of its L points.  L is swept on the stochastic backend only.
+    Validation walks the same list that run_experiment dispatches.
+    """
+    Ls = cfg.L if cfg.backend == "stochastic" else [None]
+    if cfg.command == "metrics":
+        return [{"alpha": a, "gamma": g, "L": l} for a in cfg.alpha_grid or [cfg.alpha]
+                for g in cfg.gamma_grid or [cfg.gamma] for l in Ls]
+    if cfg.command == "bench":
+        return [{"H": h, "L": l} for h in cfg.H_grid or [cfg.H] for l in Ls]
+    if cfg.command == "simulate":
+        return [{"L": l} for l in Ls]
+    return []
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return "inf"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _tdr_config(cfg: ExperimentConfig, point: dict, master_seed: int = 0) -> TdrConfig:
+    """The reservoir of one sweep point: the point's values over cfg's."""
+    return TdrConfig(**{"H": cfg.H, "alpha": cfg.alpha, "gamma": cfg.gamma, **point},
+                     tau=cfg.tau, n=cfg.degree, q=cfg.q, master_seed=master_seed,
+                     reseed_policy=cfg.reseed, backend=cfg.backend)
 
 
 def _metrics_point(args: dict) -> list[str]:
     cfg = ExperimentConfig(**args["cfg"])
-    alpha, gamma, L, idx = args["alpha"], args["gamma"], args["L"], args["index"]
-    tdr = _tdr_config(cfg, alpha=alpha, gamma=gamma, L=L,
-                      master_seed=derive_seed(cfg.seed, _TAG_MASTER, idx))
+    idx = args["index"]
+    tdr = _tdr_config(cfg, args["point"], derive_seed(cfg.seed, _TAG_MASTER, idx))
     result = metric_study(tdr, cfg.m, runs=cfg.runs,
                           seed=derive_seed(cfg.seed, _TAG_POINT, idx),
                           noise_amplitude=cfg.noise, rel_tol=cfg.rank_tol)
-    prefix = f"{_fmt(alpha)},{_fmt(gamma)},{_fmt(L)},{cfg.reseed}"
+    prefix = f"{_fmt(tdr.alpha)},{_fmt(tdr.gamma)},{_fmt(tdr.L)},{cfg.reseed}"
     rows = [f"{prefix},{r},{int(result.kq[r])},{int(result.gr[r])}"
             for r in range(cfg.runs)]
     rows.append(f"{prefix},mean,{_fmt(result.kq_mean)},{_fmt(result.gr_mean)}")
@@ -331,18 +332,16 @@ def _metrics_point(args: dict) -> list[str]:
 
 def _bench_point(args: dict) -> list[str]:
     cfg = ExperimentConfig(**args["cfg"])
-    H, L = args["H"], args["L"]
     evaluate = evaluate_regression if cfg.task == "narma10" else evaluate_classification
     values = []
     for r in range(cfg.runs):
-        tdr = _tdr_config(cfg, H=H, L=L,
-                          master_seed=derive_seed(cfg.seed, _TAG_MASTER, r))
+        tdr = _tdr_config(cfg, args["point"], derive_seed(cfg.seed, _TAG_MASTER, r))
         res = evaluate(tdr, cfg.train, cfg.test, lam=cfg.lam,
                        washout=cfg.washout, seed=derive_seed(cfg.seed, _TAG_TASK, r))
         values.append(res.value)
     metric = "nmse" if cfg.task == "narma10" else "accuracy"
-    prefix = (f"{cfg.task},{cfg.backend},{H},{_fmt(cfg.alpha)},{_fmt(cfg.gamma)},"
-              f"{_fmt(L)},{cfg.degree}")
+    prefix = (f"{cfg.task},{cfg.backend},{tdr.H},{_fmt(cfg.alpha)},{_fmt(cfg.gamma)},"
+              f"{_fmt(tdr.L)},{cfg.degree}")
     rows = [f"{prefix},{r},{metric},{_fmt(values[r])}" for r in range(cfg.runs)]
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if cfg.runs > 1 else 0.0
@@ -393,33 +392,20 @@ def run_experiment(cfg: ExperimentConfig) -> int:
                 fh.write(f"{k},{b:.12g}\n")
         extra["outputs"] = ["coefficients.csv"]
 
-    elif cfg.command == "metrics":
-        alphas = cfg.alpha_grid if cfg.alpha_grid is not None else [cfg.alpha]
-        gammas = cfg.gamma_grid if cfg.gamma_grid is not None else [cfg.gamma]
-        Ls = cfg.L if cfg.backend == "stochastic" else [None]
+    elif cfg.command in ("metrics", "bench"):
+        points = _sweep(cfg)
         base = vars(cfg).copy()
-        tasks = [{"cfg": base, "alpha": a, "gamma": g, "L": l, "index": i}
-                 for i, (a, g, l) in enumerate(
-                     (a, g, l) for a in alphas for g in gammas for l in Ls)]
-        rows = _run_points(cfg, _metrics_point, tasks)
-        (out / "metrics.csv").write_text(
-            "alpha,gamma,L,policy,run,kq,gr\n" + "\n".join(rows) + "\n")
-        extra["outputs"] = ["metrics.csv"]
-        extra["grid_points"] = len(tasks)
-
-    elif cfg.command == "bench":
-        Hs = cfg.H_grid if cfg.H_grid is not None else [cfg.H]
-        Ls = cfg.L if cfg.backend == "stochastic" else [None]
-        base = vars(cfg).copy()
-        tasks = [{"cfg": base, "H": h, "L": l}
-                 for h in Hs for l in Ls]
-        rows = _run_points(cfg, _bench_point, tasks)
-        (out / "results.csv").write_text(
-            "task,backend,H,alpha,gamma,L,n,run,metric,value\n"
-            + "\n".join(rows) + "\n")
-        extra["outputs"] = ["results.csv"]
-        extra["grid_points"] = len(tasks)
-        if cfg.dump_sequences:
+        tasks = [{"cfg": base, "point": p, "index": i} for i, p in enumerate(points)]
+        if cfg.command == "metrics":
+            name, header = "metrics.csv", "alpha,gamma,L,policy,run,kq,gr"
+            rows = _run_points(cfg, _metrics_point, tasks)
+        else:
+            name, header = "results.csv", "task,backend,H,alpha,gamma,L,n,run,metric,value"
+            rows = _run_points(cfg, _bench_point, tasks)
+        (out / name).write_text(header + "\n" + "\n".join(rows) + "\n")
+        extra["outputs"] = [name]
+        extra["grid_points"] = len(points)
+        if cfg.command == "bench" and cfg.dump_sequences:
             from .tasks import narma10_generate, sine_square_generate
             seed0 = derive_seed(cfg.seed, _TAG_TASK, 0)
             if cfg.task == "narma10":
@@ -443,7 +429,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             rng = np.random.default_rng(derive_seed(cfg.seed, _TAG_SIM))
             u = rng.uniform(-1.0, 1.0, cfg.m)
         u = quantize(u, cfg.q)
-        tdr = _tdr_config(cfg, master_seed=derive_seed(cfg.seed, _TAG_MASTER, 0))
+        tdr = _tdr_config(cfg, _sweep(cfg)[0], derive_seed(cfg.seed, _TAG_MASTER, 0))
         X = Reservoir(tdr).run(u)
         write_states_csv(out / "states.csv", X)
         with open(out / "inputs.csv", "w", newline="") as fh:

@@ -103,14 +103,6 @@ class MetricRun:
     def gr_std(self) -> float:
         return float(np.std(self.gr, ddof=1)) if self.runs > 1 else 0.0
 
-    @property
-    def kq_norm(self) -> np.ndarray:
-        return self.kq / self.H
-
-    @property
-    def gr_norm(self) -> np.ndarray:
-        return self.gr / self.H
-
 
 def metric_study(cfg: TdrConfig, m: int, runs: int = 10, seed: int = 0,
                  noise_amplitude: float = DEFAULT_NOISE_AMPLITUDE,

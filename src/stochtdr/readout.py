@@ -24,13 +24,6 @@ class ReadoutModel:
         """Reservoir dimension this model was trained on."""
         return self.w_out.size - (1 if self.uses_bias_column else 0)
 
-    def save_csv(self, path) -> None:
-        """Serialize weights as ``index,weight`` rows."""
-        with open(path, "w", newline="") as fh:
-            fh.write("index,weight\n")
-            for i, w in enumerate(self.w_out):
-                fh.write(f"{i},{float(w)!r}\n")
-
 
 def _with_bias(X: np.ndarray) -> np.ndarray:
     return np.column_stack([X, np.ones(X.shape[0])])

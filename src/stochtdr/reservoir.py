@@ -456,11 +456,6 @@ class Reservoir:
         return np.stack(rows), TdrState(np.stack(ends), state.current_step, state.lfsr_pos)
 
 
-def run_reservoir(inputs, cfg: TdrConfig) -> np.ndarray:
-    """State matrix (one row per input sample) for a fresh reservoir run."""
-    return Reservoir(cfg).run(inputs)
-
-
 def write_states_csv(path, X: np.ndarray) -> None:
     """State matrix as CSV with header ``step,x1..xH``."""
     X = np.asarray(X)

@@ -25,7 +25,6 @@ SINE_SQUARE_PERIOD = 10
 
 _TAG_NARMA = 0x6E61726D61313030
 _TAG_SINESQ = 0x73696E6573717561
-_TAG_BENCH_RUN = 0xB3C8D1E2F4A59607
 
 
 class NarmaDivergence(RuntimeError):
@@ -199,8 +198,3 @@ def evaluate_classification(cfg: TdrConfig, m_train: int = 1000, m_test: int = 1
         "lambda": lam, "washout": washout, "seed": seed,
         "period": SINE_SQUARE_PERIOD, "input_scale": "identity",
     })
-
-
-def benchmark_run_seed(seed: int, run: int) -> int:
-    """Per-run task seed for repeated benchmark evaluations."""
-    return derive_seed(seed, _TAG_BENCH_RUN, run)

@@ -1,4 +1,7 @@
-"""Command-line exit codes for configurations the reservoir or the fit rejects."""
+"""The command line: exit codes for rejected configurations, the option table
+behind flags, config-file keys and config.txt, and sweep output."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -13,10 +16,116 @@ from stochtdr import cli
     ["simulate", "--q", "99"],
     ["fit-activation", "--degree", "0"],
     ["fit-activation", "--degree", "3", "--grid", "5"],
+    ["metrics", "--L", "2.5e0"],
+    ["bench", "sinesquare", "--H-grid", "2:1.5:5"],
+    ["fit-activation", "--config", "backend = bogus"],  # the fit uses no reservoir
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
+    if "--config" in argv:  # the value after --config is the file's text
+        i = argv.index("--config") + 1
+        path = tmp_path / "config.txt"
+        path.write_text(argv[i] + "\n")
+        argv = argv[:i] + [str(path)] + argv[i + 1:]
     out = tmp_path / "out"
     code = cli.main(argv + ["--H", "4", "--runs", "1", "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_fit_activation_derives_its_grid_size(tmp_path):
+    def coefficients(*argv):
+        out = tmp_path / "-".join(argv)
+        assert cli.main(["fit-activation", *argv, "--out", str(out)]) == cli.EXIT_OK
+        return (out / "coefficients.csv").read_bytes()
+
+    # max(10(n+1), 201) points: 210 at degree 20, 201 (the old fixed size) at 5
+    assert coefficients("--degree", "20") == coefficients("--degree", "20", "--grid", "210")
+    assert coefficients("--degree", "5") == coefficients("--degree", "5", "--grid", "201")
+
+
+# one run of each command, with values away from the defaults
+RUNS = {
+    "fit-activation": ["fit-activation", "--degree", "4", "--gamma", "1.5",
+                       "--delta-s", "1.25", "--grid", "120"],
+    "metrics": ["metrics", "--backend", "stochastic", "--L", "8", "--L", "12", "--reseed", "none",
+                "--H", "4", "--m", "6", "--runs", "2", "--alpha-grid", "0.1:0.2:0.3",
+                "--gamma-grid", "1.0,2.5", "--noise", "0.1", "--rank-tol", "1e-5", "--q", "6"],
+    "bench": ["bench", "narma10", "--H-grid", "4,5", "--tau", "7", "--train", "40", "--test", "40",
+              "--washout", "5", "--lambda", "0.001", "--runs", "2", "--seed", "3",
+              "--dump-sequences"],
+    "simulate": ["simulate", "--backend", "ideal-bernstein", "--H", "4", "--m", "9",
+                 "--degree", "3", "--alpha", "0.4", "--workers", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+def test_config_txt_parses_back_to_the_same_config(tmp_path, command):
+    out = str(tmp_path / "out")
+    argv = RUNS[command] + ["--out", out]
+    assert cli.main(argv) == cli.EXIT_OK
+    task = argv[1:2] if command == "bench" else []
+    again = cli.parse_config([command, *task, "--config", f"{out}/config.txt", "--out", out])
+    assert again == cli.parse_config(argv)
+
+
+# flag/file text per value parser; q is a register width, 2..16
+SAMPLES = {cli._int: "64", float: "0.375", str: "x.csv", cli._bool: "true",
+           cli._L_list: "64,inf", cli._float_grid: "0.1:0.2:0.5", cli._int_grid: "64,80"}
+NO_FILE_KEY = {"out", "task"}
+
+
+@pytest.mark.parametrize("f", cli._OPTIONS, ids=lambda f: f.name)
+def test_every_option_parses_alike_from_flag_and_file(tmp_path, f):
+    if f.name in NO_FILE_KEY:
+        assert not cli._file_keys(f)
+        return
+    assert cli._file_keys(f), f"option {f.name} has no config-file key"
+    meta = f.metadata
+    choices = [c for c in meta["argparse"].get("choices", []) if c != f.default]
+    text = choices[0] if choices else "12" if f.name == "q" else SAMPLES[meta["parse"]]
+    flag = [cli._flag(f)] if meta["parse"] is cli._bool else [cli._flag(f), text]
+    for command in meta["commands"]:
+        task = ["narma10"] if command == "bench" else []
+        from_flag = cli.parse_config([command, *task, *flag])
+        assert getattr(from_flag, f.name) != getattr(cli.ExperimentConfig(command), f.name)
+        for key in cli._file_keys(f):
+            path = tmp_path / f"{key}.txt"
+            path.write_text(f"{key} = {text}\n")
+            assert cli.parse_config([command, *task, "--config", str(path)]) == from_flag
+
+
+def test_flags_and_file_keys_stay_the_same():
+    """Adding or dropping one changes the command-line interface."""
+    flags = {cli._flag(f) for f in cli._OPTIONS}
+    assert flags == {"task", "--H", "--tau", "--alpha", "--gamma", "--L", "--degree", "--q",
+                     "--seed", "--runs", "--backend", "--reseed", "--lambda", "--washout",
+                     "--out", "--workers", "--m", "--train", "--test", "--alpha-grid",
+                     "--gamma-grid", "--H-grid", "--noise", "--rank-tol", "--delta-s",
+                     "--grid", "--input", "--dump-sequences"}
+    keys = {f.name for f in cli._OPTIONS} - NO_FILE_KEY | {"lambda"}
+    assert set(cli._BY_FILE_KEY) == keys
+
+
+def test_an_L_sweep_is_the_same_from_repeated_flags_a_list_and_a_file(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("L = 64,128\n")
+    base = ["metrics", "--backend", "stochastic", "--gamma-grid", "1,2.5"]
+    cfgs = [cli.parse_config(base + extra) for extra in
+            (["--L", "64", "--L", "128"], ["--L", "64,128"], ["--config", str(path)])]
+    assert cfgs[0] == cfgs[1] == cfgs[2]
+    assert cli._sweep(cfgs[0]) == [{"alpha": 0.2, "gamma": g, "L": L}
+                                   for g in (1.0, 2.5) for L in (64, 128)]
+    assert cli._sweep(replace(cfgs[0], backend="ideal-exact")) == [
+        {"alpha": 0.2, "gamma": g, "L": None} for g in (1.0, 2.5)]
+
+
+def test_results_csv_does_not_depend_on_worker_count(tmp_path):
+    argv = ["bench", "sinesquare", "--H-grid", "4,5", "--train", "40", "--test", "30",
+            "--washout", "5", "--runs", "2", "--seed", "4"]
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        assert cli.main(argv + ["--workers", str(workers), "--out", str(out)]) == cli.EXIT_OK
+        outputs.append((out / "results.csv").read_bytes())
+    assert outputs[0] == outputs[1]
