@@ -9,30 +9,26 @@ a bit-exact stochastic-logic pipeline.
 
 from .streams import (
     DEFAULT_Q,
-    BipolarValue,
-    BitStream,
-    LfsrGenerator,
     b2s,
-    lfsr_next,
+    lfsr_words,
     maximal_taps,
+    pack,
     quantize,
     quantize_probability,
     s2b,
     stoch_mult,
     stoch_mux_average,
-    stoch_negate,
     supported_widths,
-    unipolar_select_stream,
 )
 from .bernstein import (
     BernsteinSpec,
     TransformedActivation,
     bernstein_basis,
     bernstein_eval,
+    bernstein_mux_packed,
     fit_bernstein_coeffs,
     make_independent_copies,
     spread_delays,
-    stochastic_bernstein_eval,
     transform_activation,
 )
 from .reservoir import (

@@ -10,6 +10,12 @@ ones-probability is exactly the polynomial when the copies are independent.
 An arbitrary activation is first shifted and scaled so the used portion
 lies in the unit square, then fitted in the Bernstein basis under the
 box constraint beta_k in [0, 1].
+
+The stochastic gates follow the array-kernel convention of ``streams``:
+the bit position is the last axis, leading axes are batch axes.
+:func:`make_independent_copies` turns boolean streams into n packed
+rotated copies, and :func:`bernstein_mux_packed` runs the adder plus MUX on
+packed streams, copies and coefficients stacked on a new first axis.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import BitStream, _check_equal_length
+from .streams import pack
 
 DEFAULT_DEGREE = 5
 DEFAULT_DELTA_S = 2.0
@@ -104,10 +110,12 @@ class TransformedActivation:
     f_max: float = field(init=False, default=0.0)
 
     def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma={self.gamma} is not finite")
         if self.gamma == 0.0:
             raise ValueError("gamma must be nonzero (flat sine has no extent to scale)")
-        if self.delta_s <= 0.0:
-            raise ValueError("delta_s must be positive")
+        if not 0.0 < self.delta_s < math.inf:
+            raise ValueError(f"delta_s={self.delta_s} must be positive and finite")
         reach = abs(self.gamma) * self.delta_s / 2.0
         f_max = 1.0 if reach >= np.pi / 2.0 else float(np.sin(reach))
         object.__setattr__(self, "f_max", f_max)
@@ -176,24 +184,21 @@ def fit_bernstein_coeffs(fbar, n: int = DEFAULT_DEGREE, grid_size: int | None = 
     return BernsteinSpec(tuple(float(b) for b in beta), source=source)
 
 
-def make_independent_copies(s: BitStream, n: int,
-                            delays: list[int] | None = None) -> list[BitStream]:
-    """n statistically independent copies of a stream via cyclic rotation.
+def make_independent_copies(bits, delays) -> np.ndarray:
+    """Packed copies of boolean streams, copy j rotated by ``delays[j]`` bits.
 
-    Copy j is the source rotated by j positions (a delayed shift-register
-    tap), so every copy has exactly the source's ones-count.  Custom
-    ``delays`` may be supplied; spreading them far apart weakens the
-    residual correlation between copies.
+    Copy j is the window ``ring[..., L-d_j : 2L-d_j]`` of ``ring = [bits |
+    bits]``: the stream rotated by d_j positions (a delayed shift-register
+    tap) without a rotated copy, so every copy has exactly the source's
+    ones-count.  Each copy is packed, and the copies are stacked on a new
+    first axis; delays spread far apart (:func:`spread_delays`) weaken the
+    residual correlation between them.
     """
-    if n < 1:
-        raise ValueError("need at least one copy")
-    if s.L < n:
-        raise ValueError(f"stream length {s.L} too short for {n} rotated copies")
-    if delays is None:
-        delays = list(range(n))
-    if len(delays) != n:
-        raise ValueError(f"got {len(delays)} delays for {n} copies")
-    return [BitStream(np.roll(s.bits, d)) for d in delays]
+    L = bits.shape[-1]
+    if not delays or min(delays) < 0 or max(delays) >= L:
+        raise ValueError(f"need at least one delay, each in [0, {L})")
+    ring = np.concatenate([bits, bits], axis=-1)
+    return np.stack([pack(ring[..., L - d:2 * L - d]) for d in delays])
 
 
 def spread_delays(n: int, L: int) -> list[int]:
@@ -234,18 +239,3 @@ def bernstein_mux_packed(copies, beta):
             sel = sel & (p if k >> i & 1 else inverted[i])
         out |= sel
     return out
-
-
-def stochastic_bernstein_eval(copies: list[BitStream],
-                              beta_streams: list[BitStream]) -> BitStream:
-    """Adder + MUX evaluator: output bit r comes from coefficient stream V_r.
-
-    V_r is the ones-count across the copies at position r; with independent
-    copies of ones-probability u the output ones-probability is the
-    Bernstein polynomial of the coefficient probabilities at u.  The streams
-    are packed, run through :func:`bernstein_mux_packed` and unpacked.
-    """
-    L = _check_equal_length(*copies, *beta_streams)
-    out = bernstein_mux_packed(np.packbits(np.stack([c.bits for c in copies]), axis=-1),
-                               np.packbits(np.stack([b.bits for b in beta_streams]), axis=-1))
-    return BitStream(np.unpackbits(out, count=L))

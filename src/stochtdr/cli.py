@@ -31,11 +31,13 @@ import numpy as np
 
 from . import __version__
 from .bernstein import check_fit_size, fit_bernstein_coeffs, transform_activation
-from .metrics import metric_study
+from .metrics import check_probes, check_rank_tol, metric_study
+from .readout import check_lambda
 from .reservoir import (BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, derive_seed,
                         write_states_csv)
 from .streams import quantize
-from .tasks import evaluate_classification, evaluate_regression, write_sequence_csv
+from .tasks import (check_split, evaluate_classification, evaluate_regression,
+                    write_sequence_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -275,15 +277,25 @@ def _validate(cfg: ExperimentConfig) -> None:
     for name in ("alpha_grid", "gamma_grid", "H_grid"):
         if getattr(cfg, name) == []:
             raise ConfigError(f"{name} is empty")
-    # a fit or reservoir the run would reject is a config error, not a failure mid-run
+    # a value the run would reject is a config error, not a failure mid-run
     try:
         if cfg.command == "fit-activation":
             transform_activation(cfg.gamma, cfg.delta_s)
             check_fit_size(cfg.degree, cfg.grid_size)
-        for point in _sweep(cfg):
+        elif cfg.command == "metrics":
+            check_probes(cfg.m, cfg.noise)
+            check_rank_tol(cfg.rank_tol)
+        elif cfg.command == "bench":
+            check_split(cfg.train, cfg.test, cfg.washout)
+            check_lambda(cfg.lam)
+        points = _sweep(cfg)
+        for point in points:
             _tdr_config(cfg, point).validate()
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    if cfg.command == "simulate" and len(points) > 1:
+        Ls = ",".join(map(_fmt, cfg.L))
+        raise ConfigError(f"simulate takes one stream length, got L = {Ls}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +305,8 @@ def _validate(cfg: ExperimentConfig) -> None:
 def _sweep(cfg: ExperimentConfig) -> list[dict]:
     """The run's reservoir grid points in output order, as TdrConfig overrides.
 
-    metrics sweeps alpha x gamma x L and bench H x L; simulate runs the
-    first of its L points.  L is swept on the stochastic backend only.
+    metrics sweeps alpha x gamma x L and bench H x L; simulate takes one L.
+    L is swept on the stochastic backend only.
     Validation walks the same list that run_experiment dispatches.
     """
     Ls = cfg.L if cfg.backend == "stochastic" else [None]

@@ -20,6 +20,7 @@ order, as a hardware part would between bursts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,8 +36,24 @@ _TAG_GR = 0x47521C3F9D0B8E61
 _TAG_RUN = 0x52554E5F8A1D2B37
 
 
+def check_rank_tol(rel_tol: float) -> None:
+    """Raise ValueError unless 0 <= rel_tol < 1."""
+    if not 0.0 <= rel_tol < 1.0:
+        raise ValueError(f"rank tolerance {rel_tol} outside [0, 1)")
+
+
+def check_probes(m: int, noise_amplitude: float = 0.0) -> None:
+    """Raise ValueError unless the probes have m >= 1 steps and a finite,
+    non-negative noise amplitude."""
+    if m < 1:
+        raise ValueError("probe length must be >= 1")
+    if not 0.0 <= noise_amplitude < math.inf:
+        raise ValueError(f"noise amplitude {noise_amplitude} must be finite and >= 0")
+
+
 def numerical_rank(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above rel_tol times the largest; 0 for the zero matrix."""
+    check_rank_tol(rel_tol)
     M = np.asarray(M, dtype=np.float64)
     if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
@@ -49,8 +66,7 @@ def numerical_rank(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
 def kernel_quality(cfg: TdrConfig, m: int, seed: int = 0,
                    rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the final-state matrix under H independent random probes."""
-    if m < 1:
-        raise ValueError("probe length must be >= 1")
+    check_probes(m)
     rng = np.random.default_rng(derive_seed(seed, _TAG_KQ))
     probes = quantize(rng.uniform(-1.0, 1.0, (cfg.H, m)), cfg.q)
     return numerical_rank(Reservoir(cfg).run(probes)[:, -1, :].T, rel_tol)
@@ -60,10 +76,7 @@ def generalization_rank(cfg: TdrConfig, m: int, seed: int = 0,
                         noise_amplitude: float = DEFAULT_NOISE_AMPLITUDE,
                         rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the final-state matrix when all probes share one noisy base."""
-    if m < 1:
-        raise ValueError("probe length must be >= 1")
-    if noise_amplitude < 0:
-        raise ValueError("noise amplitude must be >= 0")
+    check_probes(m, noise_amplitude)
     rng = np.random.default_rng(derive_seed(seed, _TAG_GR))
     base = rng.uniform(-1.0, 1.0, m)
     noise = rng.uniform(-noise_amplitude, noise_amplitude, (cfg.H, m))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ def _with_bias(X: np.ndarray) -> np.ndarray:
     return np.column_stack([X, np.ones(X.shape[0])])
 
 
+def check_lambda(lam: float) -> None:
+    """Raise ValueError unless the regularization parameter is finite and >= 0."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"regularization parameter lambda={lam} must be finite and >= 0")
+
+
 def ridge_train(X: np.ndarray, Y: np.ndarray, lam: float,
                 use_bias: bool = True) -> ReadoutModel:
     """Solve (X^T X + lam*I) w = X^T Y by a factored linear solve.
@@ -42,8 +49,7 @@ def ridge_train(X: np.ndarray, Y: np.ndarray, lam: float,
         raise ValueError(f"shape mismatch: X {X.shape} vs Y ({Y.size},)")
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite entries in training data")
-    if lam < 0:
-        raise ValueError("regularization parameter must be >= 0")
+    check_lambda(lam)
     Xd = _with_bias(X) if use_bias else X
     gram = Xd.T @ Xd + lam * np.eye(Xd.shape[1])
     if lam == 0.0:

@@ -15,15 +15,16 @@ which the ``stochastic`` backend realizes gate for gate: comparator-based
 B2S of the operands, XNOR for the input weighting, one MUX (select
 probability alpha) mixing input against feedback, a second MUX (select 0.5)
 averaging in the bias, an adder+MUX Bernstein node for the activation, and
-an up/down-counter S2B whose q-bit word enters the delay line.  Past the
-comparators and the boolean XNOR/MUX logic every gate works on packed
-words: copy j of the adder input is the window ring[:, L-d_j : 2L-d_j] of
-ring = [m | m] (a rotation by d_j without a copy), the n windows are
-packed, the adder plus MUX runs bit-sliced in
-:func:`bernstein.bernstein_mux_packed`, and S2B is a population count.  The
-two ideal backends evaluate the same composition in exact arithmetic, so the
-stochastic state matrix converges to the ``ideal-bernstein`` one as the
-stream length L grows.  Select thresholds are quantized at width q in the
+an up/down-counter S2B whose q-bit word enters the delay line.  Each gate
+is one array kernel of ``streams`` or ``bernstein``, called once per step
+on the (H, L) streams of all H nodes: :func:`streams.b2s`,
+:func:`streams.stoch_mult`, :func:`streams.stoch_mux_average`,
+:func:`bernstein.make_independent_copies`,
+:func:`bernstein.bernstein_mux_packed` and :func:`streams.s2b`; the LFSR
+words come from :func:`streams.lfsr_words`.  The step only composes them.
+The two ideal backends evaluate the same composition in exact arithmetic,
+so the stochastic state matrix converges to the ``ideal-bernstein`` one as
+the stream length L grows.  Select thresholds are quantized at width q in the
 stochastic backend; the ideal backends use the exact alpha and 0.5.
 """
 
@@ -36,16 +37,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bernstein as bp
-from . import streams
 from .streams import (
     DEFAULT_Q,
+    b2s,
+    lfsr_words,
     maximal_taps,
     offset_to_real,
+    pack,
     quantize,
     quantize_probability,
     real_to_offset,
+    s2b,
+    stoch_mult,
+    stoch_mux_average,
     supported_widths,
-    _lfsr_cycle,
+    word_dtype,
 )
 
 BACKENDS = ("ideal-exact", "ideal-bernstein", "stochastic")
@@ -123,6 +129,8 @@ class TdrConfig:
             raise ValueError("need at least one virtual node")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha={self.alpha} outside [0, 1]")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma={self.gamma} is not finite")
         if self.tau is not None and self.tau < self.H:
             raise ValueError(f"delay tau={self.tau} must be >= H={self.H}")
         if self.q not in supported_widths():
@@ -185,18 +193,17 @@ class TdrState:
     """Delay-line contents plus the macro-step counter.
 
     ``delay_line`` has shape ``(tau,)``, or ``(B, tau)`` for B sequences
-    stepped together on the ideal backends.  ``lfsr_pos`` tracks the
-    free-running LFSR cycle positions under the ``none`` reseed policy
-    (role -> position); it is ``None`` otherwise.
+    stepped together on the ideal backends.  ``lfsr_states`` holds the
+    register of each role's free-running LFSR under the ``none`` reseed
+    policy (indexed by role); it is ``None`` otherwise.
     """
 
     delay_line: np.ndarray
     current_step: int = 0
-    lfsr_pos: dict[int, int] | None = None
+    lfsr_states: tuple[int, ...] | None = None
 
     def copy(self) -> "TdrState":
-        pos = dict(self.lfsr_pos) if self.lfsr_pos is not None else None
-        return TdrState(self.delay_line.copy(), self.current_step, pos)
+        return TdrState(self.delay_line.copy(), self.current_step, self.lfsr_states)
 
 
 def activation_ideal(s, cfg: TdrConfig):
@@ -256,72 +263,55 @@ class Reservoir:
 
     # -- stochastic machinery ------------------------------------------------
 
-    def _roles(self) -> list[int]:
-        return list(range(ROLE_COEFF_BASE + self.cfg.n + 1))
-
-    def _cycle(self, role: int):
-        taps = maximal_taps(self.cfg.q, role)
-        return _lfsr_cycle(self.cfg.q, taps)
-
     def _prepare_stochastic(self) -> None:
         cfg = self.cfg
         L, q, H, n = cfg.L, cfg.q, cfg.H, cfg.n
-        full = (1 << q) - 1
         self._half = 1 << (q - 1)
-        # words and thresholds share one narrow type, so no comparator widens
-        self._word_dtype = np.uint8 if q <= 8 else np.uint16
-        self._w_offsets = real_to_offset(self.weights, q).astype(self._word_dtype)
-        self._t_offsets = real_to_offset(self.biases, q).astype(self._word_dtype)
+        # thresholds share the words' narrow type, so no comparator widens
+        self._word_dtype = word_dtype(q)
+        self._w_offsets = real_to_offset(self.weights, q).astype(self._word_dtype)[:, None]
+        self._t_offsets = real_to_offset(self.biases, q).astype(self._word_dtype)[:, None]
         self._alpha_thr = quantize_probability(cfg.alpha, q)
         self._bias_thr = quantize_probability(0.5, q)
-        self._beta_thr = np.array(
-            [int(round(b * full)) for b in self.activation_spec.beta], dtype=self._word_dtype)
+        self._beta_thr = [quantize_probability(b, q) for b in self.activation_spec.beta]
         self._copy_delays = bp.spread_delays(n, L)
+        self._taps = [maximal_taps(q, role) for role in range(ROLE_COEFF_BASE + n + 1)]
 
         if cfg.reseed_policy == "per-node":
-            def node_words(role: int) -> np.ndarray:
-                cycle, pos = self._cycle(role)
-                starts = np.array([pos[reseed_for_node(cfg.master_seed, i, role, q)]
-                                   for i in range(H)])
-                idx = (starts[:, None] + np.arange(L)[None, :]) % cycle.size
-                return cycle[idx].astype(self._word_dtype)
-
+            words = [lfsr_words(q, taps, [reseed_for_node(cfg.master_seed, i, role, q)
+                                          for i in range(H)], L)
+                     for role, taps in enumerate(self._taps)]
             # constant operands freeze into fixed streams under re-seeding
-            self._in_words = node_words(ROLE_INPUT)
-            self._fb_words = node_words(ROLE_FEEDBACK)
-            self._W = node_words(ROLE_WEIGHT) <= self._w_offsets[:, None]
-            self._T = node_words(ROLE_BIAS) <= self._t_offsets[:, None]
-            self._SM = node_words(ROLE_SELECT_MIX) <= self._alpha_thr
-            self._SB = node_words(ROLE_SELECT_BIAS) <= self._bias_thr
-            self._beta = np.packbits(np.stack(
-                [node_words(ROLE_COEFF_BASE + k) <= self._beta_thr[k]
-                 for k in range(n + 1)]), axis=-1)
-        else:
-            # free-running draws slice these pre-tiled cycles contiguously
-            self._tiled = {}
-            for role in self._roles():
-                cycle, _ = self._cycle(role)
-                reps = -(-(cycle.size + H * L) // cycle.size)
-                self._tiled[role] = np.tile(cycle.astype(self._word_dtype), reps)
+            self._fixed_streams = self._operand_streams(words)
+            self._node_words = {ROLE_INPUT: words[ROLE_INPUT],
+                                ROLE_FEEDBACK: words[ROLE_FEEDBACK]}
 
-    def _initial_lfsr_pos(self) -> dict[int, int] | None:
+    def _operand_streams(self, words: list[np.ndarray]) -> tuple:
+        """W, T, SM, SB and the packed coefficient streams from each role's words."""
+        coeff_words = words[ROLE_COEFF_BASE:]
+        return (b2s(self._w_offsets, words[ROLE_WEIGHT]),
+                b2s(self._t_offsets, words[ROLE_BIAS]),
+                b2s(self._alpha_thr, words[ROLE_SELECT_MIX]),
+                b2s(self._bias_thr, words[ROLE_SELECT_BIAS]),
+                np.stack([pack(b2s(thr, w)) for thr, w in zip(self._beta_thr, coeff_words)]))
+
+    def _initial_lfsr_states(self) -> tuple[int, ...] | None:
         if self.cfg.backend != "stochastic" or self.cfg.reseed_policy != "none":
             return None
-        pos = {}
-        for role in self._roles():
-            cycle, lookup = self._cycle(role)
-            seed = derive_seed(self.cfg.master_seed, _TAG_FREERUN, role)
-            word = seed & ((1 << self.cfg.q) - 1) or 1
-            pos[role] = int(lookup[word])
-        return pos
+        full = (1 << self.cfg.q) - 1
+        return tuple(derive_seed(self.cfg.master_seed, _TAG_FREERUN, role) & full or 1
+                     for role in range(len(self._taps)))
 
-    def _draw_words(self, role: int, pos: dict[int, int]) -> np.ndarray:
-        """Consume H*L words from a free-running role LFSR (nodes in order)."""
-        count = self.H * self.cfg.L
-        start = pos[role]
-        period = (1 << self.cfg.q) - 1
-        pos[role] = (start + count) % period
-        return self._tiled[role][start:start + count].reshape(self.H, self.cfg.L)
+    def _draw_words(self, lfsr_states: tuple[int, ...]) -> tuple[list[np.ndarray], tuple]:
+        """H*L words from each role's free-running LFSR (nodes in order), and
+        the registers after them."""
+        H, L = self.H, self.cfg.L
+        words, after = [], []
+        for taps, state in zip(self._taps, lfsr_states):
+            run = lfsr_words(self.cfg.q, taps, state, H * L + 1)
+            words.append(run[:-1].reshape(H, L))
+            after.append(int(run[-1]))
+        return words, tuple(after)
 
     # -- stepping -------------------------------------------------------------
 
@@ -332,7 +322,7 @@ class Reservoir:
             line = np.full(self.tau, zero_word, dtype=np.int64)
         else:
             line = np.zeros(self.tau, dtype=np.float64)
-        return TdrState(line, 0, self._initial_lfsr_pos())
+        return TdrState(line, 0, self._initial_lfsr_states())
 
     def _read_positions(self, p: int) -> np.ndarray:
         # slot g - tau lands on the ring position about to be overwritten
@@ -373,46 +363,32 @@ class Reservoir:
             x = 2.0 * bp.bernstein_eval(np.asarray(self.activation_spec.beta), sbar) - 1.0
         line = state.delay_line.copy()
         line[..., pos] = x
-        new = TdrState(line, state.current_step + 1, state.lfsr_pos)
+        new = TdrState(line, state.current_step + 1, state.lfsr_states)
         return new, np.asarray(x, dtype=np.float64)
 
     def _step_stochastic(self, state: TdrState, u_off: int) -> tuple[TdrState, np.ndarray]:
         cfg = self.cfg
-        L = cfg.L
         pos = self._read_positions(state.current_step)
         fb_offsets = (state.delay_line[pos] + self._half).astype(self._word_dtype)[:, None]
 
         if cfg.reseed_policy == "per-node":
-            new_pos = state.lfsr_pos
-            U = self._in_words <= u_off
-            F = self._fb_words <= fb_offsets
-            W, T, SM, SB = self._W, self._T, self._SM, self._SB
-            beta = self._beta
+            words, lfsr_states = self._node_words, state.lfsr_states
+            W, T, SM, SB, beta = self._fixed_streams
         else:
-            new_pos = dict(state.lfsr_pos)
-            U = self._draw_words(ROLE_INPUT, new_pos) <= u_off
-            W = self._draw_words(ROLE_WEIGHT, new_pos) <= self._w_offsets[:, None]
-            T = self._draw_words(ROLE_BIAS, new_pos) <= self._t_offsets[:, None]
-            F = self._draw_words(ROLE_FEEDBACK, new_pos) <= fb_offsets
-            SM = self._draw_words(ROLE_SELECT_MIX, new_pos) <= self._alpha_thr
-            SB = self._draw_words(ROLE_SELECT_BIAS, new_pos) <= self._bias_thr
-            beta = np.packbits(np.stack(
-                [self._draw_words(ROLE_COEFF_BASE + k, new_pos) <= self._beta_thr[k]
-                 for k in range(cfg.n + 1)]), axis=-1)
+            words, lfsr_states = self._draw_words(state.lfsr_states)
+            W, T, SM, SB, beta = self._operand_streams(words)
+        U = b2s(u_off, words[ROLE_INPUT])
+        F = b2s(fb_offsets, words[ROLE_FEEDBACK])
 
         # XNOR multiplies input by weight, the alpha-MUX mixes in the feedback,
         # the 0.5-MUX averages in the bias
-        m2 = (SB & ((SM & (U == W)) | (~SM & F))) | (~SB & T)
-        ring = np.concatenate([m2, m2], axis=1)
-        copies = np.packbits(
-            np.stack([ring[:, L - d:2 * L - d] for d in self._copy_delays]), axis=-1)
-        out = bp.bernstein_mux_packed(copies, beta)
-        ones = np.bitwise_count(out).sum(axis=-1, dtype=np.int64)
+        mixed = stoch_mux_average(stoch_mux_average(stoch_mult(U, W), F, SM), T, SB)
+        copies = bp.make_independent_copies(mixed, self._copy_delays)
+        offs = s2b(bp.bernstein_mux_packed(copies, beta), cfg.L, cfg.q)
 
-        offs = streams.ones_count_to_offset(ones, L, cfg.q)
         line = state.delay_line.copy()
         line[pos] = offs - self._half
-        new = TdrState(line, state.current_step + 1, new_pos)
+        new = TdrState(line, state.current_step + 1, lfsr_states)
         return new, offset_to_real(offs, cfg.q)
 
     def run(self, inputs, state: TdrState | None = None,
@@ -443,17 +419,18 @@ class Reservoir:
         if self.cfg.backend != "stochastic":
             # the rows advance together, one (B, H) step per macro step
             X = np.empty(inputs.shape + (self.H,), dtype=np.float64)
-            state = TdrState(lines, state.current_step, state.lfsr_pos)
+            state = TdrState(lines, state.current_step, state.lfsr_states)
             for p in range(inputs.shape[1]):
                 state, X[:, p] = self.step(state, inputs[:, p])
             return X, state
         # rows in turn: a (B, H, L) bit-level batch measured slower (see metrics)
         start, rows, ends = state.current_step, [], []
         for row, line in zip(inputs, lines):
-            X_row, state = self.run(row, TdrState(line, start, state.lfsr_pos), return_state=True)
+            X_row, state = self.run(row, TdrState(line, start, state.lfsr_states),
+                                    return_state=True)
             rows.append(X_row)
             ends.append(state.delay_line)
-        return np.stack(rows), TdrState(np.stack(ends), state.current_step, state.lfsr_pos)
+        return np.stack(rows), TdrState(np.stack(ends), state.current_step, state.lfsr_states)
 
 
 def write_states_csv(path, X: np.ndarray) -> None:

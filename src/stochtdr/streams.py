@@ -1,25 +1,33 @@
-"""Bit-stream number representation and the primitive stochastic-logic gates.
+"""Bit-stream number representation and the stochastic-logic gates, one
+array kernel per gate.
 
 A q-bit two's-complement word ``z`` carries three linked views:
 
-* the raw integer ``z`` in ``{-2^(q-1), ..., 2^(q-1)-1}``,
+* the raw integer ``z`` in ``{-2^(q-1), ..., 2^(q-1)-1}``, held as its
+  offset-binary reading ``z + 2^(q-1)`` in ``{0, ..., 2^q - 1}``,
 * its ones-probability ``zbar = (z + 2^(q-1)) / (2^q - 1)`` in [0, 1],
 * the signed value ``ztilde = 2*zbar - 1`` in [-1, 1].
 
 A number is materialized as a Bernoulli bit stream whose ones-density
 estimates ``zbar``.  Arithmetic on such streams reduces to single logic
-gates: XNOR multiplies signed values, an inverter negates, and a MUX forms
-a weighted average.  The pseudo-random words that drive the binary-to-
-stochastic comparator come from maximal-length LFSRs, so a stream spanning
-whole LFSR periods reproduces its ones-probability exactly.
+gates: XNOR multiplies signed values and a MUX forms a weighted average.
+The pseudo-random words that drive the binary-to-stochastic comparator
+come from maximal-length LFSRs, so a stream spanning whole LFSR periods
+reproduces its ones-probability exactly.
+
+Each gate is one numpy kernel.  A stream is a boolean array with the bit
+position on its last axis; any leading axes (nodes, copies, coefficients)
+are batch axes that broadcast, so one call runs the gate for every stream
+of a reservoir step.  The counting kernels take streams packed 8 bits to a
+byte along the last axis by :func:`pack`, zero-padded.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_Q = 8
 
@@ -72,48 +80,81 @@ def maximal_taps(q: int, index: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# value / stream types
+# LFSR word source
 
 
-@dataclass(frozen=True)
-class BipolarValue:
-    """A q-bit two's-complement word with its probability and signed views."""
+def word_dtype(q: int) -> type:
+    """The narrowest unsigned type of a q-bit word (q <= 16).
 
-    z: int
-    q: int = DEFAULT_Q
+    Comparing words with offsets of the same type keeps the comparator from
+    widening to int64.
+    """
+    return np.uint8 if q <= 8 else np.uint16
 
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"word width must be >= 2, got q={self.q}")
-        half = 1 << (self.q - 1)
-        if not (-half <= self.z < half):
-            raise ValueError(f"z={self.z} outside two's-complement range at q={self.q}")
 
-    @property
-    def offset(self) -> int:
-        """Unsigned offset-binary reading, z + 2^(q-1), in {0, ..., 2^q - 1}."""
-        return self.z + (1 << (self.q - 1))
+@functools.lru_cache(maxsize=64)
+def lfsr_cycle(q: int, taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full state cycle of a maximal-length LFSR from state 1, plus the
+    state -> position table (-1 for the zero state).
 
-    @property
-    def unipolar(self) -> float:
-        """Ones-probability zbar = (z + 2^(q-1)) / (2^q - 1)."""
-        return self.offset / ((1 << self.q) - 1)
+    The register steps in the Fibonacci form of ``_TAP_MASKS`` and emits
+    its state before each step.  The cycle holds ``word_dtype(q)`` words.
+    Both arrays are cached and read-only.
+    """
+    if q not in _TAP_MASKS:
+        raise ValueError(f"no maximal-length taps known for width q={q}")
+    full = (1 << q) - 1
+    cycle = np.empty(full, dtype=word_dtype(q))
+    s = 1
+    for i in range(full):
+        cycle[i] = s
+        fb = bin(s & taps).count("1") & 1
+        s = (s >> 1) | (fb << (q - 1))
+    if s != 1:
+        raise ValueError(f"tap mask {taps:#x} is not maximal-length at q={q}")
+    pos = np.full(full + 1, -1, dtype=np.int64)
+    pos[cycle] = np.arange(full)
+    if (pos[1:] < 0).any():
+        raise ValueError(f"tap mask {taps:#x} is not maximal-length at q={q}")
+    cycle.flags.writeable = pos.flags.writeable = False
+    return cycle, pos
 
-    @property
-    def real(self) -> float:
-        """Signed value ztilde = 2*zbar - 1."""
-        return 2.0 * self.unipolar - 1.0
 
-    @classmethod
-    def from_offset(cls, offset: int, q: int = DEFAULT_Q) -> "BipolarValue":
-        return cls(int(offset) - (1 << (q - 1)), q)
+@functools.lru_cache(maxsize=32)
+def _word_windows(q: int, taps: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, windows): ``windows[i]`` is the ``count`` words emitted from
+    cycle position i, a read-only sliding view of the cycle repeated to
+    ``period + count - 1`` words, and ``rows[s]`` is the position of state s.
+    Invalid states get the row past the end, so indexing ``windows`` with
+    them raises IndexError: the zero state directly, and negative or
+    too-large states, which ``take(mode="clip")`` sends to ``rows[0]`` or
+    to the extra last entry."""
+    cycle, pos = lfsr_cycle(q, taps)
+    rows = np.append(np.where(pos < 0, cycle.size, pos), cycle.size)
+    rows.flags.writeable = False
+    return rows, sliding_window_view(np.resize(cycle, cycle.size + count - 1), count)
 
-    @classmethod
-    def from_real(cls, x: float, q: int = DEFAULT_Q) -> "BipolarValue":
-        """Nearest representable value to ``x`` in [-1, 1], ties toward zero."""
-        if not -1.0 <= x <= 1.0:
-            raise ValueError(f"value {x} outside [-1, 1]")
-        return cls.from_offset(int(real_to_offset(np.asarray(x), q)), q)
+
+def lfsr_words(q: int, taps: int, states, count: int) -> np.ndarray:
+    """The ``count`` words a width-q LFSR emits from each start state.
+
+    The first word is the start state itself; over ``count`` = one period
+    every nonzero word appears exactly once.  The result has shape
+    ``np.shape(states) + (count,)`` and ``word_dtype(q)``.  For a single
+    state it is a read-only view of a cached repetition of the cycle, so a
+    free-running source is drawn without a copy.
+    """
+    if count < 1:
+        raise ValueError("need at least one word")
+    rows, windows = _word_windows(q, taps, count)
+    try:
+        return windows[rows.take(states, mode="clip")]
+    except IndexError:
+        raise ValueError(f"LFSR states must be nonzero {q}-bit words") from None
+
+
+# ---------------------------------------------------------------------------
+# number <-> word conversions
 
 
 def offset_to_real(offset, q: int):
@@ -142,127 +183,12 @@ def quantize(x, q: int = DEFAULT_Q):
     return offset_to_real(real_to_offset(x, q), q)
 
 
-@dataclass(frozen=True, eq=False)
-class BitStream:
-    """A finite Bernoulli bit sequence; ones-density estimates a probability."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or bits.size < 1:
-            raise ValueError("bit stream must be a nonempty 1-D sequence")
-        if bits.max(initial=0) > 1:
-            raise ValueError("bit stream may contain only 0 and 1")
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return self.bits.size
-
-    @property
-    def L(self) -> int:
-        return self.bits.size
-
-    @property
-    def ones(self) -> int:
-        return int(self.bits.sum())
-
-    @property
-    def unipolar_estimate(self) -> float:
-        """Fraction of ones, the empirical zbar."""
-        return self.ones / self.bits.size
-
-    @property
-    def bipolar_estimate(self) -> float:
-        """(#ones - #zeros) / L, the empirical ztilde."""
-        return 2.0 * self.unipolar_estimate - 1.0
-
-
-# ---------------------------------------------------------------------------
-# LFSR word source
-
-
-@dataclass(frozen=True)
-class LfsrGenerator:
-    """Maximal-length Fibonacci LFSR emitting q-bit words (its own state).
-
-    The state is never zero and the state sequence has period 2^q - 1, so
-    over whole periods every nonzero word appears exactly once.
-    """
-
-    q: int = DEFAULT_Q
-    state: int = 1
-    taps: int | None = None
-
-    def __post_init__(self):
-        taps = self.taps if self.taps is not None else maximal_taps(self.q)
-        object.__setattr__(self, "taps", taps)
-        full = (1 << self.q) - 1
-        if not (1 <= self.state <= full):
-            raise ValueError(f"LFSR seed/state must be a nonzero {self.q}-bit word")
-        if not (1 <= taps <= full):
-            raise ValueError("tap mask must be a nonzero q-bit word")
-
-    def advanced(self, steps: int) -> "LfsrGenerator":
-        """Jump the generator forward by ``steps`` outputs."""
-        cycle, pos = _lfsr_cycle(self.q, self.taps)
-        i = (pos[self.state] + steps) % cycle.size
-        return LfsrGenerator(self.q, int(cycle[i]), self.taps)
-
-    def words(self, count: int) -> np.ndarray:
-        """The next ``count`` output words as an array (generator not advanced)."""
-        cycle, pos = _lfsr_cycle(self.q, self.taps)
-        idx = (pos[self.state] + np.arange(count)) % cycle.size
-        return cycle[idx]
-
-
-def lfsr_next(gen: LfsrGenerator) -> tuple[LfsrGenerator, int]:
-    """Advance one step; returns (advanced generator, current output word).
-
-    The output word is the state *before* advancing, so the first word a
-    fresh generator emits is its seed.
-    """
-    fb = int(bin(gen.state & gen.taps).count("1")) & 1
-    nxt = (gen.state >> 1) | (fb << (gen.q - 1))
-    return LfsrGenerator(gen.q, nxt, gen.taps), gen.state
-
-
-@functools.lru_cache(maxsize=64)
-def _lfsr_cycle(q: int, taps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full state cycle from state 1 plus a state -> position lookup table."""
+def quantize_probability(p: float, q: int = DEFAULT_Q) -> int:
+    """Probability in [0, 1] -> comparator threshold word (round to nearest)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p} outside [0, 1]")
     full = (1 << q) - 1
-    cycle = np.empty(full, dtype=np.int64)
-    s = 1
-    for i in range(full):
-        cycle[i] = s
-        fb = bin(s & taps).count("1") & 1
-        s = (s >> 1) | (fb << (q - 1))
-    if s != 1:
-        raise ValueError(f"tap mask {taps:#x} is not maximal-length at q={q}")
-    pos = np.full(full + 1, -1, dtype=np.int64)
-    pos[cycle] = np.arange(full)
-    if (pos[1:] < 0).any():
-        raise ValueError(f"tap mask {taps:#x} is not maximal-length at q={q}")
-    return cycle, pos
-
-
-# ---------------------------------------------------------------------------
-# conversions
-
-
-def b2s(v: BipolarValue, gen: LfsrGenerator, L: int) -> BitStream:
-    """Binary-to-stochastic conversion by comparator.
-
-    Bit r is 1 iff the r-th LFSR word is <= the offset-binary reading of
-    ``v``.  Because the LFSR emits each word in {1, ..., 2^q - 1} once per
-    period, the ones-fraction over whole periods equals zbar exactly.
-    """
-    if L < 1:
-        raise ValueError("stream length must be >= 1")
-    if gen.q != v.q:
-        raise ValueError(f"generator width q={gen.q} != value width q={v.q}")
-    words = gen.words(L)
-    return BitStream((words <= v.offset).astype(np.uint8))
+    return int(np.floor(p * full + 0.5))
 
 
 def ones_count_to_offset(ones, L: int, q: int):
@@ -280,64 +206,47 @@ def ones_count_to_offset(ones, L: int, q: int):
     return k + up
 
 
-def s2b(s: BitStream, q: int = DEFAULT_Q) -> BipolarValue:
-    """Stochastic-to-binary conversion via an up/down counter.
-
-    The counter ends at c = #ones - #zeros; the result is the representable
-    value nearest to ztilde = c / L (ties toward zero).
-    """
-    offset = int(ones_count_to_offset(s.ones, s.L, q))
-    return BipolarValue.from_offset(offset, q)
-
-
 # ---------------------------------------------------------------------------
 # gates
 
 
-def _check_equal_length(*streams: BitStream) -> int:
-    lengths = {st.L for st in streams}
-    if len(lengths) != 1:
-        raise ValueError(f"stream length mismatch: {sorted(lengths)}")
-    return lengths.pop()
+def b2s(offsets, words):
+    """Binary-to-stochastic conversion by comparator: bit r is 1 iff word r <= offset.
+
+    ``words`` holds each stream's comparator words on the last axis, and
+    ``offsets`` broadcast against it, so one offset per stream carries a
+    trailing unit axis.  An offset is a number's offset-binary reading or,
+    for a MUX select line, ``quantize_probability(p, q)``.  Because an LFSR
+    emits each word in {1, ..., 2^q - 1} once per period, the ones-fraction
+    over whole periods is exactly offset / (2^q - 1).
+    """
+    return words <= offsets
 
 
-def stoch_mult(a: BitStream, b: BitStream) -> BitStream:
-    """XNOR gate: multiplies signed values of statistically independent streams."""
-    _check_equal_length(a, b)
-    return BitStream(np.where(a.bits == b.bits, 1, 0).astype(np.uint8))
+def stoch_mult(a, b):
+    """XNOR gate: multiplies the signed values of independent boolean streams."""
+    return a == b
 
 
-def stoch_negate(s: BitStream) -> BitStream:
-    """Inverter: negates the signed value exactly, bit for bit."""
-    return BitStream((1 - s.bits).astype(np.uint8))
-
-
-def stoch_mux_average(a: BitStream, b: BitStream, select: BitStream) -> BitStream:
-    """MUX gate: picks bit from ``a`` where select is 1, else from ``b``.
+def stoch_mux_average(a, b, select):
+    """MUX gate on boolean streams: the bit of ``a`` where select is 1, else of ``b``.
 
     With an independent select stream of ones-probability alpha the output
     signed value averages to alpha*za + (1 - alpha)*zb.
     """
-    _check_equal_length(a, b, select)
-    return BitStream(np.where(select.bits == 1, a.bits, b.bits).astype(np.uint8))
+    return (select & a) | (~select & b)
 
 
-def quantize_probability(p: float, q: int = DEFAULT_Q) -> int:
-    """Probability in [0, 1] -> comparator threshold word (round to nearest)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    full = (1 << q) - 1
-    return int(np.floor(p * full + 0.5))
+def pack(bits):
+    """Boolean streams packed 8 bits to a byte along the last axis, zero-padded."""
+    return np.packbits(bits, axis=-1)
 
 
-def unipolar_select_stream(p: float, gen: LfsrGenerator, L: int) -> BitStream:
-    """Pure-probability stream: each bit 1 with the q-bit quantization of ``p``.
+def s2b(words, L: int, q: int):
+    """Stochastic-to-binary conversion by up/down counter, on packed streams.
 
-    Used for MUX select lines, which carry a mixing probability rather than
-    a bipolar-encoded number.
+    Each stream of ``L`` bits, packed along the last axis of ``words``,
+    ends the count at c = #ones - #zeros; the result is the offset word of
+    the representable value nearest to ztilde = c / L (ties toward zero).
     """
-    if L < 1:
-        raise ValueError("stream length must be >= 1")
-    threshold = quantize_probability(p, gen.q)
-    words = gen.words(L)
-    return BitStream((words <= threshold).astype(np.uint8))
+    return ones_count_to_offset(np.bitwise_count(words).sum(axis=-1, dtype=np.int64), L, q)

@@ -146,15 +146,19 @@ class EvalResult:
     metadata: dict
 
 
-def _split_and_fit(cfg: TdrConfig, drive: np.ndarray, targets: np.ndarray,
-                   m_train: int, lam: float, washout: int):
-    """Shared protocol: continuous run, contiguous split, washout discard."""
+def check_split(m_train: int, m_test: int, washout: int) -> None:
+    """Raise ValueError unless washout >= 0 and each split keeps >= 2 samples past it."""
     if washout < 0:
         raise ValueError("washout must be >= 0")
-    m_test = drive.size - m_train
     if m_train < washout + 2 or m_test < washout + 2:
         raise ValueError(
             f"splits of {m_train}/{m_test} too short for washout {washout}")
+
+
+def _split_and_fit(cfg: TdrConfig, drive: np.ndarray, targets: np.ndarray,
+                   m_train: int, lam: float, washout: int):
+    """Shared protocol: continuous run, contiguous split, washout discard."""
+    check_split(m_train, drive.size - m_train, washout)
     X = Reservoir(cfg).run(drive)
     X_train, y_train = X[washout:m_train], targets[washout:m_train]
     X_test = X[m_train + washout:]

@@ -19,6 +19,21 @@ from stochtdr import cli
     ["metrics", "--L", "2.5e0"],
     ["bench", "sinesquare", "--H-grid", "2:1.5:5"],
     ["fit-activation", "--config", "backend = bogus"],  # the fit uses no reservoir
+    ["bench", "sinesquare", "--lambda", "nan"],
+    ["bench", "narma10", "--lambda", "-1"],
+    ["metrics", "--rank-tol", "nan"],
+    ["metrics", "--rank-tol", "-1"],
+    ["metrics", "--gamma", "nan"],
+    ["bench", "narma10", "--gamma", "inf"],
+    ["simulate", "--gamma=-inf"],
+    ["metrics", "--noise", "nan"],
+    ["metrics", "--noise", "-0.1"],
+    ["bench", "sinesquare", "--washout", "-1"],
+    ["bench", "sinesquare", "--train", "10"],  # shorter than the default washout 50 + 2
+    ["metrics", "--m", "0"],
+    ["fit-activation", "--delta-s", "nan"],
+    ["fit-activation", "--gamma", "inf"],
+    ["simulate", "--backend", "stochastic", "--L", "16", "--L", "32"],
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     if "--config" in argv:  # the value after --config is the file's text

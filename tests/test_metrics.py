@@ -16,10 +16,10 @@ def rows_in_turn(res: Reservoir, probes, start: TdrState | None = None):
     zeroed line at step 0), LFSR positions carried from row to row."""
     if start is None:
         init = res.initial_state()
-        start = TdrState(np.zeros_like(init.delay_line), 0, init.lfsr_pos)
+        start = TdrState(np.zeros_like(init.delay_line), 0, init.lfsr_states)
     state, X = start, []
     for row in probes:
-        state = TdrState(start.delay_line.copy(), start.current_step, state.lfsr_pos)
+        state = TdrState(start.delay_line.copy(), start.current_step, state.lfsr_states)
         X_row, state = res.run(row, state=state, return_state=True)
         X.append(X_row)
     return np.stack(X), state
@@ -49,7 +49,7 @@ def test_block_run_matches_rows_in_turn(backend, policy):
     X_rows, end_rows = rows_in_turn(res, probes)
     assert X.shape == (4, M, H)
     np.testing.assert_array_equal(X, X_rows)
-    assert end.lfsr_pos == end_rows.lfsr_pos
+    assert end.lfsr_states == end_rows.lfsr_states
     np.testing.assert_array_equal(end.delay_line[-1], end_rows.delay_line)
 
 
@@ -98,3 +98,16 @@ def test_metrics_csv_does_not_depend_on_worker_count(tmp_path):
         assert cli.main(argv + ["--workers", str(workers), "--out", str(out)]) == cli.EXIT_OK
         outputs.append((out / "metrics.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("rel_tol", [np.nan, -1.0, 1.0, np.inf])
+def test_rank_tolerance_must_lie_in_the_unit_interval(rel_tol):
+    with pytest.raises(ValueError, match="rank tolerance"):
+        metrics.numerical_rank(np.eye(3), rel_tol)
+    assert metrics.numerical_rank(np.diag([1.0, 0.5, 0.0]), 0.0) == 2
+
+
+@pytest.mark.parametrize("m,noise", [(0, 0.05), (5, np.nan), (5, -0.1), (5, np.inf)])
+def test_probe_length_and_noise_are_checked(m, noise):
+    with pytest.raises(ValueError, match="probe length|noise amplitude"):
+        metrics.generalization_rank(config("ideal-exact", "per-node"), m, noise_amplitude=noise)

@@ -1,0 +1,37 @@
+"""Ridge readout against a least-squares solve of the augmented system."""
+
+import numpy as np
+import pytest
+
+from stochtdr.readout import RankDeficiencyError, predict, ridge_train
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 0.3])
+@pytest.mark.parametrize("use_bias", [True, False])
+def test_ridge_matches_lstsq_on_the_augmented_system(lam, use_bias):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 5))
+    y = X @ rng.normal(size=5) + 0.7 + 0.1 * rng.normal(size=60)
+    model = ridge_train(X, y, lam, use_bias=use_bias)
+    # (Xd^T Xd + lam I) w = Xd^T y are the normal equations of [Xd; sqrt(lam) I] w = [y; 0]
+    Xd = np.column_stack([X, np.ones(60)]) if use_bias else X
+    A = np.vstack([Xd, np.sqrt(lam) * np.eye(Xd.shape[1])])
+    w, *_ = np.linalg.lstsq(A, np.concatenate([y, np.zeros(Xd.shape[1])]), rcond=None)
+    np.testing.assert_allclose(model.w_out, w, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(predict(model, X), Xd @ w, rtol=1e-9, atol=1e-12)
+
+
+def test_rank_deficient_data_needs_regularization():
+    X = np.random.default_rng(4).normal(size=(30, 3))
+    X = np.column_stack([X, X[:, 0] - 2 * X[:, 1]])  # a dependent column
+    y = X[:, 0]
+    with pytest.raises(RankDeficiencyError, match="rank 4 < 5"):
+        ridge_train(X, y, 0.0)
+    assert np.isfinite(ridge_train(X, y, 1e-3).w_out).all()
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+def test_lambda_must_be_finite_and_non_negative(lam):
+    X = np.eye(4)
+    with pytest.raises(ValueError, match="lambda"):
+        ridge_train(X, np.ones(4), lam)

@@ -1,21 +1,22 @@
 """Reservoir tests: the stochastic backend against a gate-by-gate oracle,
 and rejection of bad inputs and configurations.
 
-The oracle rebuilds every node's streams from the public gate functions of
-``streams`` and ``bernstein``, so the gate-law tests of those modules also
-cover the reservoir's packed, bit-sliced step.
+The oracle rebuilds every node's streams one node at a time from the gate
+kernels of ``streams`` that the reservoir calls (LFSR words, comparator,
+XNOR, MUX), so the gate-law tests of that module also cover the
+reservoir's step.  For the packed parts it uses independent references:
+``np.roll`` copies, a count-and-gather adder plus MUX and an unpacked
+ones count, against which ``tests/test_bernstein.py`` and
+``tests/test_streams.py`` check the packed kernels.
 """
 
 import numpy as np
 import pytest
 
-from stochtdr.bernstein import (
-    make_independent_copies,
-    spread_delays,
-    stochastic_bernstein_eval,
-)
+from stochtdr.bernstein import spread_delays
 from stochtdr.reservoir import (
     BACKENDS,
+    RESEED_POLICIES,
     ROLE_BIAS,
     ROLE_COEFF_BASE,
     ROLE_FEEDBACK,
@@ -30,16 +31,16 @@ from stochtdr.reservoir import (
     reseed_for_node,
 )
 from stochtdr.streams import (
-    BipolarValue,
-    LfsrGenerator,
     b2s,
+    lfsr_words,
     maximal_taps,
     offset_to_real,
+    ones_count_to_offset,
     quantize,
-    s2b,
+    quantize_probability,
+    real_to_offset,
     stoch_mult,
     stoch_mux_average,
-    unipolar_select_stream,
 )
 
 
@@ -48,32 +49,37 @@ def oracle_run(res: Reservoir, inputs) -> np.ndarray:
     cfg = res.cfg
     H, L, n, q = cfg.H, cfg.L, cfg.n, cfg.q
     full = (1 << q) - 1
+    steps = len(inputs)
+    # one free-running LFSR per role hands out H*L words per step, node by node
+    freerun = {role: lfsr_words(q, maximal_taps(q, role),
+                                derive_seed(cfg.master_seed, _TAG_FREERUN, role) & full or 1,
+                                steps * H * L)
+               for role in range(ROLE_COEFF_BASE + n + 1)}
 
-    def generator(role, i, p):
-        taps = maximal_taps(q, role)
+    def words(role, i, p):
         if cfg.reseed_policy == "per-node":
-            return LfsrGenerator(q, reseed_for_node(cfg.master_seed, i, role, q), taps)
-        # one free-running LFSR per role hands out H*L words per step, node by node
-        start = derive_seed(cfg.master_seed, _TAG_FREERUN, role) & full or 1
-        return LfsrGenerator(q, start, taps).advanced((p * H + i) * L)
+            seed = reseed_for_node(cfg.master_seed, i, role, q)
+            return lfsr_words(q, maximal_taps(q, role), seed, L)
+        return freerun[role][(p * H + i) * L:(p * H + i + 1) * L]
 
-    line = [BipolarValue.from_real(0.0, q)] * res.tau
-    offsets = np.empty((len(inputs), H), dtype=np.int64)
+    line = [real_to_offset(0.0, q)] * res.tau
+    offsets = np.empty((steps, H), dtype=np.int64)
     for p, u in enumerate(inputs):
         for i in range(H):
             slot = (p * H + i) % res.tau
-            U = b2s(BipolarValue.from_real(u, q), generator(ROLE_INPUT, i, p), L)
-            W = b2s(BipolarValue.from_real(res.weights[i], q), generator(ROLE_WEIGHT, i, p), L)
-            T = b2s(BipolarValue.from_real(res.biases[i], q), generator(ROLE_BIAS, i, p), L)
-            F = b2s(line[slot], generator(ROLE_FEEDBACK, i, p), L)
-            SM = unipolar_select_stream(cfg.alpha, generator(ROLE_SELECT_MIX, i, p), L)
-            SB = unipolar_select_stream(0.5, generator(ROLE_SELECT_BIAS, i, p), L)
+            U = b2s(real_to_offset(u, q), words(ROLE_INPUT, i, p))
+            W = b2s(real_to_offset(res.weights[i], q), words(ROLE_WEIGHT, i, p))
+            T = b2s(real_to_offset(res.biases[i], q), words(ROLE_BIAS, i, p))
+            F = b2s(line[slot], words(ROLE_FEEDBACK, i, p))
+            SM = b2s(quantize_probability(cfg.alpha, q), words(ROLE_SELECT_MIX, i, p))
+            SB = b2s(quantize_probability(0.5, q), words(ROLE_SELECT_BIAS, i, p))
             mixed = stoch_mux_average(stoch_mux_average(stoch_mult(U, W), F, SM), T, SB)
-            copies = make_independent_copies(mixed, n, spread_delays(n, L))
-            betas = [unipolar_select_stream(b, generator(ROLE_COEFF_BASE + k, i, p), L)
-                     for k, b in enumerate(res.activation_spec.beta)]
-            line[slot] = s2b(stochastic_bernstein_eval(copies, betas), q)
-            offsets[p, i] = line[slot].offset
+            copies = np.stack([np.roll(mixed, d) for d in spread_delays(n, L)])
+            betas = np.stack([b2s(quantize_probability(b, q), words(ROLE_COEFF_BASE + k, i, p))
+                              for k, b in enumerate(res.activation_spec.beta)])
+            out = np.take_along_axis(betas, copies.sum(axis=0)[None], axis=0)[0]
+            line[slot] = ones_count_to_offset(out.sum(), L, q)
+            offsets[p, i] = line[slot]
     return offset_to_real(offsets, q)
 
 
@@ -115,3 +121,43 @@ def test_stochastic_rejects_streams_shorter_than_degree():
     assert sorted(spread_delays(5, 5)) == [0, 1, 2, 3, 4]
     # the ideal backends have no streams to check
     TdrConfig(H=3, alpha=0.5, gamma=2.0, n=5, backend="ideal-bernstein").validate()
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="not finite"):
+        TdrConfig(H=3, alpha=0.5, gamma=gamma).validate()
+
+
+def state_rms(cfg_a: dict, cfg_b: dict, q: int) -> np.ndarray:
+    """Per seed 0-5, the RMS difference between the state matrices of two
+    reservoirs with the same weights and biases, driven by the same input."""
+    rms = []
+    for seed in range(6):
+        u = quantize(np.random.default_rng(seed).uniform(-1.0, 1.0, 20), q)
+        base = dict(H=8, alpha=0.3, gamma=2.0, q=q, master_seed=seed, biases="random")
+        X_a = Reservoir(TdrConfig(**base, **cfg_a)).run(u)
+        X_b = Reservoir(TdrConfig(**base, **cfg_b)).run(u)
+        rms.append(np.sqrt(np.mean((X_a - X_b) ** 2)))
+    return np.array(rms)
+
+
+@pytest.mark.parametrize("policy", RESEED_POLICIES)
+def test_stochastic_converges_to_ideal_bernstein(policy):
+    # the stream fluctuation shrinks as 1/sqrt(L); at q = 16 every L stays
+    # far below the LFSR period, where whole-period exactness would set in
+    means = []
+    for L in (64, 512, 4096):
+        rms = state_rms({"backend": "stochastic", "L": L, "reseed_policy": policy},
+                        {"backend": "ideal-bernstein"}, q=16)
+        assert rms.mean() <= 4.0 / np.sqrt(L), f"L={L}: {rms}"
+        means.append(rms.mean())
+    assert means[0] > means[1] > means[2]
+
+
+def test_ideal_bernstein_converges_to_ideal_exact():
+    means = [state_rms({"backend": "ideal-bernstein", "n": n}, {"backend": "ideal-exact"},
+                       q=12).mean()
+             for n in (2, 5, 12)]
+    assert means[0] > means[1] > means[2]
+    assert means[2] < 0.01

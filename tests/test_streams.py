@@ -1,27 +1,30 @@
-"""Bit-stream encoding, LFSR, and gate-law tests.
+"""Bit-stream encoding, LFSR, and gate-law tests on the array kernels.
 
 Statistical checks that rely on Bernoulli behaviour run at q=16 so the
 stream length stays well below the LFSR period; q=8 whole-period streams
 are reserved for the exactness tests they enable.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from stochtdr.streams import (
-    BipolarValue,
-    BitStream,
-    LfsrGenerator,
     b2s,
-    lfsr_next,
+    lfsr_cycle,
+    lfsr_words,
     maximal_taps,
+    offset_to_real,
+    ones_count_to_offset,
+    pack,
     quantize,
+    quantize_probability,
+    real_to_offset,
     s2b,
     stoch_mult,
     stoch_mux_average,
-    stoch_negate,
     supported_widths,
-    unipolar_select_stream,
     _TAP_MASKS,
 )
 
@@ -30,56 +33,73 @@ def bernoulli_sigma(p, L):
     return np.sqrt(p * (1 - p) / L)
 
 
+def reference_lfsr(q, taps, state, count):
+    """Bit-level Fibonacci LFSR: emit the state, then shift in the tap parity."""
+    out = []
+    for _ in range(count):
+        out.append(state)
+        state = (state >> 1) | ((bin(state & taps).count("1") & 1) << (q - 1))
+    return out
+
+
+def estimate(bits):
+    """Signed estimate (#ones - #zeros) / L of each stream."""
+    return 2.0 * bits.mean(axis=-1) - 1.0
+
+
 # ---------------------------------------------------------------------------
 # LFSR
 
 
 def test_lfsr_period_and_coverage_q8():
-    gen = LfsrGenerator(8, 0x5A)
-    seen = set()
-    g = gen
-    for _ in range(255):
-        g, word = lfsr_next(g)
-        seen.add(word)
-    assert g.state == gen.state  # period exactly 2^q - 1
-    assert seen == set(range(1, 256))  # every nonzero word exactly once
+    taps = maximal_taps(8)
+    words = lfsr_words(8, taps, 0x5A, 256)
+    assert list(words) == reference_lfsr(8, taps, 0x5A, 256)
+    assert words[255] == 0x5A  # period exactly 2^q - 1
+    assert sorted(words[:255]) == list(range(1, 256))  # every nonzero word exactly once
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_all_table_masks_are_maximal(q):
     full = (1 << q) - 1
     for mask in _TAP_MASKS[q]:
-        g = LfsrGenerator(q, 1, taps=mask)
-        states = set()
-        for _ in range(full):
-            g, word = lfsr_next(g)
-            states.add(word)
-        assert len(states) == full, f"mask {mask:#x} at q={q} is not maximal"
-        assert g.state == 1
+        states = reference_lfsr(q, mask, 1, full + 1)
+        assert len(set(states[:full])) == full, f"mask {mask:#x} at q={q} is not maximal"
+        assert states[full] == 1
+        cycle, pos = lfsr_cycle(q, mask)
+        assert list(cycle) == states[:full]
+        assert list(pos[cycle]) == list(range(full))
 
 
 def test_lfsr_zero_seed_rejected():
-    with pytest.raises(ValueError):
-        LfsrGenerator(8, 0)
+    taps = maximal_taps(8)
+    # zero locks the register; the others are not 8-bit words at all
+    for states in (0, [3, 0, 7], -1, -300, 256, [[1, 2], [3, -2]]):
+        with pytest.raises(ValueError, match="nonzero"):
+            lfsr_words(8, taps, states, 5)
 
 
 def test_lfsr_determinism_and_words():
-    a = LfsrGenerator(8, 17)
-    b = LfsrGenerator(8, 17)
-    seq_a, seq_b = [], []
-    for _ in range(40):
-        a, wa = lfsr_next(a)
-        b, wb = lfsr_next(b)
-        seq_a.append(wa)
-        seq_b.append(wb)
-    assert seq_a == seq_b
-    assert list(LfsrGenerator(8, 17).words(40)) == seq_a
-    assert LfsrGenerator(8, 17).advanced(40).state == a.state
+    taps = maximal_taps(8, 3)
+    ref = reference_lfsr(8, taps, 17, 41)
+    assert list(lfsr_words(8, taps, 17, 40)) == ref[:40]
+    assert np.array_equal(lfsr_words(8, taps, 17, 40), lfsr_words(8, taps, 17, 40))
+    # the word after 40 steps is where a 40-step jump lands
+    assert lfsr_words(8, taps, 17, 41)[-1] == ref[40]
+    # an array of start states gives one row per state, in the state's shape
+    states = np.array([[17, 200], [1, 255]])
+    rows = lfsr_words(8, taps, states, 300)  # longer than one period
+    assert rows.shape == (2, 2, 300) and rows.dtype == np.uint8
+    for idx in np.ndindex(states.shape):
+        assert list(rows[idx]) == reference_lfsr(8, taps, int(states[idx]), 300)
+    assert lfsr_words(12, maximal_taps(12), 5, 3).dtype == np.uint16
 
 
 def test_unsupported_width_rejected():
     with pytest.raises(ValueError):
         maximal_taps(40)
+    with pytest.raises(ValueError):
+        lfsr_cycle(40, 0x3)
     assert 8 in supported_widths() and 16 in supported_widths()
 
 
@@ -88,30 +108,32 @@ def test_unsupported_width_rejected():
 
 
 def test_bipolar_value_views():
-    v = BipolarValue(0, 8)
-    assert v.offset == 128
-    assert v.unipolar == 128 / 255
-    assert v.real == 2 * 128 / 255 - 1
-    with pytest.raises(ValueError):
-        BipolarValue(128, 8)
-    with pytest.raises(ValueError):
-        BipolarValue(-129, 8)
+    # z = 0 at q = 8 is offset 128, zbar = 128/255, ztilde = 2*zbar - 1
+    assert real_to_offset(2 * 128 / 255 - 1, 8) == 128
+    assert offset_to_real(128, 8) == pytest.approx(2 * 128 / 255 - 1, abs=1e-15)
+    # the quantizer never leaves the q-bit offset range
+    assert list(real_to_offset([-1.5, -1.0, 1.0, 1.5], 8)) == [0, 0, 255, 255]
 
 
 def test_from_real_roundtrip_all_values_q8():
-    for z in range(-128, 128):
-        v = BipolarValue(z, 8)
-        assert BipolarValue.from_real(v.real, 8) == v
+    offsets = np.arange(256)
+    assert np.array_equal(real_to_offset(offset_to_real(offsets, 8), 8), offsets)
 
 
 def test_from_real_ties_toward_zero():
     # 0.0 sits exactly between z=-1 and z=0; the dead-center tie picks z=0
-    assert BipolarValue.from_real(0.0, 8).z == 0
+    assert real_to_offset(0.0, 8) == 128
     # endpoints map exactly
-    assert BipolarValue.from_real(1.0, 8).z == 127
-    assert BipolarValue.from_real(-1.0, 8).z == -128
-    with pytest.raises(ValueError):
-        BipolarValue.from_real(1.5, 8)
+    assert real_to_offset(1.0, 8) == 255
+    assert real_to_offset(-1.0, 8) == 0
+    # midpoints between neighbours (those exact in floating point) resolve
+    # toward the smaller magnitude
+    lo = np.arange(255)
+    mid = (lo + 0.5) / 127.5 - 1.0
+    lo = lo[(mid + 1.0) * 0.5 * 255 == lo + 0.5]
+    assert lo.size > 100
+    nearer_zero = np.where(np.abs(2 * lo - 255) < np.abs(2 * lo - 253), lo, lo + 1)
+    assert np.array_equal(real_to_offset((lo + 0.5) / 127.5 - 1.0, 8), nearer_zero)
 
 
 def test_quantize_is_idempotent():
@@ -127,153 +149,143 @@ def test_quantize_is_idempotent():
 
 
 def test_b2s_endpoints_q8():
-    gen = LfsrGenerator(8, 33)
-    ones = b2s(BipolarValue(127, 8), gen, 1000)   # ztilde = +1
-    zeros = b2s(BipolarValue(-128, 8), gen, 1000)  # ztilde = -1
-    assert ones.ones == 1000
-    assert zeros.ones == 0
+    words = lfsr_words(8, maximal_taps(8), 33, 1000)
+    assert b2s(255, words).all()       # ztilde = +1
+    assert not b2s(0, words).any()    # ztilde = -1
 
 
 def test_b2s_density_near_half_q8():
-    v = BipolarValue(0, 8)  # zbar = 128/255
-    s = b2s(v, LfsrGenerator(8, 91), 100_000)
-    assert abs(s.unipolar_estimate - v.unipolar) <= 3 * bernoulli_sigma(v.unipolar, s.L)
+    zbar = 128 / 255  # z = 0
+    bits = b2s(128, lfsr_words(8, maximal_taps(8), 91, 100_000))
+    assert abs(bits.mean() - zbar) <= 3 * bernoulli_sigma(zbar, bits.size)
 
 
 def test_s2b_trivial_cases():
-    assert s2b(BitStream(np.ones(50, dtype=np.uint8)), 8).real == 1.0
-    alternating = BitStream(np.tile([1, 0], 5))
-    assert s2b(alternating, 8).z == 0  # c = 0 -> dead-center tie -> z = 0
+    assert s2b(pack(np.ones(50, dtype=bool)), 50, 8) == 255  # ztilde = +1
+    alternating = np.tile([True, False], 5)
+    assert s2b(pack(alternating), 10, 8) == 128  # c = 0 -> dead-center tie -> z = 0
 
 
 def test_s2b_counter_tie_goes_toward_zero():
     # seven ones in L=10: ztilde = 0.4 = 102/255 sits exactly between
     # offsets 178 and 179; the tie resolves to the smaller magnitude
-    from fractions import Fraction
-
-    s = BitStream(np.array([1, 1, 1, 1, 1, 1, 1, 0, 0, 0], dtype=np.uint8))
-    got = s2b(s, 8)
+    bits = np.array([1, 1, 1, 1, 1, 1, 1, 0, 0, 0], dtype=bool)
+    got = int(s2b(pack(bits), 10, 8))
 
     # oracle: exact rational scan over all 256 representable values
     target = Fraction(2 * 7 - 10, 10)
     best = None
-    for z in range(-128, 128):
-        zt = Fraction(2 * (z + 128) - 255, 255)
+    for offset in range(256):
+        zt = Fraction(2 * offset - 255, 255)
         key = (abs(zt - target), abs(zt))
         if best is None or key < best[0]:
-            best = (key, z)
-    assert got.z == best[1]
-    assert got.z == 50
+            best = (key, offset)
+    assert got == best[1] == 128 + 50
+
+
+@pytest.mark.parametrize("L", [1, 8, 13, 64, 301])
+def test_s2b_matches_an_unpacked_count(L):
+    bits = np.random.default_rng(L).random((3, 4, L)) < 0.6
+    got = s2b(pack(bits), L, 10)
+    assert got.shape == (3, 4)
+    assert np.array_equal(got, ones_count_to_offset(bits.sum(axis=-1), L, 10))
 
 
 def test_roundtrip_exact_whole_period_q8():
-    # L = one full period makes the comparator count exact for every value
-    for z in range(-128, 128):
-        v = BipolarValue(z, 8)
-        gen = LfsrGenerator(8, 1 + (z * 7 + 300) % 255)
-        assert s2b(b2s(v, gen, 255), 8) == v
+    # L = one full period makes the comparator count exact for every value;
+    # all 256 offsets run as one batch, each from its own start state
+    offsets = np.arange(256)
+    states = 1 + (offsets * 7 + 300) % 255
+    words = lfsr_words(8, maximal_taps(8), states, 255)
+    assert np.array_equal(s2b(pack(b2s(offsets[:, None], words)), 255, 8), offsets)
 
 
 # ---------------------------------------------------------------------------
 # gates
 
 
-def xnor_expectation(pa, pb):
-    """Brute-force gate expectation: sum over all input bit pairs."""
-    total = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            out = 1 if i == j else 0
-            total += out * (pa if i else 1 - pa) * (pb if j else 1 - pb)
-    return total
-
-
-def mux_expectation(pa, pb, ps):
-    total = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                out = i if k else j
-                total += (out * (pa if i else 1 - pa) * (pb if j else 1 - pb)
-                          * (ps if k else 1 - ps))
-    return total
+def gate_expectation(gate, *probs):
+    """Ones-probability of a gate's output, enumerating every input bit pattern."""
+    patterns = np.array(list(np.ndindex(*(2,) * len(probs))), dtype=bool).T
+    weight = np.prod([np.where(bits, p, 1 - p) for bits, p in zip(patterns, probs)], axis=0)
+    return float(np.sum(gate(*patterns) * weight))
 
 
 def test_xnor_product_law_by_enumeration():
     for pa in np.linspace(0, 1, 9):
         for pb in np.linspace(0, 1, 9):
             za, zb = 2 * pa - 1, 2 * pb - 1
-            assert 2 * xnor_expectation(pa, pb) - 1 == pytest.approx(za * zb, abs=1e-12)
+            out = gate_expectation(stoch_mult, pa, pb)
+            assert 2 * out - 1 == pytest.approx(za * zb, abs=1e-12)
 
 
 def test_mux_average_law_by_enumeration():
     for pa, pb, ps in [(0.3, 0.9, 0.25), (0.5, 0.1, 0.8), (0.0, 1.0, 0.5)]:
         za, zb = 2 * pa - 1, 2 * pb - 1
-        assert 2 * mux_expectation(pa, pb, ps) - 1 == pytest.approx(
-            ps * za + (1 - ps) * zb, abs=1e-12)
+        out = gate_expectation(stoch_mux_average, pa, pb, ps)
+        assert 2 * out - 1 == pytest.approx(ps * za + (1 - ps) * zb, abs=1e-12)
 
 
 def test_xnor_trivial_streams():
-    rng = np.random.default_rng(5)
-    b = BitStream(rng.integers(0, 2, 200).astype(np.uint8))
-    ones = BitStream(np.ones(200, dtype=np.uint8))
-    zeros = BitStream(np.zeros(200, dtype=np.uint8))
-    assert np.array_equal(stoch_mult(ones, b).bits, b.bits)
-    assert np.array_equal(stoch_mult(zeros, b).bits, 1 - b.bits)
+    b = np.random.default_rng(5).random(200) < 0.5
+    ones, zeros = np.ones(200, dtype=bool), np.zeros(200, dtype=bool)
+    assert np.array_equal(stoch_mult(ones, b), b)
+    assert np.array_equal(stoch_mult(zeros, b), ~b)
     with pytest.raises(ValueError):
-        stoch_mult(ones, BitStream(np.ones(100, dtype=np.uint8)))
+        stoch_mult(ones, np.ones(100, dtype=bool))
 
 
 def test_xnor_empirical_q16():
     # ztilde = 0.5 each; product 0.25; distinct tap polynomials keep the
     # word sequences statistically independent
     q, L = 16, 100_000
-    v = BipolarValue.from_real(0.5, q)
-    a = b2s(v, LfsrGenerator(q, 1234, taps=maximal_taps(q, 0)), L)
-    b = b2s(v, LfsrGenerator(q, 56789, taps=maximal_taps(q, 1)), L)
-    prod = stoch_mult(a, b)
-    expected = v.real * v.real
+    offset = real_to_offset(0.5, q)
+    a = b2s(offset, lfsr_words(q, maximal_taps(q, 0), 1234, L))
+    b = b2s(offset, lfsr_words(q, maximal_taps(q, 1), 56789, L))
+    expected = offset_to_real(offset, q) ** 2
     sigma = np.sqrt((1 - expected**2) / L)
-    assert abs(prod.bipolar_estimate - expected) <= 3 * sigma
+    assert abs(estimate(stoch_mult(a, b)) - expected) <= 3 * sigma
 
 
 def test_negate():
-    rng = np.random.default_rng(6)
-    s = BitStream(rng.integers(0, 2, 333).astype(np.uint8))
-    neg = stoch_negate(s)
-    assert neg.ones == s.L - s.ones
-    assert np.array_equal(stoch_negate(neg).bits, s.bits)
-    assert neg.bipolar_estimate == pytest.approx(-s.bipolar_estimate, abs=1e-15)
-    assert stoch_negate(BitStream(np.ones(5, dtype=np.uint8))).ones == 0
+    # an inverter negates the value exactly: S2B's rounding is symmetric about
+    # zero, except that both sides of the dead-center tie (c = 0) read z = 0
+    bits = np.random.default_rng(6).random((40, 333)) < np.linspace(0, 1, 40)[:, None]
+    for L in (333, 10):  # L = 10 hits the half-way ties
+        s = bits[:, :L]
+        negated = np.where(2 * s.sum(axis=-1) == L, 128, 255 - s2b(pack(s), L, 8))
+        assert np.array_equal(s2b(pack(~s), L, 8), negated)
+    assert s2b(pack(~np.ones(5, dtype=bool)), 5, 8) == 0
 
 
 def test_mux_select_endpoints():
     rng = np.random.default_rng(7)
-    a = BitStream(rng.integers(0, 2, 100).astype(np.uint8))
-    b = BitStream(rng.integers(0, 2, 100).astype(np.uint8))
-    all_sel = BitStream(np.ones(100, dtype=np.uint8))
-    no_sel = BitStream(np.zeros(100, dtype=np.uint8))
-    assert np.array_equal(stoch_mux_average(a, b, all_sel).bits, a.bits)
-    assert np.array_equal(stoch_mux_average(a, b, no_sel).bits, b.bits)
+    a, b = rng.random((2, 3, 100)) < 0.5
+    assert np.array_equal(stoch_mux_average(a, b, np.ones(100, dtype=bool)), a)
+    assert np.array_equal(stoch_mux_average(a, b, np.zeros(100, dtype=bool)), b)
+    # a select line per stream broadcasts over the stream axis
+    rows = np.array([True, False, True])[:, None]
+    assert np.array_equal(stoch_mux_average(a, b, rows), np.where(rows, a, b))
 
 
 def test_mux_empirical_half_mix_q16():
     q, L = 16, 100_000
-    a = BitStream(np.ones(L, dtype=np.uint8))    # ztilde = +1
-    b = BitStream(np.zeros(L, dtype=np.uint8))   # ztilde = -1
-    sel = unipolar_select_stream(0.5, LfsrGenerator(q, 42424), L)
+    a = np.ones(L, dtype=bool)    # ztilde = +1
+    b = np.zeros(L, dtype=bool)   # ztilde = -1
+    sel = b2s(quantize_probability(0.5, q), lfsr_words(q, maximal_taps(q), 42424, L))
     out = stoch_mux_average(a, b, sel)
-    assert abs(out.bipolar_estimate - 0.0) <= 3 * 2 * np.sqrt(0.25 / L) + 2e-4
+    assert abs(estimate(out) - 0.0) <= 3 * 2 * np.sqrt(0.25 / L) + 2e-4
 
 
 def test_unipolar_select_endpoints_and_density():
-    gen = LfsrGenerator(16, 999)
-    assert unipolar_select_stream(0.0, gen, 500).ones == 0
-    assert unipolar_select_stream(1.0, gen, 500).ones == 500
-    s = unipolar_select_stream(0.2, gen, 100_000)
-    assert abs(s.unipolar_estimate - 0.2) <= 3 * bernoulli_sigma(0.2, s.L) + 1e-4
+    # a MUX select line is the comparator against a quantized probability
+    words = lfsr_words(16, maximal_taps(16), 999, 100_000)
+    assert not b2s(quantize_probability(0.0, 16), words[:500]).any()
+    assert b2s(quantize_probability(1.0, 16), words[:500]).all()
+    s = b2s(quantize_probability(0.2, 16), words)
+    assert abs(s.mean() - 0.2) <= 3 * bernoulli_sigma(0.2, s.size) + 1e-4
     with pytest.raises(ValueError):
-        unipolar_select_stream(1.5, gen, 10)
+        quantize_probability(1.5, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +297,13 @@ def test_unbiasedness_over_seeds_q8():
     rng = np.random.default_rng(11)
     seeds = rng.choice(np.arange(1, 256), size=100, replace=False)
     L = 1000
+    words = lfsr_words(8, maximal_taps(8), seeds, L)
     for x in np.linspace(-1, 1, 9):
-        v = BipolarValue.from_real(x, 8)
-        ests = np.array([s2b(b2s(v, LfsrGenerator(8, int(s)), L), 8).real
-                         for s in seeds])
+        offset = real_to_offset(x, 8)
+        ests = offset_to_real(s2b(pack(b2s(offset, words)), L, 8), 8)
         se = ests.std(ddof=1) / np.sqrt(len(seeds))
         tol = 3 * se + 1e-12  # exact-count values can have zero spread
-        assert abs(ests.mean() - v.real) <= tol, f"bias at v={v.real}"
+        assert abs(ests.mean() - offset_to_real(offset, 8)) <= tol, f"bias at x={x}"
 
 
 def test_variance_scaling_q16():
@@ -299,22 +311,13 @@ def test_variance_scaling_q16():
     # period; at small q whole-period exactness collapses variance faster,
     # so this runs at q=16.
     rng = np.random.default_rng(13)
-    v = BipolarValue.from_real(quantize(0.3, 16), 16)
+    offset = real_to_offset(0.3, 16)
     seeds = rng.integers(1, 2**16 - 1, 80)
     Ls = [100, 1000, 10_000]
     variances = []
     for L in Ls:
-        ests = np.array([s2b(b2s(v, LfsrGenerator(16, int(s)), L), 16).real
-                         for s in seeds])
+        words = lfsr_words(16, maximal_taps(16), seeds, L)
+        ests = offset_to_real(s2b(pack(b2s(offset, words)), L, 16), 16)
         variances.append(ests.var(ddof=1))
     slope = np.polyfit(np.log10(Ls), np.log10(variances), 1)[0]
     assert -1.15 <= slope <= -0.85
-
-
-def test_bitstream_validation():
-    with pytest.raises(ValueError):
-        BitStream(np.array([0, 1, 2], dtype=np.uint8))
-    with pytest.raises(ValueError):
-        BitStream(np.zeros((2, 2), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        BitStream(np.array([], dtype=np.uint8))
