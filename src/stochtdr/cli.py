@@ -33,11 +33,11 @@ from . import __version__
 from .bernstein import check_fit_size, fit_bernstein_coeffs, transform_activation
 from .metrics import check_probes, check_rank_tol, metric_study
 from .readout import check_lambda
-from .reservoir import (BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, derive_seed,
-                        write_states_csv)
+from .reservoir import (BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, check_run_length,
+                        derive_seed, write_states_csv)
 from .streams import quantize
-from .tasks import (check_split, evaluate_classification, evaluate_regression,
-                    write_sequence_csv)
+from .tasks import (check_narma_length, check_split, evaluate_classification,
+                    evaluate_regression, write_sequence_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -288,6 +288,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         elif cfg.command == "bench":
             check_split(cfg.train, cfg.test, cfg.washout)
             check_lambda(cfg.lam)
+            if cfg.task == "narma10":
+                check_narma_length(cfg.train + cfg.test)
+        elif cfg.command == "simulate" and cfg.input is None:
+            check_run_length(cfg.m)
         points = _sweep(cfg)
         for point in points:
             _tdr_config(cfg, point).validate()
@@ -394,10 +398,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     extra: dict = {}
 
     if cfg.command == "fit-activation":
-        spec = fit_bernstein_coeffs(
-            transform_activation(cfg.gamma, cfg.delta_s), cfg.degree,
-            grid_size=cfg.grid_size,
-            source=f"sin(gamma={cfg.gamma}) on delta_s={cfg.delta_s}")
+        spec = fit_bernstein_coeffs(transform_activation(cfg.gamma, cfg.delta_s),
+                                    cfg.degree, grid_size=cfg.grid_size)
         with open(out / "coefficients.csv", "w", newline="") as fh:
             fh.write("k,beta\n")
             for k, b in enumerate(spec.beta):

@@ -86,17 +86,10 @@ def generalization_rank(cfg: TdrConfig, m: int, seed: int = 0,
 
 @dataclass
 class MetricRun:
-    """Repeated KQ/GR measurements for one configuration.
+    """Repeated KQ/GR measurements for one configuration; per-run values are
+    raw ranks in [0, H]."""
 
-    Per-run values are raw ranks in [0, H]; the *_norm properties report
-    them normalized to H.
-    """
-
-    H: int
-    m: int
     runs: int
-    rank_tolerance: float
-    noise_amplitude: float
     kq: np.ndarray = field(default_factory=lambda: np.empty(0))
     gr: np.ndarray = field(default_factory=lambda: np.empty(0))
 
@@ -131,5 +124,4 @@ def metric_study(cfg: TdrConfig, m: int, runs: int = 10, seed: int = 0,
         probe_seed = derive_seed(seed, _TAG_RUN, r)
         kq[r] = kernel_quality(run_cfg, m, probe_seed, rel_tol)
         gr[r] = generalization_rank(run_cfg, m, probe_seed, noise_amplitude, rel_tol)
-    return MetricRun(H=cfg.H, m=m, runs=runs, rank_tolerance=rel_tol,
-                     noise_amplitude=noise_amplitude, kq=kq, gr=gr)
+    return MetricRun(runs=runs, kq=kq, gr=gr)

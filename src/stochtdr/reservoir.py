@@ -17,11 +17,13 @@ probability alpha) mixing input against feedback, a second MUX (select 0.5)
 averaging in the bias, an adder+MUX Bernstein node for the activation, and
 an up/down-counter S2B whose q-bit word enters the delay line.  Each gate
 is one array kernel of ``streams`` or ``bernstein``, called once per step
-on the (H, L) streams of all H nodes: :func:`streams.b2s`,
+on the streams of all H nodes: :func:`streams.b2s`,
 :func:`streams.stoch_mult`, :func:`streams.stoch_mux_average`,
 :func:`bernstein.make_independent_copies`,
 :func:`bernstein.bernstein_mux_packed` and :func:`streams.s2b`; the LFSR
 words come from :func:`streams.lfsr_words`.  The step only composes them.
+Every stream is packed right after its comparator, so the gate chain runs
+on (H, ceil(L/8)) bytes.
 The two ideal backends evaluate the same composition in exact arithmetic,
 so the stochastic state matrix converges to the ``ideal-bernstein`` one as
 the stream length L grows.  Select thresholds are quantized at width q in the
@@ -202,9 +204,6 @@ class TdrState:
     current_step: int = 0
     lfsr_states: tuple[int, ...] | None = None
 
-    def copy(self) -> "TdrState":
-        return TdrState(self.delay_line.copy(), self.current_step, self.lfsr_states)
-
 
 def activation_ideal(s, cfg: TdrConfig):
     """Exact activation in bipolar terms: the unit-square sine, mapped back.
@@ -221,6 +220,31 @@ def activation_ideal(s, cfg: TdrConfig):
         f_max = 1.0 if reach >= np.pi / 2.0 else np.sin(reach)
         out = np.sin(cfg.gamma * s) / f_max
     return out if out.ndim else float(out)
+
+
+def check_run_length(m: int) -> None:
+    """Raise ValueError unless a run has at least one macro step."""
+    if m < 1:
+        raise ValueError("need a nonempty input sequence")
+
+
+def _scalar_offset(u: float, q: int) -> int:
+    """Offset word of a float input; raises unless u is finite and on the
+    width-q grid.
+
+    The checks of :meth:`Reservoir.step` in math-module arithmetic: numpy
+    ufuncs on one float cost about 15 us more per step (2-core Xeon).  On
+    every input that passes, the nearest word (clamped to [0, 2^q - 1]) is
+    the word of :func:`real_to_offset`, whose tie rules only act half a
+    grid step, at least 1/65535, off the grid.
+    """
+    if not math.isfinite(u):
+        raise ValueError(f"input {u} is not finite")
+    full = (1 << q) - 1
+    off = round(min(max((u + 1.0) * 0.5 * full, 0.0), full))
+    if abs((2.0 * off - full) / full - u) > 1e-12:
+        raise ValueError(f"input {u} not representable at width q={q}")
+    return off
 
 
 @functools.lru_cache(maxsize=128)
@@ -255,9 +279,7 @@ class Reservoir:
         self.weights, self.biases = resolve_weights(cfg)
         self.activation_spec: bp.BernsteinSpec | None = None
         if cfg.backend in ("ideal-bernstein", "stochastic"):
-            beta = _fitted_betas(cfg.gamma, cfg.n, cfg.q)
-            self.activation_spec = bp.BernsteinSpec(
-                beta, source=f"sin(gamma={cfg.gamma}) on delta_s={bp.DEFAULT_DELTA_S}")
+            self.activation_spec = bp.BernsteinSpec(_fitted_betas(cfg.gamma, cfg.n, cfg.q))
         if cfg.backend == "stochastic":
             self._prepare_stochastic()
 
@@ -287,12 +309,12 @@ class Reservoir:
                                 ROLE_FEEDBACK: words[ROLE_FEEDBACK]}
 
     def _operand_streams(self, words: list[np.ndarray]) -> tuple:
-        """W, T, SM, SB and the packed coefficient streams from each role's words."""
+        """Packed W, T, SM, SB and coefficient streams from each role's words."""
         coeff_words = words[ROLE_COEFF_BASE:]
-        return (b2s(self._w_offsets, words[ROLE_WEIGHT]),
-                b2s(self._t_offsets, words[ROLE_BIAS]),
-                b2s(self._alpha_thr, words[ROLE_SELECT_MIX]),
-                b2s(self._bias_thr, words[ROLE_SELECT_BIAS]),
+        return (pack(b2s(self._w_offsets, words[ROLE_WEIGHT])),
+                pack(b2s(self._t_offsets, words[ROLE_BIAS])),
+                pack(b2s(self._alpha_thr, words[ROLE_SELECT_MIX])),
+                pack(b2s(self._bias_thr, words[ROLE_SELECT_BIAS])),
                 np.stack([pack(b2s(thr, w)) for thr, w in zip(self._beta_thr, coeff_words)]))
 
     def _initial_lfsr_states(self) -> tuple[int, ...] | None:
@@ -335,17 +357,16 @@ class Reservoir:
         ``(B, tau)`` delay line, and the outputs then have shape ``(B, H)``.
         """
         q = self.cfg.q
-        # a float gets math-module checks: numpy ones on it cost about 7 us more
-        # per step (2-core Xeon), about 3% of a stochastic 1-D step
-        scalar = isinstance(u, float)
-        if not (math.isfinite(u) if scalar else np.isfinite(u).all()):
-            raise ValueError(f"input {u} is not finite")
-        off = real_to_offset(u, q)
-        err = offset_to_real(off, q) - u
-        if abs(float(err)) > 1e-12 if scalar else (np.abs(err) > 1e-12).any():
-            raise ValueError(f"input {u} not representable at width q={q}")
+        if isinstance(u, float):
+            off = _scalar_offset(u, q)
+        else:
+            if not np.isfinite(u).all():
+                raise ValueError(f"input {u} is not finite")
+            off = real_to_offset(u, q)
+            if (np.abs(offset_to_real(off, q) - u) > 1e-12).any():
+                raise ValueError(f"input {u} not representable at width q={q}")
         if self.cfg.backend == "stochastic":
-            if off.ndim or state.delay_line.ndim != 1:
+            if np.ndim(off) or state.delay_line.ndim != 1:
                 raise ValueError("the stochastic backend steps one sequence at a time")
             return self._step_stochastic(state, int(off))
         return self._step_ideal(state, np.asarray(u, dtype=np.float64))
@@ -377,13 +398,13 @@ class Reservoir:
         else:
             words, lfsr_states = self._draw_words(state.lfsr_states)
             W, T, SM, SB, beta = self._operand_streams(words)
-        U = b2s(u_off, words[ROLE_INPUT])
-        F = b2s(fb_offsets, words[ROLE_FEEDBACK])
+        U = pack(b2s(u_off, words[ROLE_INPUT]))
+        F = pack(b2s(fb_offsets, words[ROLE_FEEDBACK]))
 
         # XNOR multiplies input by weight, the alpha-MUX mixes in the feedback,
         # the 0.5-MUX averages in the bias
         mixed = stoch_mux_average(stoch_mux_average(stoch_mult(U, W), F, SM), T, SB)
-        copies = bp.make_independent_copies(mixed, self._copy_delays)
+        copies = bp.make_independent_copies(mixed, self._copy_delays, cfg.L)
         offs = s2b(bp.bernstein_mux_packed(copies, beta), cfg.L, cfg.q)
 
         line = state.delay_line.copy()
@@ -402,8 +423,9 @@ class Reservoir:
         positions advance through the rows in order.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim > 2 or inputs.size < 1:
-            raise ValueError("need a nonempty input sequence or (B, m) block")
+        if inputs.ndim > 2:
+            raise ValueError("need an input sequence or (B, m) block")
+        check_run_length(inputs.size)
         if state is None:
             state = self.initial_state()
         if inputs.ndim == 2:

@@ -15,11 +15,13 @@ The pseudo-random words that drive the binary-to-stochastic comparator
 come from maximal-length LFSRs, so a stream spanning whole LFSR periods
 reproduces its ones-probability exactly.
 
-Each gate is one numpy kernel.  A stream is a boolean array with the bit
-position on its last axis; any leading axes (nodes, copies, coefficients)
-are batch axes that broadcast, so one call runs the gate for every stream
-of a reservoir step.  The counting kernels take streams packed 8 bits to a
-byte along the last axis by :func:`pack`, zero-padded.
+Each gate is one numpy kernel.  A stream has the bit position on its last
+axis; any leading axes (nodes, copies, coefficients) are batch axes that
+broadcast, so one call runs the gate for every stream of a reservoir step.
+The comparator emits boolean streams.  The XNOR and MUX gates are pure
+bitwise logic, so one implementation serves both boolean streams and
+streams packed 8 bits to a byte along the last axis by :func:`pack`
+(zero-padded); the counting kernels take packed streams.
 """
 
 from __future__ import annotations
@@ -224,17 +226,21 @@ def b2s(offsets, words):
 
 
 def stoch_mult(a, b):
-    """XNOR gate: multiplies the signed values of independent boolean streams."""
-    return a == b
+    """XNOR gate: multiplies the signed values of independent streams.
+
+    On packed streams the zero padding comes out as ones; a MUX whose
+    ``b`` input and select line have zero padding clears it again.
+    """
+    return ~(a ^ b)
 
 
 def stoch_mux_average(a, b, select):
-    """MUX gate on boolean streams: the bit of ``a`` where select is 1, else of ``b``.
+    """MUX gate: the bit of ``a`` where select is 1, else the bit of ``b``.
 
     With an independent select stream of ones-probability alpha the output
     signed value averages to alpha*za + (1 - alpha)*zb.
     """
-    return (select & a) | (~select & b)
+    return b ^ (select & (a ^ b))
 
 
 def pack(bits):

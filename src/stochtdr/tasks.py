@@ -9,7 +9,7 @@ states, and scores on the test states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +60,11 @@ class NarmaSequence:
     y: np.ndarray
     regenerations: int = 0
 
-    def __len__(self) -> int:
-        return self.u.size
+
+def check_narma_length(m: int) -> None:
+    """Raise ValueError unless a NARMA10 sequence of m samples is long enough."""
+    if m < 2 * NARMA_ORDER:
+        raise ValueError(f"sequence length must be >= {2 * NARMA_ORDER}")
 
 
 def narma10_generate(m: int, seed: int = 0, max_attempts: int = 1000) -> NarmaSequence:
@@ -70,8 +73,7 @@ def narma10_generate(m: int, seed: int = 0, max_attempts: int = 1000) -> NarmaSe
     Divergent draws are rejected and retried with the next sub-seed; the
     number of regenerations is recorded on the result.
     """
-    if m < 2 * NARMA_ORDER:
-        raise ValueError(f"sequence length must be >= {2 * NARMA_ORDER}")
+    check_narma_length(m)
     for attempt in range(max_attempts):
         rng = np.random.default_rng(derive_seed(seed, _TAG_NARMA, attempt))
         u = rng.uniform(0.0, 0.5, m)
@@ -89,10 +91,6 @@ class SineSquareSequence:
 
     signal: np.ndarray
     labels: np.ndarray
-    boundaries: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    def __len__(self) -> int:
-        return self.signal.size
 
 
 def _sine_segment(period: int) -> np.ndarray:
@@ -112,10 +110,9 @@ def sine_square_generate(m: int, seed: int = 0,
         raise ValueError("sequence length must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, _TAG_SINESQ))
     sine, square = _sine_segment(period), _square_segment(period)
-    chunks, labels, bounds = [], [], []
+    chunks, labels = [], []
     total = 0
     while total < m:
-        bounds.append(total)
         is_square = bool(rng.integers(0, 2))
         seg = square if is_square else sine
         chunks.append(seg)
@@ -123,8 +120,7 @@ def sine_square_generate(m: int, seed: int = 0,
         total += period
     signal = np.concatenate(chunks)[:m]
     lab = np.concatenate(labels)[:m]
-    return SineSquareSequence(signal=signal, labels=lab,
-                              boundaries=np.array(bounds, dtype=np.int64))
+    return SineSquareSequence(signal=signal, labels=lab)
 
 
 def write_sequence_csv(path, u: np.ndarray, y: np.ndarray) -> None:

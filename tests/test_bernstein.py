@@ -1,6 +1,6 @@
 """Adder + MUX Bernstein node: the packed bit-sliced kernel against the
-count-and-gather reading of the circuit, and the rotated copies against
-``np.roll``."""
+count-and-gather reading of the circuit, and the packed rotated copies
+against ``np.roll`` of the unpacked stream."""
 
 import numpy as np
 import pytest
@@ -24,15 +24,17 @@ def count_and_gather(copy_bits: np.ndarray, beta_bits: np.ndarray) -> np.ndarray
     return np.take_along_axis(beta_bits, count[None], axis=0)[0]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 12, 16])
 def test_stochastic_bernstein_eval_matches_count_and_gather(n):
+    # bit r of the copies holds r % (n+1) ones, so every count 0..n occurs,
+    # including the top ones that an unpaired MUX-tree entry serves
     rng = np.random.default_rng(n)
     L = 37 + n
-    copy_bits = rng.random((n, L)) < 0.5
+    copy_bits = rng.permuted(np.arange(n)[:, None] < np.arange(L) % (n + 1), axis=0)
     beta_bits = rng.random((n + 1, L)) < 0.5
-    out = bernstein_mux_packed(pack(copy_bits), pack(beta_bits))
-    np.testing.assert_array_equal(np.unpackbits(out, count=L).astype(bool),
-                                  count_and_gather(copy_bits, beta_bits))
+    out = np.unpackbits(bernstein_mux_packed(pack(copy_bits), pack(beta_bits)))
+    np.testing.assert_array_equal(out[:L].astype(bool), count_and_gather(copy_bits, beta_bits))
+    assert not out[L:].any()
 
 
 @pytest.mark.parametrize("n,L", [(3, 37), (6, 64), (15, 20)])
@@ -55,26 +57,40 @@ def test_coefficient_count_must_be_degree_plus_one():
         bernstein_mux_packed(s, s)
 
 
-@pytest.mark.parametrize("n,L", [(1, 9), (3, 37), (5, 5), (8, 64)])
+def rolled(bits: np.ndarray, delays) -> np.ndarray:
+    """The reference copies: each delay's ``np.roll`` of the unpacked streams, packed."""
+    return np.stack([pack(np.roll(bits, d, axis=-1)) for d in delays])
+
+
+@pytest.mark.parametrize("n,L", [(1, 9), (3, 37), (5, 5), (8, 64), (5, 100), (5, 255),
+                                 (5, 1000), (5, 1001)])
 def test_copies_are_rotations(n, L):
     bits = np.random.default_rng(L).random((2, 3, L)) < 0.5
     delays = spread_delays(n, L)
-    copies = make_independent_copies(bits, delays)
+    copies = make_independent_copies(pack(bits), delays, L)
     assert copies.shape == (n, 2, 3, -(-L // 8))
-    unpacked = np.unpackbits(copies, axis=-1)
-    for j, d in enumerate(delays):
-        np.testing.assert_array_equal(unpacked[j, ..., :L], np.roll(bits, d, axis=-1))
-    assert not unpacked[..., L:].any()
-    # any delay in [0, L) is a rotation, not only the spread ones
-    np.testing.assert_array_equal(
-        np.unpackbits(make_independent_copies(bits, [L - 1]), axis=-1)[0, ..., :L],
-        np.roll(bits, L - 1, axis=-1))
+    # pack() zero-pads, so this also checks that the padding bits are zero
+    np.testing.assert_array_equal(copies, rolled(bits, delays))
+    # any delay in [0, L) is a rotation, not only the spread ones: every
+    # window start, on and off byte boundaries
+    every = list(range(L))
+    np.testing.assert_array_equal(make_independent_copies(pack(bits), every, L),
+                                  rolled(bits, every))
+    # all-ones streams: every padding bit past L must still come out zero
+    ones = pack(np.ones(L, dtype=bool))
+    np.testing.assert_array_equal(make_independent_copies(ones, every, L),
+                                  np.broadcast_to(ones, (L,) + ones.shape))
 
 
 @pytest.mark.parametrize("delays", [[], [0, 9], [-1]])
 def test_copy_delays_must_lie_in_the_stream(delays):
     with pytest.raises(ValueError, match="delay"):
-        make_independent_copies(np.ones((2, 9), dtype=bool), delays)
+        make_independent_copies(pack(np.ones((2, 9), dtype=bool)), delays, 9)
+
+
+def test_copies_need_the_packed_width_of_L():
+    with pytest.raises(ValueError, match="bytes"):
+        make_independent_copies(pack(np.ones((2, 9), dtype=bool)), [0], 17)
 
 
 @pytest.mark.parametrize("gamma,n", [(0.5, 3), (2.0, 5), (4.0, 7), (-1.5, 4), (6.0, 9)])

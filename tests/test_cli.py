@@ -34,6 +34,8 @@ from stochtdr import cli
     ["fit-activation", "--delta-s", "nan"],
     ["fit-activation", "--gamma", "inf"],
     ["simulate", "--backend", "stochastic", "--L", "16", "--L", "32"],
+    ["bench", "narma10", "--train", "8", "--test", "8", "--washout", "0"],  # NARMA needs 20
+    ["simulate", "--m", "0"],
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     if "--config" in argv:  # the value after --config is the file's text

@@ -10,6 +10,8 @@ ones count, against which ``tests/test_bernstein.py`` and
 ``tests/test_streams.py`` check the packed kernels.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from stochtdr.reservoir import (
     ROLE_SELECT_MIX,
     ROLE_WEIGHT,
     _TAG_FREERUN,
+    _scalar_offset,
     Reservoir,
     TdrConfig,
     derive_seed,
@@ -111,6 +114,68 @@ def test_step_rejects_non_finite_input(backend, bad):
         res.step(res.initial_state(), bad)
     with pytest.raises(ValueError, match="not finite"):
         res.run([float(quantize(0.0, res.cfg.q)), bad])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("bad,match", [(float("nan"), "not finite"), (float("inf"), "not finite"),
+                                       (float("-inf"), "not finite"),
+                                       (0.1, "not representable"),
+                                       # 2^q - 1 levels: zero is never on the grid,
+                                       # and -0.0 reads like 0.0
+                                       (0.0, "not representable"),
+                                       (-0.0, "not representable")])
+def test_scalar_input_check_raises_on_every_repeat(backend, bad, match):
+    # a failing input raises on each call and leaves the reservoir usable
+    L = 16 if backend == "stochastic" else None
+    res = Reservoir(TdrConfig(H=3, alpha=0.5, gamma=2.0, L=L, backend=backend))
+    state = res.initial_state()
+    for _ in range(3):
+        with pytest.raises(ValueError, match=match):
+            res.step(state, bad)
+        res.step(state, float(quantize(0.5, res.cfg.q)))
+
+
+@pytest.mark.parametrize("q", [2, 8, 10, 16])
+def test_scalar_input_check_matches_the_array_quantizer(q):
+    # every word at q <= 10, every 97th at q = 16; on the grid, just off it,
+    # off it, at the midpoints (ties) and outside [-1, 1]
+    full = (1 << q) - 1
+    grid = offset_to_real(np.arange(0, full + 1, 1 if q <= 10 else 97), q)
+    u = np.concatenate([grid, grid + 1e-13, grid - 1e-11, grid + 0.3 / full, grid + 1.0 / full,
+                        [0.0, -0.0, 1.0 + 1e-13, -1.0 - 1e-13, 1.5, -1.5, 1e300, -1e300]])
+    offs = real_to_offset(u, q)
+    on_grid = np.abs(offset_to_real(offs, q) - u) <= 1e-12
+    assert on_grid.sum() == 2 * len(grid) + 2  # the grid, +1e-13 and the two ends
+    for x, off, ok in zip(u.tolist(), offs.tolist(), on_grid.tolist()):
+        if ok:
+            assert _scalar_offset(x, q) == off
+        else:
+            with pytest.raises(ValueError, match="not representable"):
+                _scalar_offset(x, q)
+    # past the float range once scaled by 2^q - 1
+    with pytest.raises(ValueError, match="not representable"):
+        _scalar_offset(1e308, q)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", [(7,), (2, 5)])
+def test_run_takes_every_macro_step_through_step(backend, shape, monkeypatch):
+    # per-step instrumentation wraps Reservoir.step, and the per-layer
+    # metrics of perfbench/run.py divide by its call count
+    calls = []
+    step = Reservoir.step
+
+    def counted(self, state, u):
+        calls.append(u)
+        return step(self, state, u)
+
+    monkeypatch.setattr(Reservoir, "step", counted)
+    L = 16 if backend == "stochastic" else None
+    res = Reservoir(TdrConfig(H=3, alpha=0.5, gamma=2.0, L=L, backend=backend))
+    res.run(quantize(np.linspace(-0.9, 0.9, math.prod(shape)), res.cfg.q).reshape(shape))
+    # the stochastic backend runs the rows of a block in turn, the ideal
+    # ones step all rows at once
+    assert len(calls) == (math.prod(shape) if backend == "stochastic" else shape[-1])
 
 
 def test_stochastic_rejects_streams_shorter_than_degree():

@@ -268,6 +268,23 @@ def test_mux_select_endpoints():
     assert np.array_equal(stoch_mux_average(a, b, rows), np.where(rows, a, b))
 
 
+@pytest.mark.parametrize("L", [8, 37, 1000, 1001])
+def test_gates_on_packed_bytes_equal_packed_boolean_gates(L):
+    a, b, s, f, t = np.random.default_rng(L).random((5, 4, L)) < 0.5
+    # the XNOR sets the padding bits of packed streams, so compare L bits
+    np.testing.assert_array_equal(
+        np.unpackbits(stoch_mult(pack(a), pack(b)), axis=-1, count=L).astype(bool),
+        stoch_mult(a, b))
+    np.testing.assert_array_equal(stoch_mux_average(pack(a), pack(b), pack(s)),
+                                  pack(stoch_mux_average(a, b, s)))
+    # the reservoir's chain: a MUX with zero-padded b and select clears the
+    # XNOR's padding again
+    np.testing.assert_array_equal(
+        stoch_mux_average(stoch_mux_average(stoch_mult(pack(a), pack(b)), pack(f), pack(s)),
+                          pack(t), pack(~s)),
+        pack(stoch_mux_average(stoch_mux_average(stoch_mult(a, b), f, s), t, ~s)))
+
+
 def test_mux_empirical_half_mix_q16():
     q, L = 16, 100_000
     a = np.ones(L, dtype=bool)    # ztilde = +1
