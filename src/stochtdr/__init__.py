@@ -35,11 +35,7 @@ from .reservoir import (
     Reservoir,
     TdrConfig,
     TdrState,
-    activation_ideal,
     derive_seed,
-    reseed_for_node,
-    resolve_weights,
-    write_states_csv,
 )
 from .readout import (
     RankDeficiencyError,
@@ -65,7 +61,6 @@ from .tasks import (
     narma10_generate,
     narma10_recurrence,
     sine_square_generate,
-    write_sequence_csv,
 )
 
 __version__ = "0.1.0"

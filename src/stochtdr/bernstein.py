@@ -21,6 +21,7 @@ coefficients stacked on a new first axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -125,6 +126,7 @@ class TransformedActivation:
         return out if out.ndim else float(out)
 
 
+@functools.lru_cache(maxsize=128)  # frozen; the ideal-exact step reads f_max every step
 def transform_activation(gamma: float, delta_s: float = DEFAULT_DELTA_S) -> TransformedActivation:
     """Shift/scale the sine activation so its used portion fills [0,1]x[0,1]."""
     return TransformedActivation(gamma, delta_s)

@@ -10,10 +10,13 @@ and flags and file values go through the same value parser.  A config file
 (``--config``, flat ``key = value`` lines) may set any option that has a
 file key, whichever command reads it; flags override the file.
 
+No other module knows a file format: the library returns arrays,
+``_write_csv`` writes all six CSV files and ``_write_provenance`` writes
+``config.txt`` and ``manifest.json``.
+
 Every command is deterministic in (resolved config, master seed): rerunning
 writes byte-identical CSV, and sweep points are dispatched to workers but
 collected in grid order, so the parallelism degree never changes output.
-Plotting stays out of process; see the demo scripts for figure rendering.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import functools
 import json
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -34,10 +38,10 @@ from .bernstein import check_fit_size, fit_bernstein_coeffs, transform_activatio
 from .metrics import check_probes, check_rank_tol, metric_study
 from .readout import check_lambda
 from .reservoir import (BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, check_run_length,
-                        derive_seed, write_states_csv)
+                        derive_seed)
 from .streams import quantize
 from .tasks import (check_narma_length, check_split, evaluate_classification,
-                    evaluate_regression, write_sequence_csv)
+                    evaluate_regression, narma10_generate, sine_square_generate)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -331,22 +335,21 @@ def _tdr_config(cfg: ExperimentConfig, point: dict, master_seed: int = 0) -> Tdr
                      reseed_policy=cfg.reseed, backend=cfg.backend)
 
 
-def _metrics_point(args: dict) -> list[str]:
+def _metrics_point(args: dict) -> list[list]:
     cfg = ExperimentConfig(**args["cfg"])
     idx = args["index"]
     tdr = _tdr_config(cfg, args["point"], derive_seed(cfg.seed, _TAG_MASTER, idx))
     result = metric_study(tdr, cfg.m, runs=cfg.runs,
                           seed=derive_seed(cfg.seed, _TAG_POINT, idx),
                           noise_amplitude=cfg.noise, rel_tol=cfg.rank_tol)
-    prefix = f"{_fmt(tdr.alpha)},{_fmt(tdr.gamma)},{_fmt(tdr.L)},{cfg.reseed}"
-    rows = [f"{prefix},{r},{int(result.kq[r])},{int(result.gr[r])}"
-            for r in range(cfg.runs)]
-    rows.append(f"{prefix},mean,{_fmt(result.kq_mean)},{_fmt(result.gr_mean)}")
-    rows.append(f"{prefix},std,{_fmt(result.kq_std)},{_fmt(result.gr_std)}")
+    prefix = [tdr.alpha, tdr.gamma, tdr.L, cfg.reseed]
+    rows = [[*prefix, r, int(result.kq[r]), int(result.gr[r])] for r in range(cfg.runs)]
+    rows.append([*prefix, "mean", result.kq_mean, result.gr_mean])
+    rows.append([*prefix, "std", result.kq_std, result.gr_std])
     return rows
 
 
-def _bench_point(args: dict) -> list[str]:
+def _bench_point(args: dict) -> list[list]:
     cfg = ExperimentConfig(**args["cfg"])
     evaluate = evaluate_regression if cfg.task == "narma10" else evaluate_classification
     values = []
@@ -355,18 +358,15 @@ def _bench_point(args: dict) -> list[str]:
         res = evaluate(tdr, cfg.train, cfg.test, lam=cfg.lam,
                        washout=cfg.washout, seed=derive_seed(cfg.seed, _TAG_TASK, r))
         values.append(res.value)
-    metric = "nmse" if cfg.task == "narma10" else "accuracy"
-    prefix = (f"{cfg.task},{cfg.backend},{tdr.H},{_fmt(cfg.alpha)},{_fmt(cfg.gamma)},"
-              f"{_fmt(tdr.L)},{cfg.degree}")
-    rows = [f"{prefix},{r},{metric},{_fmt(values[r])}" for r in range(cfg.runs)]
-    mean = float(np.mean(values))
+    prefix = [cfg.task, cfg.backend, tdr.H, cfg.alpha, cfg.gamma, tdr.L, cfg.degree]
+    rows = [[*prefix, r, res.metric, values[r]] for r in range(cfg.runs)]
     std = float(np.std(values, ddof=1)) if cfg.runs > 1 else 0.0
-    rows.append(f"{prefix},mean,{metric},{_fmt(mean)}")
-    rows.append(f"{prefix},std,{metric},{_fmt(std)}")
+    rows.append([*prefix, "mean", res.metric, float(np.mean(values))])
+    rows.append([*prefix, "std", res.metric, std])
     return rows
 
 
-def _run_points(cfg: ExperimentConfig, worker, tasks: list[dict]) -> list[str]:
+def _run_points(cfg: ExperimentConfig, worker, tasks: list[dict]) -> list[list]:
     """Dispatch grid points, collect in submission order regardless of workers."""
     if cfg.workers == 1 or len(tasks) == 1:
         batches = [worker(t) for t in tasks]
@@ -374,6 +374,39 @@ def _run_points(cfg: ExperimentConfig, worker, tasks: list[dict]) -> list[str]:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             batches = list(pool.map(worker, tasks))
     return [row for batch in batches for row in batch]
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """The header line, then one line per row: its values as _fmt text."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def _simulate_input(cfg: ExperimentConfig) -> np.ndarray:
+    """simulate's drive on the width-q grid: m seeded uniform draws, or the 'u'
+    column of ``cfg.input``, which needs one or more values, all in [-1, 1]."""
+    if cfg.input is None:
+        rng = np.random.default_rng(derive_seed(cfg.seed, _TAG_SIM))
+        return quantize(rng.uniform(-1.0, 1.0, cfg.m), cfg.q)
+    try:
+        with warnings.catch_warnings():  # the error below names an empty file
+            warnings.simplefilter("ignore")
+            table = np.genfromtxt(cfg.input, delimiter=",", names=True)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read input file {cfg.input}: {e}") from None
+    except IndexError:  # genfromtxt finds no header line
+        raise ConfigError(f"input file {cfg.input} has no header line") from None
+    if table.dtype.names is None or "u" not in table.dtype.names:
+        raise ConfigError(f"input file {cfg.input} has no 'u' column")
+    u = np.atleast_1d(table["u"]).astype(np.float64)
+    if u.size == 0:
+        raise ConfigError(f"input file {cfg.input} has no rows")
+    bad = np.flatnonzero(~(np.abs(u) <= 1.0))  # NaN compares false
+    if bad.size:
+        raise ConfigError(f"input file {cfg.input}: u = {float(u[bad[0]])!r} at step {bad[0]} "
+                          "is not a number in [-1, 1]")
+    return quantize(u, cfg.q)
 
 
 def _write_provenance(cfg: ExperimentConfig, out: Path, wall: float,
@@ -389,6 +422,7 @@ def _write_provenance(cfg: ExperimentConfig, out: Path, wall: float,
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute the selected pipeline over its sweep grid; artifacts on disk."""
+    u = _simulate_input(cfg) if cfg.command == "simulate" else None  # before any output
     out = Path(cfg.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -400,10 +434,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.command == "fit-activation":
         spec = fit_bernstein_coeffs(transform_activation(cfg.gamma, cfg.delta_s),
                                     cfg.degree, grid_size=cfg.grid_size)
-        with open(out / "coefficients.csv", "w", newline="") as fh:
-            fh.write("k,beta\n")
-            for k, b in enumerate(spec.beta):
-                fh.write(f"{k},{b:.12g}\n")
+        _write_csv(out / "coefficients.csv", "k,beta",
+                   ([k, f"{b:.12g}"] for k, b in enumerate(spec.beta)))
         extra["outputs"] = ["coefficients.csv"]
 
     elif cfg.command in ("metrics", "bench"):
@@ -416,40 +448,27 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         else:
             name, header = "results.csv", "task,backend,H,alpha,gamma,L,n,run,metric,value"
             rows = _run_points(cfg, _bench_point, tasks)
-        (out / name).write_text(header + "\n" + "\n".join(rows) + "\n")
+        _write_csv(out / name, header, rows)
         extra["outputs"] = [name]
         extra["grid_points"] = len(points)
         if cfg.command == "bench" and cfg.dump_sequences:
-            from .tasks import narma10_generate, sine_square_generate
             seed0 = derive_seed(cfg.seed, _TAG_TASK, 0)
             if cfg.task == "narma10":
                 data = narma10_generate(cfg.train + cfg.test, seed0)
-                write_sequence_csv(out / "sequence.csv", data.u, data.y)
+                seq = np.column_stack([data.u, data.y])
             else:
                 data = sine_square_generate(cfg.train + cfg.test, seed0)
-                write_sequence_csv(out / "sequence.csv", data.signal, data.labels)
+                seq = np.column_stack([data.signal, data.labels])
+            _write_csv(out / "sequence.csv", "step,u,y",
+                       ([p, *row] for p, row in enumerate(seq.tolist())))
             extra["outputs"].append("sequence.csv")
 
     elif cfg.command == "simulate":
-        if cfg.input:
-            try:
-                table = np.genfromtxt(cfg.input, delimiter=",", names=True)
-            except OSError as e:
-                raise ConfigError(f"cannot read input file {cfg.input}: {e}") from None
-            if table.dtype.names is None or "u" not in table.dtype.names:
-                raise ConfigError(f"input file {cfg.input} has no 'u' column")
-            u = np.atleast_1d(table["u"]).astype(np.float64)
-        else:
-            rng = np.random.default_rng(derive_seed(cfg.seed, _TAG_SIM))
-            u = rng.uniform(-1.0, 1.0, cfg.m)
-        u = quantize(u, cfg.q)
         tdr = _tdr_config(cfg, _sweep(cfg)[0], derive_seed(cfg.seed, _TAG_MASTER, 0))
         X = Reservoir(tdr).run(u)
-        write_states_csv(out / "states.csv", X)
-        with open(out / "inputs.csv", "w", newline="") as fh:
-            fh.write("step,u\n")
-            for p, v in enumerate(u):
-                fh.write(f"{p},{float(v)!r}\n")
+        _write_csv(out / "states.csv", ",".join(["step"] + [f"x{i + 1}" for i in range(tdr.H)]),
+                   ([p, *x] for p, x in enumerate(X.tolist())))
+        _write_csv(out / "inputs.csv", "step,u", enumerate(u.tolist()))
         extra["outputs"] = ["states.csv", "inputs.csv"]
 
     else:  # pragma: no cover - argparse restricts the choices

@@ -21,7 +21,7 @@ order, as a hardware part would between bursts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,9 +89,8 @@ class MetricRun:
     """Repeated KQ/GR measurements for one configuration; per-run values are
     raw ranks in [0, H]."""
 
-    runs: int
-    kq: np.ndarray = field(default_factory=lambda: np.empty(0))
-    gr: np.ndarray = field(default_factory=lambda: np.empty(0))
+    kq: np.ndarray
+    gr: np.ndarray
 
     @property
     def kq_mean(self) -> float:
@@ -103,11 +102,11 @@ class MetricRun:
 
     @property
     def kq_std(self) -> float:
-        return float(np.std(self.kq, ddof=1)) if self.runs > 1 else 0.0
+        return float(np.std(self.kq, ddof=1)) if self.kq.size > 1 else 0.0
 
     @property
     def gr_std(self) -> float:
-        return float(np.std(self.gr, ddof=1)) if self.runs > 1 else 0.0
+        return float(np.std(self.gr, ddof=1)) if self.gr.size > 1 else 0.0
 
 
 def metric_study(cfg: TdrConfig, m: int, runs: int = 10, seed: int = 0,
@@ -124,4 +123,4 @@ def metric_study(cfg: TdrConfig, m: int, runs: int = 10, seed: int = 0,
         probe_seed = derive_seed(seed, _TAG_RUN, r)
         kq[r] = kernel_quality(run_cfg, m, probe_seed, rel_tol)
         gr[r] = generalization_rank(run_cfg, m, probe_seed, noise_amplitude, rel_tol)
-    return MetricRun(runs=runs, kq=kq, gr=gr)
+    return MetricRun(kq=kq, gr=gr)

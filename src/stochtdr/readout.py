@@ -14,16 +14,15 @@ class RankDeficiencyError(ValueError):
 
 @dataclass
 class ReadoutModel:
-    """Output weights trained by ridge regression; output function is identity."""
+    """Output weights trained by ridge regression on the states plus a bias
+    column (its weight is last); output function is identity."""
 
     w_out: np.ndarray
-    lam: float
-    uses_bias_column: bool = True
 
     @property
     def dim(self) -> int:
         """Reservoir dimension this model was trained on."""
-        return self.w_out.size - (1 if self.uses_bias_column else 0)
+        return self.w_out.size - 1
 
 
 def _with_bias(X: np.ndarray) -> np.ndarray:
@@ -36,9 +35,9 @@ def check_lambda(lam: float) -> None:
         raise ValueError(f"regularization parameter lambda={lam} must be finite and >= 0")
 
 
-def ridge_train(X: np.ndarray, Y: np.ndarray, lam: float,
-                use_bias: bool = True) -> ReadoutModel:
-    """Solve (X^T X + lam*I) w = X^T Y by a factored linear solve.
+def ridge_train(X: np.ndarray, Y: np.ndarray, lam: float) -> ReadoutModel:
+    """Solve (Xd^T Xd + lam*I) w = Xd^T Y by a factored linear solve, where
+    Xd is X with a column of ones appended.
 
     With lam > 0 the system is always solvable; at lam = 0 a singular
     Gram matrix raises RankDeficiencyError with the detected rank.
@@ -50,7 +49,7 @@ def ridge_train(X: np.ndarray, Y: np.ndarray, lam: float,
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite entries in training data")
     check_lambda(lam)
-    Xd = _with_bias(X) if use_bias else X
+    Xd = _with_bias(X)
     gram = Xd.T @ Xd + lam * np.eye(Xd.shape[1])
     if lam == 0.0:
         rank = np.linalg.matrix_rank(gram)
@@ -58,17 +57,16 @@ def ridge_train(X: np.ndarray, Y: np.ndarray, lam: float,
             raise RankDeficiencyError(
                 f"X^T X is rank deficient (rank {rank} < {Xd.shape[1]}) and lam = 0")
     w = np.linalg.solve(gram, Xd.T @ Y)
-    return ReadoutModel(w_out=w, lam=float(lam), uses_bias_column=use_bias)
+    return ReadoutModel(w_out=w)
 
 
 def predict(model: ReadoutModel, X: np.ndarray) -> np.ndarray:
-    """yhat = X w (identity output function)."""
+    """yhat = Xd w (identity output function)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValueError(f"X has {X.shape[1] if X.ndim == 2 else '?'} columns, "
                          f"model expects {model.dim}")
-    Xd = _with_bias(X) if model.uses_bias_column else X
-    return Xd @ model.w_out
+    return _with_bias(X) @ model.w_out
 
 
 def nmse(y: np.ndarray, yhat: np.ndarray, y_train_mean: float) -> float:
@@ -87,13 +85,12 @@ def nmse(y: np.ndarray, yhat: np.ndarray, y_train_mean: float) -> float:
     return float(np.sum((y - yhat) ** 2)) / denom
 
 
-def classification_accuracy(y: np.ndarray, yhat: np.ndarray,
-                            threshold: float = 0.5) -> float:
-    """Fraction of samples where (yhat >= threshold) matches the 0/1 label."""
+def classification_accuracy(y: np.ndarray, yhat: np.ndarray) -> float:
+    """Fraction of samples where (yhat >= 0.5) matches the 0/1 label."""
     y = np.asarray(y).reshape(-1)
     yhat = np.asarray(yhat, dtype=np.float64).reshape(-1)
     if y.size != yhat.size:
         raise ValueError(f"length mismatch: {y.size} labels vs {yhat.size} predictions")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    return float(np.mean((yhat >= threshold) == (y == 1)))
+    return float(np.mean((yhat >= 0.5) == (y == 1)))

@@ -108,9 +108,9 @@ class TdrConfig:
     """All reservoir hyperparameters.
 
     ``L`` is the stochastic stream length; ``None`` marks the ideal
-    (infinite-stream) backends.  ``input_weights``/``biases`` default to a
-    master-seed draw (uniform, width-q representable) and zeros; passing
-    ``biases="random"`` draws them uniformly instead.
+    (infinite-stream) backends.  The input weights are always a master-seed
+    draw (uniform, width-q representable); the biases are zero unless
+    ``biases="random"`` draws them the same way.
     """
 
     H: int
@@ -121,8 +121,7 @@ class TdrConfig:
     n: int = bp.DEFAULT_DEGREE
     q: int = DEFAULT_Q
     master_seed: int = 0
-    input_weights: np.ndarray | None = None
-    biases: np.ndarray | str | None = None
+    biases: str | None = None
     reseed_policy: str = "per-node"
     backend: str = "ideal-exact"
 
@@ -137,6 +136,8 @@ class TdrConfig:
             raise ValueError(f"delay tau={self.tau} must be >= H={self.H}")
         if self.q not in supported_widths():
             raise ValueError(f"unsupported word width q={self.q}")
+        if self.biases not in (None, "random"):
+            raise ValueError(f"biases must be None or 'random', got {self.biases!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
         if self.reseed_policy not in RESEED_POLICIES:
@@ -155,39 +156,10 @@ class TdrConfig:
         return self.tau if self.tau is not None else self.H + 1
 
 
-def resolve_weights(cfg: TdrConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Input weights and biases, drawn from the master seed where unspecified.
-
-    Both are exactly representable at width q: drawn values are quantized,
-    supplied arrays are required to already sit on the grid.
-    """
-    if cfg.input_weights is None:
-        rng = np.random.default_rng(derive_seed(cfg.master_seed, _TAG_WEIGHTS))
-        w = quantize(rng.uniform(-1.0, 1.0, cfg.H), cfg.q)
-    else:
-        w = np.asarray(cfg.input_weights, dtype=np.float64)
-        _check_representable(w, cfg.q, "input_weights")
-    if cfg.biases is None:
-        theta = np.zeros(cfg.H)
-    elif isinstance(cfg.biases, str):
-        if cfg.biases != "random":
-            raise ValueError(f"biases must be an array, None, or 'random', got {cfg.biases!r}")
-        rng = np.random.default_rng(derive_seed(cfg.master_seed, _TAG_BIASES))
-        theta = quantize(rng.uniform(-1.0, 1.0, cfg.H), cfg.q)
-    else:
-        theta = np.asarray(cfg.biases, dtype=np.float64)
-        _check_representable(theta, cfg.q, "biases")
-    if w.shape != (cfg.H,) or theta.shape != (cfg.H,):
-        raise ValueError(f"weights/biases must have shape ({cfg.H},)")
-    return w, theta
-
-
-def _check_representable(x: np.ndarray, q: int, what: str) -> None:
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x) > 1.0):
-        raise ValueError(f"{what} outside [-1, 1]")
-    if np.max(np.abs(quantize(x, q) - x), initial=0.0) > 1e-12:
-        raise ValueError(f"{what} not exactly representable at width q={q}")
+def _seeded_uniform(cfg: TdrConfig, tag: int) -> np.ndarray:
+    """H values drawn uniformly from [-1, 1] by the master seed, on the width-q grid."""
+    rng = np.random.default_rng(derive_seed(cfg.master_seed, tag))
+    return quantize(rng.uniform(-1.0, 1.0, cfg.H), cfg.q)
 
 
 @dataclass
@@ -205,21 +177,14 @@ class TdrState:
     lfsr_states: tuple[int, ...] | None = None
 
 
-def activation_ideal(s, cfg: TdrConfig):
+def activation_ideal(s: np.ndarray, gamma: float) -> np.ndarray:
     """Exact activation in bipolar terms: the unit-square sine, mapped back.
 
-    Equals sin(gamma*s) where the extrema +-1 are reachable
-    (|gamma| >= pi/2), else sin(gamma*s)/sin(|gamma|); gamma = 0 is the
-    linear limit (identity).
+    sin(gamma*s) over the sine's largest value on the used interval (the
+    ``f_max`` of :func:`bernstein.transform_activation`), so +-1 are the
+    extrema; gamma = 0 is the linear limit (identity).
     """
-    s = np.asarray(s, dtype=np.float64)
-    if cfg.gamma == 0.0:
-        out = s.copy()
-    else:
-        reach = abs(cfg.gamma) * bp.DEFAULT_DELTA_S / 2.0
-        f_max = 1.0 if reach >= np.pi / 2.0 else np.sin(reach)
-        out = np.sin(cfg.gamma * s) / f_max
-    return out if out.ndim else float(out)
+    return np.sin(gamma * s) / bp.transform_activation(gamma).f_max if gamma else s
 
 
 def check_run_length(m: int) -> None:
@@ -276,10 +241,11 @@ class Reservoir:
         self.cfg = cfg
         self.H = cfg.H
         self.tau = cfg.effective_tau
-        self.weights, self.biases = resolve_weights(cfg)
-        self.activation_spec: bp.BernsteinSpec | None = None
-        if cfg.backend in ("ideal-bernstein", "stochastic"):
-            self.activation_spec = bp.BernsteinSpec(_fitted_betas(cfg.gamma, cfg.n, cfg.q))
+        self.weights = _seeded_uniform(cfg, _TAG_WEIGHTS)
+        self.biases = (_seeded_uniform(cfg, _TAG_BIASES) if cfg.biases == "random"
+                       else np.zeros(cfg.H))
+        self.activation_spec = (None if cfg.backend == "ideal-exact" else
+                                bp.BernsteinSpec(_fitted_betas(cfg.gamma, cfg.n, cfg.q)))
         if cfg.backend == "stochastic":
             self._prepare_stochastic()
 
@@ -378,7 +344,7 @@ class Reservoir:
         s = 0.5 * (cfg.alpha * (self.weights * u[..., None]) + (1.0 - cfg.alpha) * fb) \
             + 0.5 * self.biases
         if cfg.backend == "ideal-exact":
-            x = activation_ideal(s, cfg)
+            x = activation_ideal(s, cfg.gamma)
         else:
             sbar = (s + 1.0) / 2.0
             x = 2.0 * bp.bernstein_eval(np.asarray(self.activation_spec.beta), sbar) - 1.0
@@ -454,11 +420,3 @@ class Reservoir:
             ends.append(state.delay_line)
         return np.stack(rows), TdrState(np.stack(ends), state.current_step, state.lfsr_states)
 
-
-def write_states_csv(path, X: np.ndarray) -> None:
-    """State matrix as CSV with header ``step,x1..xH``."""
-    X = np.asarray(X)
-    with open(path, "w", newline="") as fh:
-        fh.write("step," + ",".join(f"x{i + 1}" for i in range(X.shape[1])) + "\n")
-        for p, row in enumerate(X):
-            fh.write(str(p) + "," + ",".join(repr(float(v)) for v in row) + "\n")

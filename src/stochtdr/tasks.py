@@ -19,6 +19,7 @@ from .streams import quantize
 
 NARMA_ORDER = 10
 NARMA_DIVERGENCE_BOUND = 10.0
+NARMA_MAX_ATTEMPTS = 1000
 DEFAULT_WASHOUT = 50
 DEFAULT_LAMBDA = 1e-6
 SINE_SQUARE_PERIOD = 10
@@ -31,14 +32,13 @@ class NarmaDivergence(RuntimeError):
     """The NARMA recurrence left the stable region for this input draw."""
 
 
-def narma10_recurrence(u: np.ndarray,
-                       bound: float = NARMA_DIVERGENCE_BOUND) -> np.ndarray:
+def narma10_recurrence(u: np.ndarray) -> np.ndarray:
     """Tenth-order NARMA targets for a given input vector.
 
     y[p] = 0.3 y[p-1] + 0.05 y[p-1] * sum(y[p-10..p-1]) + 1.5 u[p-1] u[p-10]
            + 0.1, with the first 10 targets fixed at zero.  Raises
-    :class:`NarmaDivergence` once |y| exceeds ``bound`` (the recurrence is
-    unstable for some input draws).
+    :class:`NarmaDivergence` once |y| exceeds ``NARMA_DIVERGENCE_BOUND`` (the
+    recurrence is unstable for some input draws).
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     m = u.size
@@ -47,8 +47,8 @@ def narma10_recurrence(u: np.ndarray,
         window = y[p - NARMA_ORDER:p].sum()
         y[p] = (0.3 * y[p - 1] + 0.05 * y[p - 1] * window
                 + 1.5 * u[p - 1] * u[p - NARMA_ORDER] + 0.1)
-        if abs(y[p]) > bound:
-            raise NarmaDivergence(f"|y[{p}]| = {abs(y[p]):.3g} > {bound}")
+        if abs(y[p]) > NARMA_DIVERGENCE_BOUND:
+            raise NarmaDivergence(f"|y[{p}]| = {abs(y[p]):.3g} > {NARMA_DIVERGENCE_BOUND}")
     return y
 
 
@@ -67,14 +67,14 @@ def check_narma_length(m: int) -> None:
         raise ValueError(f"sequence length must be >= {2 * NARMA_ORDER}")
 
 
-def narma10_generate(m: int, seed: int = 0, max_attempts: int = 1000) -> NarmaSequence:
+def narma10_generate(m: int, seed: int = 0) -> NarmaSequence:
     """Draw u ~ U[0, 0.5]^m and its NARMA targets, regenerating divergent draws.
 
     Divergent draws are rejected and retried with the next sub-seed; the
     number of regenerations is recorded on the result.
     """
     check_narma_length(m)
-    for attempt in range(max_attempts):
+    for attempt in range(NARMA_MAX_ATTEMPTS):
         rng = np.random.default_rng(derive_seed(seed, _TAG_NARMA, attempt))
         u = rng.uniform(0.0, 0.5, m)
         try:
@@ -82,7 +82,7 @@ def narma10_generate(m: int, seed: int = 0, max_attempts: int = 1000) -> NarmaSe
         except NarmaDivergence:
             continue
         return NarmaSequence(u=u, y=y, regenerations=attempt)
-    raise RuntimeError(f"no stable NARMA draw in {max_attempts} attempts")
+    raise RuntimeError(f"no stable NARMA draw in {NARMA_MAX_ATTEMPTS} attempts")
 
 
 @dataclass
@@ -93,44 +93,22 @@ class SineSquareSequence:
     labels: np.ndarray
 
 
-def _sine_segment(period: int) -> np.ndarray:
-    return np.sin(2.0 * np.pi * np.arange(period) / period)
+def sine_square_generate(m: int, seed: int = 0) -> SineSquareSequence:
+    """One-period segments, each a fair coin flip between sine and square.
 
-
-def _square_segment(period: int) -> np.ndarray:
-    # +1 on the first half-period, -1 on the second; avoids sign(sin)=0 samples
-    t = np.arange(period)
-    return np.where(t < period / 2, 1.0, -1.0)
-
-
-def sine_square_generate(m: int, seed: int = 0,
-                         period: int = SINE_SQUARE_PERIOD) -> SineSquareSequence:
-    """One-period segments, each a fair coin flip between sine and square."""
+    The square is +1 on the first half-period and -1 on the second, so it
+    has no 0 samples where sign(sin) would.
+    """
     if m < 1:
         raise ValueError("sequence length must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, _TAG_SINESQ))
-    sine, square = _sine_segment(period), _square_segment(period)
-    chunks, labels = [], []
-    total = 0
-    while total < m:
-        is_square = bool(rng.integers(0, 2))
-        seg = square if is_square else sine
-        chunks.append(seg)
-        labels.append(np.full(period, int(is_square)))
-        total += period
-    signal = np.concatenate(chunks)[:m]
-    lab = np.concatenate(labels)[:m]
-    return SineSquareSequence(signal=signal, labels=lab)
-
-
-def write_sequence_csv(path, u: np.ndarray, y: np.ndarray) -> None:
-    """Task sequence as CSV with header ``step,u,y``."""
-    u = np.asarray(u).reshape(-1)
-    y = np.asarray(y).reshape(-1)
-    with open(path, "w", newline="") as fh:
-        fh.write("step,u,y\n")
-        for p, (a, b) in enumerate(zip(u, y)):
-            fh.write(f"{p},{float(a)!r},{float(b)!r}\n")
+    t = np.arange(SINE_SQUARE_PERIOD)
+    segments = (np.sin(2.0 * np.pi * t / SINE_SQUARE_PERIOD),
+                np.where(t < SINE_SQUARE_PERIOD / 2, 1.0, -1.0))
+    is_square = [int(rng.integers(0, 2)) for _ in range(-(-m // SINE_SQUARE_PERIOD))]
+    signal = np.concatenate([segments[k] for k in is_square])[:m]
+    labels = np.repeat(is_square, SINE_SQUARE_PERIOD)[:m]
+    return SineSquareSequence(signal=signal, labels=labels)
 
 
 @dataclass
@@ -186,13 +164,13 @@ def evaluate_regression(cfg: TdrConfig, m_train: int = 1000, m_test: int = 1000,
 def evaluate_classification(cfg: TdrConfig, m_train: int = 1000, m_test: int = 1000,
                             lam: float = DEFAULT_LAMBDA,
                             washout: int = DEFAULT_WASHOUT,
-                            seed: int = 0, threshold: float = 0.5) -> EvalResult:
+                            seed: int = 0) -> EvalResult:
     """Sine/square discrimination accuracy with a 0/1 target and 0.5 decision."""
     data = sine_square_generate(m_train + m_test, seed)
     drive = quantize(data.signal, cfg.q)
     model, X_test, y_test, _ = _split_and_fit(
         cfg, drive, data.labels.astype(np.float64), m_train, lam, washout)
-    value = classification_accuracy(y_test, predict(model, X_test), threshold)
+    value = classification_accuracy(y_test, predict(model, X_test))
     return EvalResult(metric="accuracy", value=value, metadata={
         "task": "sinesquare", "m_train": m_train, "m_test": m_test,
         "lambda": lam, "washout": washout, "seed": seed,

@@ -1,11 +1,16 @@
-"""The command line: exit codes for rejected configurations, the option table
-behind flags, config-file keys and config.txt, and sweep output."""
+"""The command line: exit codes for rejected configurations and input files,
+the option table behind flags, config-file keys and config.txt, and the
+CSV formats it writes."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from stochtdr import cli
+from stochtdr.reservoir import Reservoir, derive_seed
+from stochtdr.streams import quantize
+from stochtdr.tasks import narma10_generate, sine_square_generate
 
 
 @pytest.mark.parametrize("argv", [
@@ -146,3 +151,79 @@ def test_results_csv_does_not_depend_on_worker_count(tmp_path):
         assert cli.main(argv + ["--workers", str(workers), "--out", str(out)]) == cli.EXIT_OK
         outputs.append((out / "results.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+BAD_INPUTS = {
+    "nan": "step,u\n0,0.5\n1,nan\n",
+    "missing-value": "step,u\n0,0.5\n1,\n",  # reads as NaN
+    "inf": "step,u\n0,inf\n",
+    "above-1": "step,u\n0,5.0\n",
+    "below-minus-1": "step,u\n0,0.25\n1,-3\n",
+    "header-only": "step,u\n",
+    "empty": "",
+    "no-u-column": "step,v\n0,0.5\n",
+    "ragged-row": "step,u\n0,0.5\n1,0.5,7\n",
+    "missing-file": None,
+}
+
+
+@pytest.mark.parametrize("text", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_simulate_input_files_exit_2_naming_the_file(tmp_path, capsys, text):
+    path = tmp_path / "input.csv"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--H", "4", "--input", str(path), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not out.exists()
+
+
+
+def _read_csv(path, header):
+    """The rows of a CSV file whose first line is ``header``, as floats."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(table[:, 0], np.arange(len(table)))
+    return table[:, 1:]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--backend", "stochastic", "--L", "37", "--H", "5", "--m", "9"],
+    ["--backend", "ideal-exact", "--H", "3", "--m", "7", "--seed", "4"],
+    ["--backend", "stochastic", "--L", "16", "--H", "4", "--reseed", "none", "--input"],
+])
+def test_simulate_csvs_parse_back_to_the_run(tmp_path, argv):
+    if argv[-1] == "--input":  # on and off the q=8 grid, and both ends
+        path = tmp_path / "input.csv"
+        path.write_text("u\n0.5\n-1\n1.0\n0.1234\n-0.0\n")
+        argv = argv + [str(path)]
+    out = tmp_path / "out"
+    argv = ["simulate", *argv, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    cfg = cli.parse_config(argv)
+    u = _read_csv(out / "inputs.csv", "step,u")[:, 0]
+    if cfg.input:
+        np.testing.assert_array_equal(u, quantize([0.5, -1.0, 1.0, 0.1234, -0.0], cfg.q))
+    tdr = cli._tdr_config(cfg, cli._sweep(cfg)[0], derive_seed(cfg.seed, cli._TAG_MASTER, 0))
+    header = "step," + ",".join(f"x{i + 1}" for i in range(cfg.H))
+    np.testing.assert_array_equal(_read_csv(out / "states.csv", header), Reservoir(tdr).run(u))
+
+
+@pytest.mark.parametrize("task", ["narma10", "sinesquare"])
+def test_dumped_sequence_csv_parses_back_to_the_generator(tmp_path, task):
+    out = tmp_path / "out"
+    assert cli.main(["bench", task, "--H", "4", "--train", "30", "--test", "25", "--washout",
+                     "3", "--runs", "1", "--seed", "5", "--dump-sequences",
+                     "--out", str(out)]) == cli.EXIT_OK
+    seq = _read_csv(out / "sequence.csv", "step,u,y")
+    seed0 = derive_seed(5, cli._TAG_TASK, 0)
+    if task == "narma10":
+        data = narma10_generate(55, seed0)
+        expected = (data.u, data.y)
+    else:
+        data = sine_square_generate(55, seed0)
+        expected = (data.signal, data.labels)
+    np.testing.assert_array_equal(seq, np.column_stack(expected))

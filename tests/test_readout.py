@@ -7,14 +7,13 @@ from stochtdr.readout import RankDeficiencyError, predict, ridge_train
 
 
 @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.3])
-@pytest.mark.parametrize("use_bias", [True, False])
-def test_ridge_matches_lstsq_on_the_augmented_system(lam, use_bias):
+def test_ridge_matches_lstsq_on_the_augmented_system(lam):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(60, 5))
     y = X @ rng.normal(size=5) + 0.7 + 0.1 * rng.normal(size=60)
-    model = ridge_train(X, y, lam, use_bias=use_bias)
+    model = ridge_train(X, y, lam)
     # (Xd^T Xd + lam I) w = Xd^T y are the normal equations of [Xd; sqrt(lam) I] w = [y; 0]
-    Xd = np.column_stack([X, np.ones(60)]) if use_bias else X
+    Xd = np.column_stack([X, np.ones(60)])
     A = np.vstack([Xd, np.sqrt(lam) * np.eye(Xd.shape[1])])
     w, *_ = np.linalg.lstsq(A, np.concatenate([y, np.zeros(Xd.shape[1])]), rcond=None)
     np.testing.assert_allclose(model.w_out, w, rtol=1e-9, atol=1e-12)
