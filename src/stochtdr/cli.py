@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 import warnings
@@ -34,14 +35,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bernstein import check_fit_size, fit_bernstein_coeffs, transform_activation
-from .metrics import check_probes, check_rank_tol, metric_study
+from .bernstein import (DEFAULT_DEGREE, DEFAULT_DELTA_S, check_fit_size, fit_bernstein_coeffs,
+                        transform_activation)
+from .metrics import (DEFAULT_NOISE_AMPLITUDE, DEFAULT_RANK_TOL, check_probes, check_rank_tol,
+                      metric_study)
 from .readout import check_lambda
 from .reservoir import (BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, check_run_length,
                         derive_seed)
-from .streams import quantize
-from .tasks import (check_narma_length, check_split, evaluate_classification,
-                    evaluate_regression, narma10_generate, sine_square_generate)
+from .streams import DEFAULT_Q, quantize
+from .tasks import (DEFAULT_LAMBDA, DEFAULT_WASHOUT, check_narma_length, check_split,
+                    evaluate_classification, evaluate_regression, narma10_generate,
+                    sine_square_generate)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,6 +96,8 @@ def _grid(text: str, kind) -> list:
     if len(parts) != 3:
         raise ValueError("want start:step:stop")
     start, step, stop = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ValueError("grid start, step and stop must be finite")
     if step <= 0:
         raise ValueError("grid step must be positive")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -153,14 +159,14 @@ class ExperimentConfig:
     gamma: float = _opt(2.0, float)
     L: list[int | None] = _opt([1000], _L_list, action="append",
                                help="stream length; repeat for a sweep; 'inf' for ideal")
-    degree: int = _opt(5, _int)
-    q: int = _opt(8, _int)
+    degree: int = _opt(DEFAULT_DEGREE, _int)
+    q: int = _opt(DEFAULT_Q, _int)
     seed: int = _opt(0, _int)
     runs: int = _opt(10, _int)
     backend: str = _opt("ideal-exact", str, choices=BACKENDS)
     reseed: str = _opt("per-node", str, choices=RESEED_POLICIES)
-    lam: float = _opt(1e-6, float, flag="--lambda", keys=("lam", "lambda"))
-    washout: int = _opt(50, _int)
+    lam: float = _opt(DEFAULT_LAMBDA, float, flag="--lambda", keys=("lam", "lambda"))
+    washout: int = _opt(DEFAULT_WASHOUT, _int)
     out: str = _opt("out", str, keys=())
     workers: int = _opt(1, _int)
     m: int = _opt(50, _int, ("metrics", "simulate"))
@@ -169,9 +175,9 @@ class ExperimentConfig:
     alpha_grid: list[float] | None = _opt(None, _float_grid, ("metrics",))
     gamma_grid: list[float] | None = _opt(None, _float_grid, ("metrics",))
     H_grid: list[int] | None = _opt(None, _int_grid, ("bench",))
-    noise: float = _opt(0.05, float, ("metrics",))
-    rank_tol: float = _opt(1e-6, float, ("metrics",))
-    delta_s: float = _opt(2.0, float, ("fit-activation",))
+    noise: float = _opt(DEFAULT_NOISE_AMPLITUDE, float, ("metrics",))
+    rank_tol: float = _opt(DEFAULT_RANK_TOL, float, ("metrics",))
+    delta_s: float = _opt(DEFAULT_DELTA_S, float, ("fit-activation",))
     grid_size: int | None = _opt(None, _int, ("fit-activation",), flag="--grid")
     input: str | None = _opt(None, str, ("simulate",),
                              help="CSV with a 'u' column to drive the reservoir")
@@ -223,8 +229,8 @@ def _read_config_file(path: str) -> dict:
     """Flat 'key = value' file with # comments; unknown keys are errors."""
     out = {}
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -335,6 +341,12 @@ def _tdr_config(cfg: ExperimentConfig, point: dict, master_seed: int = 0) -> Tdr
                      reseed_policy=cfg.reseed, backend=cfg.backend)
 
 
+def _summary(values) -> tuple[float, float]:
+    """Mean and sample standard deviation of a point's per-run values (std 0 for one run)."""
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return float(np.mean(values)), std
+
+
 def _metrics_point(args: dict) -> list[list]:
     cfg = ExperimentConfig(**args["cfg"])
     idx = args["index"]
@@ -344,9 +356,8 @@ def _metrics_point(args: dict) -> list[list]:
                           noise_amplitude=cfg.noise, rel_tol=cfg.rank_tol)
     prefix = [tdr.alpha, tdr.gamma, tdr.L, cfg.reseed]
     rows = [[*prefix, r, int(result.kq[r]), int(result.gr[r])] for r in range(cfg.runs)]
-    rows.append([*prefix, "mean", result.kq_mean, result.gr_mean])
-    rows.append([*prefix, "std", result.kq_std, result.gr_std])
-    return rows
+    mean, std = zip(_summary(result.kq), _summary(result.gr))  # (kq, gr) each
+    return rows + [[*prefix, "mean", *mean], [*prefix, "std", *std]]
 
 
 def _bench_point(args: dict) -> list[list]:
@@ -360,10 +371,8 @@ def _bench_point(args: dict) -> list[list]:
         values.append(res.value)
     prefix = [cfg.task, cfg.backend, tdr.H, cfg.alpha, cfg.gamma, tdr.L, cfg.degree]
     rows = [[*prefix, r, res.metric, values[r]] for r in range(cfg.runs)]
-    std = float(np.std(values, ddof=1)) if cfg.runs > 1 else 0.0
-    rows.append([*prefix, "mean", res.metric, float(np.mean(values))])
-    rows.append([*prefix, "std", res.metric, std])
-    return rows
+    mean, std = _summary(values)
+    return rows + [[*prefix, "mean", res.metric, mean], [*prefix, "std", res.metric, std]]
 
 
 def _run_points(cfg: ExperimentConfig, worker, tasks: list[dict]) -> list[list]:

@@ -10,12 +10,12 @@ means similar inputs collapse to similar states).
 The probes go to :meth:`Reservoir.run` as one ``(H, m)`` block.  The ideal
 backends advance all H probes together, one ``(H, H)`` step per macro step,
 instead of paying the per-step Python overhead H times.  The ``stochastic``
-backend runs the rows in turn, because a bit-identical batched bit-level
-step measured slower (0.81-0.85 s against 0.64-0.70 s for H = m = 50,
-L = 1000 on a 2-core Xeon with 2 MiB of L2 per core): its 2.5 MB boolean
-operands no longer fit in L2.  Under the
-free-running PRNG policy the probe runs share the advancing LFSRs in row
-order, as a hardware part would between bursts.
+backend runs the rows in turn: under the free-running ``none`` policy a
+bit-identical batched packed step gathers about 30 MB of LFSR words per
+macro step (12 roles of B*H*L bytes at B = H = m = 50, L = 1000, q = 8),
+and took 2.6-3.0 s against 1.6-1.8 s for rows in turn on a 2-core Xeon.
+Under that policy the probe runs share the advancing LFSRs in row order,
+as a hardware part would between bursts.
 """
 
 from __future__ import annotations
@@ -91,22 +91,6 @@ class MetricRun:
 
     kq: np.ndarray
     gr: np.ndarray
-
-    @property
-    def kq_mean(self) -> float:
-        return float(np.mean(self.kq))
-
-    @property
-    def gr_mean(self) -> float:
-        return float(np.mean(self.gr))
-
-    @property
-    def kq_std(self) -> float:
-        return float(np.std(self.kq, ddof=1)) if self.kq.size > 1 else 0.0
-
-    @property
-    def gr_std(self) -> float:
-        return float(np.std(self.gr, ddof=1)) if self.gr.size > 1 else 0.0
 
 
 def metric_study(cfg: TdrConfig, m: int, runs: int = 10, seed: int = 0,

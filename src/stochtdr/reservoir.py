@@ -59,8 +59,9 @@ from .streams import (
 BACKENDS = ("ideal-exact", "ideal-bernstein", "stochastic")
 RESEED_POLICIES = ("none", "per-node")
 
-# One LFSR role per stochastic source inside a node; each role runs its own
-# tap polynomial so that paired streams never ride the same sequence.
+# One LFSR role per stochastic source inside a node; role r runs the tap mask
+# maximal_taps(q, r).  That index wraps where a width has fewer masks than a
+# node has roles (q = 2-6 and 13-16 at n = 5): two roles then share a sequence.
 ROLE_INPUT = 0
 ROLE_WEIGHT = 1
 ROLE_BIAS = 2
@@ -167,9 +168,11 @@ class TdrState:
     """Delay-line contents plus the macro-step counter.
 
     ``delay_line`` has shape ``(tau,)``, or ``(B, tau)`` for B sequences
-    stepped together on the ideal backends.  ``lfsr_states`` holds the
-    register of each role's free-running LFSR under the ``none`` reseed
-    policy (indexed by role); it is ``None`` otherwise.
+    stepped together on the ideal backends; on ``stochastic`` it holds the
+    offset words that S2B writes and B2S reads, in ``word_dtype(q)``.
+    ``lfsr_states`` holds the register of each role's free-running LFSR
+    under the ``none`` reseed policy (indexed by role); it is ``None``
+    otherwise.
     """
 
     delay_line: np.ndarray
@@ -213,8 +216,9 @@ def _scalar_offset(u: float, q: int) -> int:
 
 
 @functools.lru_cache(maxsize=128)
-def _fitted_betas(gamma: float, n: int, q: int) -> tuple[float, ...]:
-    """Width-q quantized Bernstein coefficients for the sine activation.
+def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
+    """Bernstein coefficients of the sine activation as width-q threshold words;
+    ``ideal-bernstein`` evaluates word / (2^q - 1).
 
     gamma = 0 falls back to the identity ramp k/n (the linear limit of the
     transform), which the basis reproduces exactly.
@@ -224,8 +228,7 @@ def _fitted_betas(gamma: float, n: int, q: int) -> tuple[float, ...]:
     else:
         fbar = bp.transform_activation(gamma, bp.DEFAULT_DELTA_S)
         beta = bp.fit_bernstein_coeffs(fbar, n).beta
-    full = (1 << q) - 1
-    return tuple(quantize_probability(b, q) / full for b in beta)
+    return tuple(quantize_probability(b, q) for b in beta)
 
 
 class Reservoir:
@@ -244,8 +247,8 @@ class Reservoir:
         self.weights = _seeded_uniform(cfg, _TAG_WEIGHTS)
         self.biases = (_seeded_uniform(cfg, _TAG_BIASES) if cfg.biases == "random"
                        else np.zeros(cfg.H))
-        self.activation_spec = (None if cfg.backend == "ideal-exact" else
-                                bp.BernsteinSpec(_fitted_betas(cfg.gamma, cfg.n, cfg.q)))
+        self.beta_words = (None if cfg.backend == "ideal-exact"
+                           else _fitted_betas(cfg.gamma, cfg.n, cfg.q))
         if cfg.backend == "stochastic":
             self._prepare_stochastic()
 
@@ -254,14 +257,11 @@ class Reservoir:
     def _prepare_stochastic(self) -> None:
         cfg = self.cfg
         L, q, H, n = cfg.L, cfg.q, cfg.H, cfg.n
-        self._half = 1 << (q - 1)
         # thresholds share the words' narrow type, so no comparator widens
-        self._word_dtype = word_dtype(q)
-        self._w_offsets = real_to_offset(self.weights, q).astype(self._word_dtype)[:, None]
-        self._t_offsets = real_to_offset(self.biases, q).astype(self._word_dtype)[:, None]
+        self._w_offsets = real_to_offset(self.weights, q).astype(word_dtype(q))[:, None]
+        self._t_offsets = real_to_offset(self.biases, q).astype(word_dtype(q))[:, None]
         self._alpha_thr = quantize_probability(cfg.alpha, q)
         self._bias_thr = quantize_probability(0.5, q)
-        self._beta_thr = [quantize_probability(b, q) for b in self.activation_spec.beta]
         self._copy_delays = bp.spread_delays(n, L)
         self._taps = [maximal_taps(q, role) for role in range(ROLE_COEFF_BASE + n + 1)]
 
@@ -281,7 +281,7 @@ class Reservoir:
                 pack(b2s(self._t_offsets, words[ROLE_BIAS])),
                 pack(b2s(self._alpha_thr, words[ROLE_SELECT_MIX])),
                 pack(b2s(self._bias_thr, words[ROLE_SELECT_BIAS])),
-                np.stack([pack(b2s(thr, w)) for thr, w in zip(self._beta_thr, coeff_words)]))
+                np.stack([pack(b2s(thr, w)) for thr, w in zip(self.beta_words, coeff_words)]))
 
     def _initial_lfsr_states(self) -> tuple[int, ...] | None:
         if self.cfg.backend != "stochastic" or self.cfg.reseed_policy != "none":
@@ -306,15 +306,11 @@ class Reservoir:
     def initial_state(self) -> TdrState:
         """All-zero delay line (the quantized zero word for the bit-level backend)."""
         if self.cfg.backend == "stochastic":
-            zero_word = int(real_to_offset(0.0, self.cfg.q)) - self._half
-            line = np.full(self.tau, zero_word, dtype=np.int64)
+            q = self.cfg.q
+            line = np.full(self.tau, real_to_offset(0.0, q), dtype=word_dtype(q))
         else:
             line = np.zeros(self.tau, dtype=np.float64)
         return TdrState(line, 0, self._initial_lfsr_states())
-
-    def _read_positions(self, p: int) -> np.ndarray:
-        # slot g - tau lands on the ring position about to be overwritten
-        return (p * self.H + np.arange(self.H)) % self.tau
 
     def step(self, state: TdrState, u) -> tuple[TdrState, np.ndarray]:
         """Consume one held input sample; returns (new state, node outputs).
@@ -331,92 +327,76 @@ class Reservoir:
             off = real_to_offset(u, q)
             if (np.abs(offset_to_real(off, q) - u) > 1e-12).any():
                 raise ValueError(f"input {u} not representable at width q={q}")
-        if self.cfg.backend == "stochastic":
-            if np.ndim(off) or state.delay_line.ndim != 1:
-                raise ValueError("the stochastic backend steps one sequence at a time")
-            return self._step_stochastic(state, int(off))
-        return self._step_ideal(state, np.asarray(u, dtype=np.float64))
-
-    def _step_ideal(self, state: TdrState, u: np.ndarray) -> tuple[TdrState, np.ndarray]:
-        cfg = self.cfg
-        pos = self._read_positions(state.current_step)
+        # slot g - tau lands on the ring position about to be overwritten
+        pos = (state.current_step * self.H + np.arange(self.H)) % self.tau
         fb = state.delay_line[..., pos]
+        lfsr_states = state.lfsr_states
+        if self.cfg.backend == "stochastic":
+            if np.ndim(off) or fb.ndim != 1:
+                raise ValueError("the stochastic backend steps one sequence at a time")
+            written, lfsr_states = self._step_stochastic(int(off), fb, lfsr_states)
+            x = offset_to_real(written, q)
+        else:
+            written = x = self._step_ideal(np.asarray(u, dtype=np.float64), fb)
+        line = state.delay_line.copy()
+        line[..., pos] = written
+        return TdrState(line, state.current_step + 1, lfsr_states), x
+
+    def _step_ideal(self, u: np.ndarray, fb: np.ndarray) -> np.ndarray:
+        """Node outputs from the held input(s) and the feedback values."""
+        cfg = self.cfg
         s = 0.5 * (cfg.alpha * (self.weights * u[..., None]) + (1.0 - cfg.alpha) * fb) \
             + 0.5 * self.biases
         if cfg.backend == "ideal-exact":
-            x = activation_ideal(s, cfg.gamma)
-        else:
-            sbar = (s + 1.0) / 2.0
-            x = 2.0 * bp.bernstein_eval(np.asarray(self.activation_spec.beta), sbar) - 1.0
-        line = state.delay_line.copy()
-        line[..., pos] = x
-        new = TdrState(line, state.current_step + 1, state.lfsr_states)
-        return new, np.asarray(x, dtype=np.float64)
+            return activation_ideal(s, cfg.gamma)
+        beta = np.asarray(self.beta_words) / ((1 << cfg.q) - 1)
+        return 2.0 * bp.bernstein_eval(beta, (s + 1.0) / 2.0) - 1.0
 
-    def _step_stochastic(self, state: TdrState, u_off: int) -> tuple[TdrState, np.ndarray]:
+    def _step_stochastic(self, u_off: int, fb: np.ndarray,
+                         lfsr_states: tuple | None) -> tuple[np.ndarray, tuple | None]:
+        """Node output words from the input word and the feedback words, and
+        the LFSR registers after the step."""
         cfg = self.cfg
-        pos = self._read_positions(state.current_step)
-        fb_offsets = (state.delay_line[pos] + self._half).astype(self._word_dtype)[:, None]
-
         if cfg.reseed_policy == "per-node":
-            words, lfsr_states = self._node_words, state.lfsr_states
+            words = self._node_words
             W, T, SM, SB, beta = self._fixed_streams
         else:
-            words, lfsr_states = self._draw_words(state.lfsr_states)
+            words, lfsr_states = self._draw_words(lfsr_states)
             W, T, SM, SB, beta = self._operand_streams(words)
         U = pack(b2s(u_off, words[ROLE_INPUT]))
-        F = pack(b2s(fb_offsets, words[ROLE_FEEDBACK]))
+        F = pack(b2s(fb[:, None], words[ROLE_FEEDBACK]))
 
         # XNOR multiplies input by weight, the alpha-MUX mixes in the feedback,
         # the 0.5-MUX averages in the bias
         mixed = stoch_mux_average(stoch_mux_average(stoch_mult(U, W), F, SM), T, SB)
         copies = bp.make_independent_copies(mixed, self._copy_delays, cfg.L)
-        offs = s2b(bp.bernstein_mux_packed(copies, beta), cfg.L, cfg.q)
+        return s2b(bp.bernstein_mux_packed(copies, beta), cfg.L, cfg.q), lfsr_states
 
-        line = state.delay_line.copy()
-        line[pos] = offs - self._half
-        new = TdrState(line, state.current_step + 1, lfsr_states)
-        return new, offset_to_real(offs, cfg.q)
+    def run(self, inputs) -> np.ndarray:
+        """Feed a held-input sequence from :meth:`initial_state`; row p of the
+        result holds x_1..x_H (signed values on every backend).
 
-    def run(self, inputs, state: TdrState | None = None,
-            return_state: bool = False):
-        """Feed a held-input sequence; row p of the result holds x_1..x_H.
-
-        An explicit ``state`` continues a previous run (or carries
-        free-running PRNG positions across probe sequences).  A ``(B, m)``
-        block runs B sequences, each from the delay line of ``state`` (or
-        the initial one), and returns ``(B, m, H)``; free-running PRNG
-        positions advance through the rows in order.
+        A ``(B, m)`` block runs B sequences, each from the initial delay
+        line, and returns ``(B, m, H)``.  The ideal backends step the rows
+        together; the stochastic backend runs them in turn (see ``metrics``),
+        its free-running PRNG positions advancing through the rows in order.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim > 2:
+        if inputs.ndim not in (1, 2):
             raise ValueError("need an input sequence or (B, m) block")
         check_run_length(inputs.size)
-        if state is None:
-            state = self.initial_state()
-        if inputs.ndim == 2:
-            X, state = self._run_block(inputs, state)
-        else:
-            X = np.empty((inputs.size, self.H), dtype=np.float64)
-            for p, u in enumerate(inputs):
-                state, X[p] = self.step(state, float(u))
-        return (X, state) if return_state else X
-
-    def _run_block(self, inputs: np.ndarray, state: TdrState) -> tuple[np.ndarray, TdrState]:
-        lines = np.broadcast_to(state.delay_line, (len(inputs), self.tau))
-        if self.cfg.backend != "stochastic":
+        init = self.initial_state()
+        if inputs.ndim == 2 and self.cfg.backend != "stochastic":
             # the rows advance together, one (B, H) step per macro step
             X = np.empty(inputs.shape + (self.H,), dtype=np.float64)
-            state = TdrState(lines, state.current_step, state.lfsr_states)
+            state = TdrState(np.broadcast_to(init.delay_line, (len(inputs), self.tau)))
             for p in range(inputs.shape[1]):
                 state, X[:, p] = self.step(state, inputs[:, p])
-            return X, state
-        # rows in turn: a (B, H, L) bit-level batch measured slower (see metrics)
-        start, rows, ends = state.current_step, [], []
-        for row, line in zip(inputs, lines):
-            X_row, state = self.run(row, TdrState(line, start, state.lfsr_states),
-                                    return_state=True)
-            rows.append(X_row)
-            ends.append(state.delay_line)
-        return np.stack(rows), TdrState(np.stack(ends), state.current_step, state.lfsr_states)
-
+            return X
+        X, state = [], init
+        for row in np.atleast_2d(inputs):
+            state = TdrState(init.delay_line, 0, state.lfsr_states)
+            for u in row.tolist():
+                state, x = self.step(state, u)
+                X.append(x)
+        return np.reshape(X, inputs.shape + (self.H,))

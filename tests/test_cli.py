@@ -41,6 +41,10 @@ from stochtdr.tasks import narma10_generate, sine_square_generate
     ["simulate", "--backend", "stochastic", "--L", "16", "--L", "32"],
     ["bench", "narma10", "--train", "8", "--test", "8", "--washout", "0"],  # NARMA needs 20
     ["simulate", "--m", "0"],
+    ["metrics", "--alpha-grid", "0:0.1:inf"],  # an unbounded grid
+    ["bench", "narma10", "--H-grid", "4:1:inf"],
+    ["metrics", "--alpha-grid", "0:inf:1"],
+    ["metrics", "--config", "gamma_grid = -inf:1:0"],
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     if "--config" in argv:  # the value after --config is the file's text
@@ -53,6 +57,24 @@ def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0:0.1:inf", "0:inf:1", "nan:1:2", "-inf:1:0"])
+def test_a_non_finite_grid_bound_names_the_option(tmp_path, capsys, grid):
+    path = tmp_path / "config.txt"
+    path.write_text(f"alpha_grid = {grid}\n")
+    for argv, name in ((f"--alpha-grid={grid}", "alpha-grid"), (f"--config={path}", "alpha_grid")):
+        assert cli.main(["metrics", argv, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert f"for {name}: grid start, step and stop must be finite" in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "config.txt"
+    path.write_bytes(b"\xff\xfeH = 4\n")
+    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_activation_derives_its_grid_size(tmp_path):

@@ -11,27 +11,26 @@ from stochtdr.streams import quantize
 H, M, L = 5, 7, 24
 
 
-def rows_in_turn(res: Reservoir, probes, start: TdrState | None = None):
-    """Each probe row from the delay line and step of ``start`` (by default a
-    zeroed line at step 0), LFSR positions carried from row to row."""
-    if start is None:
-        init = res.initial_state()
-        start = TdrState(np.zeros_like(init.delay_line), 0, init.lfsr_states)
-    state, X = start, []
+def rows_in_turn(res: Reservoir, probes) -> np.ndarray:
+    """Each probe row from the initial delay line at step 0, one
+    ``Reservoir.step`` at a time, LFSR positions carried from row to row."""
+    init = res.initial_state()
+    state, X = init, []
     for row in probes:
-        state = TdrState(start.delay_line.copy(), start.current_step, state.lfsr_states)
-        X_row, state = res.run(row, state=state, return_state=True)
-        X.append(X_row)
-    return np.stack(X), state
+        state = TdrState(init.delay_line, 0, state.lfsr_states)
+        for u in row:
+            state, x = res.step(state, float(u))
+            X.append(x)
+    return np.reshape(X, np.shape(probes) + (res.H,))
 
 
 class RowsInTurn(Reservoir):
     """A reservoir that runs every (B, m) block through ``rows_in_turn``."""
 
-    def run(self, inputs, state=None, return_state=False):
+    def run(self, inputs):
         if np.ndim(inputs) == 2:
-            return rows_in_turn(self, inputs)[0]
-        return super().run(inputs, state, return_state)
+            return rows_in_turn(self, inputs)
+        return super().run(inputs)
 
 
 def config(backend, policy, seed=3):
@@ -45,23 +44,9 @@ def config(backend, policy, seed=3):
 def test_block_run_matches_rows_in_turn(backend, policy):
     res = Reservoir(config(backend, policy))
     probes = quantize(np.random.default_rng(1).uniform(-1.0, 1.0, (4, M)), res.cfg.q)
-    X, end = res.run(probes, return_state=True)
-    X_rows, end_rows = rows_in_turn(res, probes)
+    X = res.run(probes)
     assert X.shape == (4, M, H)
-    np.testing.assert_array_equal(X, X_rows)
-    assert end.lfsr_states == end_rows.lfsr_states
-    np.testing.assert_array_equal(end.delay_line[-1], end_rows.delay_line)
-
-
-@pytest.mark.parametrize("policy", RESEED_POLICIES)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_block_run_continues_from_a_given_state(backend, policy):
-    res = Reservoir(config(backend, policy))
-    rng = np.random.default_rng(2)
-    _, start = res.run(quantize(rng.uniform(-1.0, 1.0, 3), res.cfg.q), return_state=True)
-    probes = quantize(rng.uniform(-1.0, 1.0, (3, M)), res.cfg.q)
-    np.testing.assert_array_equal(res.run(probes, state=start),
-                                  rows_in_turn(res, probes, start)[0])
+    np.testing.assert_array_equal(X, rows_in_turn(res, probes))
 
 
 @pytest.mark.parametrize("policy", RESEED_POLICIES)

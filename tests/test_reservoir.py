@@ -78,8 +78,8 @@ def oracle_run(res: Reservoir, inputs) -> np.ndarray:
             SB = b2s(quantize_probability(0.5, q), words(ROLE_SELECT_BIAS, i, p))
             mixed = stoch_mux_average(stoch_mux_average(stoch_mult(U, W), F, SM), T, SB)
             copies = np.stack([np.roll(mixed, d) for d in spread_delays(n, L)])
-            betas = np.stack([b2s(quantize_probability(b, q), words(ROLE_COEFF_BASE + k, i, p))
-                              for k, b in enumerate(res.activation_spec.beta)])
+            betas = np.stack([b2s(b, words(ROLE_COEFF_BASE + k, i, p))
+                              for k, b in enumerate(res.beta_words)])
             out = np.take_along_axis(betas, copies.sum(axis=0)[None], axis=0)[0]
             line[slot] = ones_count_to_offset(out.sum(), L, q)
             offsets[p, i] = line[slot]
