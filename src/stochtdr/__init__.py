@@ -21,7 +21,6 @@ from .streams import (
     supported_widths,
 )
 from .bernstein import (
-    BernsteinSpec,
     TransformedActivation,
     bernstein_basis,
     bernstein_eval,
@@ -34,7 +33,6 @@ from .bernstein import (
 from .reservoir import (
     Reservoir,
     TdrConfig,
-    TdrState,
     derive_seed,
 )
 from .readout import (

@@ -32,36 +32,6 @@ from .streams import stoch_mux_average
 DEFAULT_DEGREE = 5
 DEFAULT_DELTA_S = 2.0
 
-_COEFF_EPS = 1e-12  # tolerated constraint overshoot from finite solver precision
-
-
-@dataclass(frozen=True)
-class BernsteinSpec:
-    """Degree-n coefficient vector of a synthesized activation.
-
-    Every coefficient must lie in [0, 1]; values outside the interval are
-    not representable as stream probabilities and are rejected with the
-    offending indices named rather than clipped.
-    """
-
-    beta: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.beta) < 2:
-            raise ValueError("need degree n >= 1, i.e. at least two coefficients")
-        bad = [k for k, b in enumerate(self.beta)
-               if not (-_COEFF_EPS <= b <= 1.0 + _COEFF_EPS)]
-        if bad:
-            vals = ", ".join(f"beta[{k}]={self.beta[k]:.6g}" for k in bad)
-            raise ValueError(f"coefficients outside [0, 1]: {vals}")
-        object.__setattr__(
-            self, "beta", tuple(float(np.clip(b, 0.0, 1.0)) for b in self.beta))
-
-    @property
-    def n(self) -> int:
-        return len(self.beta) - 1
-
-
 def _basis(k: int, n: int, u: np.ndarray) -> np.ndarray:
     return math.comb(n, k) * u**k * (1.0 - u) ** (n - k)
 
@@ -96,15 +66,14 @@ def bernstein_eval(beta, u):
 class TransformedActivation:
     """sin(gamma * s) shifted and scaled into the unit square.
 
-    fbar(sbar) = (f(delta_s * (sbar - 0.5)) - f_min) / (f_max - f_min) where
-    f_min/f_max are the extrema of the sine on [-delta_s/2, +delta_s/2]; for
-    the sine family the extrema are closed-form: +-1 once |gamma|*delta_s/2
-    reaches pi/2, otherwise the interval endpoints +-sin(|gamma|*delta_s/2).
+    fbar(sbar) = (f(delta_s * (sbar - 0.5)) + f_max) / (2 f_max) where +-f_max
+    are the extrema of the sine on [-delta_s/2, +delta_s/2]; for the sine
+    family they are closed-form: +-1 once |gamma|*delta_s/2 reaches pi/2,
+    otherwise the interval endpoints +-sin(|gamma|*delta_s/2).
     """
 
     gamma: float
     delta_s: float = DEFAULT_DELTA_S
-    f_min: float = field(init=False, default=0.0)
     f_max: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -117,12 +86,11 @@ class TransformedActivation:
         reach = abs(self.gamma) * self.delta_s / 2.0
         f_max = 1.0 if reach >= np.pi / 2.0 else float(np.sin(reach))
         object.__setattr__(self, "f_max", f_max)
-        object.__setattr__(self, "f_min", -f_max)
 
     def __call__(self, sbar):
         sbar = np.asarray(sbar, dtype=np.float64)
         raw = np.sin(self.gamma * self.delta_s * (sbar - 0.5))
-        out = (raw - self.f_min) / (self.f_max - self.f_min)
+        out = (raw + self.f_max) / (2.0 * self.f_max)
         return out if out.ndim else float(out)
 
 
@@ -147,13 +115,14 @@ def check_fit_size(n: int, grid_size: int | None = None) -> int:
 
 
 def fit_bernstein_coeffs(fbar, n: int = DEFAULT_DEGREE,
-                         grid_size: int | None = None) -> BernsteinSpec:
+                         grid_size: int | None = None) -> tuple[float, ...]:
     """Box-constrained least-squares fit of ``fbar`` on a uniform [0,1] grid.
 
     Minimizes the discretized integral of (fbar - B_n)^2 subject to
     beta_k in [0, 1], by projected gradient descent started from the clipped
     unconstrained solution; iteration stops when the objective changes by
     less than 1e-10.  The constrained optimum is never worse than clipping.
+    Returns the n + 1 coefficients beta_0..beta_n.
     """
     grid_size = check_fit_size(n, grid_size)
     u = np.linspace(0.0, 1.0, grid_size)
@@ -180,7 +149,7 @@ def fit_bernstein_coeffs(fbar, n: int = DEFAULT_DEGREE,
             obj = new_obj
             break
         obj = new_obj
-    return BernsteinSpec(tuple(float(b) for b in beta))
+    return tuple(float(b) for b in beta)
 
 
 def make_independent_copies(packed, delays, L: int) -> np.ndarray:

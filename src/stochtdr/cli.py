@@ -56,6 +56,8 @@ _TAG_TASK = 0x5441534B5F5F5F32
 _TAG_POINT = 0x504F494E545F5F33
 _TAG_SIM = 0x53494D5F5F5F5F34
 
+MAX_GRID_POINTS = 100_000  # a start:step:stop grid with more points is a config error
+
 
 class ConfigError(ValueError):
     """Bad flag, file key, or value; maps to exit code 2."""
@@ -100,8 +102,10 @@ def _grid(text: str, kind) -> list:
         raise ValueError("grid start, step and stop must be finite")
     if step <= 0:
         raise ValueError("grid step must be positive")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [kind(repr(round(start + k * step, 12))) for k in range(count)]
+    span = (stop - start) / step + 1e-9  # the grid has floor(span) + 1 points
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(f"grid has about {span + 1:.3g} points, more than {MAX_GRID_POINTS}")
+    return [kind(repr(round(start + k * step, 12))) for k in range(int(np.floor(span)) + 1)]
 
 
 _float_grid = functools.partial(_grid, kind=float)
@@ -229,7 +233,7 @@ def _read_config_file(path: str) -> dict:
     """Flat 'key = value' file with # comments; unknown keys are errors."""
     out = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -441,10 +445,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     extra: dict = {}
 
     if cfg.command == "fit-activation":
-        spec = fit_bernstein_coeffs(transform_activation(cfg.gamma, cfg.delta_s),
+        beta = fit_bernstein_coeffs(transform_activation(cfg.gamma, cfg.delta_s),
                                     cfg.degree, grid_size=cfg.grid_size)
         _write_csv(out / "coefficients.csv", "k,beta",
-                   ([k, f"{b:.12g}"] for k, b in enumerate(spec.beta)))
+                   ([k, f"{b:.12g}"] for k, b in enumerate(beta)))
         extra["outputs"] = ["coefficients.csv"]
 
     elif cfg.command in ("metrics", "bench"):

@@ -2,9 +2,12 @@
 
 One nonlinear node plus a delay line of ``tau`` slots realizes ``H`` virtual
 nodes: at macro step p the held input u is mixed, node by node, with the
-delayed state read ``tau`` slots back (global slot g = p*H + i reads slot
-g - tau), passed through the activation, and written back.  With
-tau = H + 1 the virtual nodes form a unidirectional ring.
+value written ``tau`` slots back (virtual node g = p*H + i reads the output
+of node g - tau, or zero for g < tau), and passed through the activation.
+With tau = H + 1 the virtual nodes form a unidirectional ring.
+:meth:`Reservoir.step` is the node, one macro step of H outputs from the
+held input and their feedback; :meth:`Reservoir.run` keeps each sequence's
+delay line as its output history, so the read and the write are two slices.
 
 The per-node update is
 
@@ -163,23 +166,6 @@ def _seeded_uniform(cfg: TdrConfig, tag: int) -> np.ndarray:
     return quantize(rng.uniform(-1.0, 1.0, cfg.H), cfg.q)
 
 
-@dataclass
-class TdrState:
-    """Delay-line contents plus the macro-step counter.
-
-    ``delay_line`` has shape ``(tau,)``, or ``(B, tau)`` for B sequences
-    stepped together on the ideal backends; on ``stochastic`` it holds the
-    offset words that S2B writes and B2S reads, in ``word_dtype(q)``.
-    ``lfsr_states`` holds the register of each role's free-running LFSR
-    under the ``none`` reseed policy (indexed by role); it is ``None``
-    otherwise.
-    """
-
-    delay_line: np.ndarray
-    current_step: int = 0
-    lfsr_states: tuple[int, ...] | None = None
-
-
 def activation_ideal(s: np.ndarray, gamma: float) -> np.ndarray:
     """Exact activation in bipolar terms: the unit-square sine, mapped back.
 
@@ -223,20 +209,17 @@ def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
     gamma = 0 falls back to the identity ramp k/n (the linear limit of the
     transform), which the basis reproduces exactly.
     """
-    if gamma == 0.0:
-        beta = tuple(k / n for k in range(n + 1))
-    else:
-        fbar = bp.transform_activation(gamma, bp.DEFAULT_DELTA_S)
-        beta = bp.fit_bernstein_coeffs(fbar, n).beta
+    beta = (bp.fit_bernstein_coeffs(bp.transform_activation(gamma), n) if gamma
+            else [k / n for k in range(n + 1)])
     return tuple(quantize_probability(b, q) for b in beta)
 
 
 class Reservoir:
     """A configured reservoir instance with precomputed per-node machinery.
 
-    Instances hold no mutable run state; the delay line and any free-running
-    PRNG positions travel in :class:`TdrState`, so distinct instances (and
-    sweep workers) share nothing.
+    Instances hold no mutable run state: :meth:`run` owns the delay line,
+    and the free-running LFSR registers pass through :meth:`step`, so
+    distinct instances (and sweep workers) share nothing.
     """
 
     def __init__(self, cfg: TdrConfig):
@@ -303,20 +286,18 @@ class Reservoir:
 
     # -- stepping -------------------------------------------------------------
 
-    def initial_state(self) -> TdrState:
-        """All-zero delay line (the quantized zero word for the bit-level backend)."""
-        if self.cfg.backend == "stochastic":
-            q = self.cfg.q
-            line = np.full(self.tau, real_to_offset(0.0, q), dtype=word_dtype(q))
-        else:
-            line = np.zeros(self.tau, dtype=np.float64)
-        return TdrState(line, 0, self._initial_lfsr_states())
+    def step(self, u, fb: np.ndarray,
+             lfsr_states: tuple | None) -> tuple[np.ndarray, tuple | None]:
+        """One macro step of the node: the H outputs from the held input ``u``
+        and the feedback ``fb``, the values written ``tau`` slots back; returns
+        (outputs, LFSR registers after the step).
 
-    def step(self, state: TdrState, u) -> tuple[TdrState, np.ndarray]:
-        """Consume one held input sample; returns (new state, node outputs).
-
-        On the ideal backends ``u`` may hold one sample per row of a
-        ``(B, tau)`` delay line, and the outputs then have shape ``(B, H)``.
+        On ``stochastic`` the feedback and the outputs are offset words (the
+        line holds them in ``word_dtype(q)``), and ``lfsr_states`` holds each
+        role's free-running register under the ``none`` reseed policy
+        (``None`` otherwise).  The ideal backends take ``None`` and may step
+        B sequences at once: ``u`` then holds one sample per row of a
+        ``(B, H)`` feedback block.
         """
         q = self.cfg.q
         if isinstance(u, float):
@@ -327,20 +308,11 @@ class Reservoir:
             off = real_to_offset(u, q)
             if (np.abs(offset_to_real(off, q) - u) > 1e-12).any():
                 raise ValueError(f"input {u} not representable at width q={q}")
-        # slot g - tau lands on the ring position about to be overwritten
-        pos = (state.current_step * self.H + np.arange(self.H)) % self.tau
-        fb = state.delay_line[..., pos]
-        lfsr_states = state.lfsr_states
         if self.cfg.backend == "stochastic":
-            if np.ndim(off) or fb.ndim != 1:
+            if np.ndim(off) or np.ndim(fb) != 1:
                 raise ValueError("the stochastic backend steps one sequence at a time")
-            written, lfsr_states = self._step_stochastic(int(off), fb, lfsr_states)
-            x = offset_to_real(written, q)
-        else:
-            written = x = self._step_ideal(np.asarray(u, dtype=np.float64), fb)
-        line = state.delay_line.copy()
-        line[..., pos] = written
-        return TdrState(line, state.current_step + 1, lfsr_states), x
+            return self._step_stochastic(int(off), fb, lfsr_states)
+        return self._step_ideal(np.asarray(u, dtype=np.float64), fb), lfsr_states
 
     def _step_ideal(self, u: np.ndarray, fb: np.ndarray) -> np.ndarray:
         """Node outputs from the held input(s) and the feedback values."""
@@ -373,30 +345,40 @@ class Reservoir:
         return s2b(bp.bernstein_mux_packed(copies, beta), cfg.L, cfg.q), lfsr_states
 
     def run(self, inputs) -> np.ndarray:
-        """Feed a held-input sequence from :meth:`initial_state`; row p of the
+        """Feed a held-input sequence from the zero delay line; row p of the
         result holds x_1..x_H (signed values on every backend).
 
-        A ``(B, m)`` block runs B sequences, each from the initial delay
-        line, and returns ``(B, m, H)``.  The ideal backends step the rows
-        together; the stochastic backend runs them in turn (see ``metrics``),
-        its free-running PRNG positions advancing through the rows in order.
+        Each sequence's delay line is its output history: ``tau`` zero slots
+        (the zero word on ``stochastic``), then the H outputs of every macro
+        step.  Node i of step p reads slot p*H + i and writes slot
+        tau + p*H + i, so slot g reads g - tau.  The result is the history
+        after its first ``tau`` slots, the stochastic words converted to reals
+        once.
+
+        A ``(B, m)`` block runs B sequences and returns ``(B, m, H)``.  The
+        ideal backends step the rows together; the stochastic backend runs
+        them in turn (see ``metrics``), its free-running LFSR registers
+        carried through the rows in order.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim not in (1, 2):
             raise ValueError("need an input sequence or (B, m) block")
         check_run_length(inputs.size)
-        init = self.initial_state()
-        if inputs.ndim == 2 and self.cfg.backend != "stochastic":
+        H, tau, q = self.H, self.tau, self.cfg.q
+        stochastic = self.cfg.backend == "stochastic"
+        zero, dtype = (real_to_offset(0.0, q), word_dtype(q)) if stochastic else (0.0, np.float64)
+        hist = np.full(inputs.shape[:-1] + (tau + inputs.shape[-1] * H,), zero, dtype=dtype)
+        if inputs.ndim == 2 and not stochastic:
             # the rows advance together, one (B, H) step per macro step
-            X = np.empty(inputs.shape + (self.H,), dtype=np.float64)
-            state = TdrState(np.broadcast_to(init.delay_line, (len(inputs), self.tau)))
-            for p in range(inputs.shape[1]):
-                state, X[:, p] = self.step(state, inputs[:, p])
-            return X
-        X, state = [], init
-        for row in np.atleast_2d(inputs):
-            state = TdrState(init.delay_line, 0, state.lfsr_states)
-            for u in row.tolist():
-                state, x = self.step(state, u)
-                X.append(x)
-        return np.reshape(X, inputs.shape + (self.H,))
+            for p, u in enumerate(inputs.T):
+                g = p * H
+                hist[:, tau + g:tau + g + H], _ = self.step(u, hist[:, g:g + H], None)
+        else:
+            lfsr_states = self._initial_lfsr_states()
+            for row, line in zip(np.atleast_2d(inputs), np.atleast_2d(hist)):
+                for p, u in enumerate(row.tolist()):
+                    g = p * H
+                    line[tau + g:tau + g + H], lfsr_states = self.step(u, line[g:g + H],
+                                                                       lfsr_states)
+        X = hist[..., tau:].reshape(inputs.shape + (H,))
+        return offset_to_real(X, q) if stochastic else X

@@ -105,7 +105,7 @@ def test_fit_matches_bounded_least_squares(gamma, n):
         return float(np.sum((A @ np.asarray(beta) - f) ** 2))
 
     ref = optimize.lsq_linear(A, f, bounds=(0.0, 1.0), method="bvls")
-    assert objective(fit_bernstein_coeffs(fbar, n).beta) <= objective(ref.x) + 1e-8
+    assert objective(fit_bernstein_coeffs(fbar, n)) <= objective(ref.x) + 1e-8
 
 
 @pytest.mark.parametrize("gamma,delta_s", [(np.nan, 2.0), (np.inf, 2.0), (-np.inf, 2.0),

@@ -45,6 +45,8 @@ from stochtdr.tasks import narma10_generate, sine_square_generate
     ["bench", "narma10", "--H-grid", "4:1:inf"],
     ["metrics", "--alpha-grid", "0:inf:1"],
     ["metrics", "--config", "gamma_grid = -inf:1:0"],
+    ["metrics", "--alpha-grid", "0:1e-300:1"],  # about 1e300 points
+    ["bench", "narma10", "--H-grid", "1:1:1e12"],
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     if "--config" in argv:  # the value after --config is the file's text
@@ -66,6 +68,32 @@ def test_a_non_finite_grid_bound_names_the_option(tmp_path, capsys, grid):
     for argv, name in ((f"--alpha-grid={grid}", "alpha-grid"), (f"--config={path}", "alpha_grid")):
         assert cli.main(["metrics", argv, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
         assert f"for {name}: grid start, step and stop must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["metrics", "--alpha-grid", "0:1e-300:1"], "alpha-grid"),
+    (["metrics", "--gamma-grid", "0:1e-320:1e300"], "gamma-grid"),  # (stop - start) / step = inf
+    (["bench", "narma10", "--H-grid", "1:1:1e12"], "H-grid"),
+])
+def test_a_huge_grid_names_the_option(tmp_path, capsys, argv, name):
+    # the point count is checked before any point is built
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert f"for {name}: grid has about" in capsys.readouterr().err
+
+
+def test_a_grid_may_have_max_grid_points():
+    assert len(cli._float_grid(f"0:1:{cli.MAX_GRID_POINTS - 1}")) == cli.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="more than"):
+        cli._float_grid(f"0:1:{cli.MAX_GRID_POINTS}")
+
+
+def test_a_config_file_with_a_utf8_byte_order_mark_is_read(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_bytes(b"\xef\xbb\xbfH = 4\n")
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(path), "--m", "3", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "H = 4" in (out / "config.txt").read_text().splitlines()
 
 
 def test_a_config_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):

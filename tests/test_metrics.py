@@ -5,22 +5,28 @@ import numpy as np
 import pytest
 
 from stochtdr import cli, metrics
-from stochtdr.reservoir import BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, TdrState
-from stochtdr.streams import quantize
+from stochtdr.reservoir import BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig
+from stochtdr.streams import offset_to_real, quantize, real_to_offset, word_dtype
 
 H, M, L = 5, 7, 24
 
 
 def rows_in_turn(res: Reservoir, probes) -> np.ndarray:
-    """Each probe row from the initial delay line at step 0, one
-    ``Reservoir.step`` at a time, LFSR positions carried from row to row."""
-    init = res.initial_state()
-    state, X = init, []
+    """Each probe row from a zero delay line, one ``Reservoir.step`` at a
+    time, LFSR registers carried from row to row.
+
+    The line is a ring of ``tau`` slots, independent of ``run``'s history:
+    node i of step p reads, then overwrites, slot (p*H + i) mod tau.
+    """
+    q, stochastic = res.cfg.q, res.cfg.backend == "stochastic"
+    lfsr_states, X = res._initial_lfsr_states(), []
     for row in probes:
-        state = TdrState(init.delay_line, 0, state.lfsr_states)
-        for u in row:
-            state, x = res.step(state, float(u))
-            X.append(x)
+        ring = (np.full(res.tau, real_to_offset(0.0, q), dtype=word_dtype(q)) if stochastic
+                else np.zeros(res.tau))
+        for p, u in enumerate(row):
+            pos = (p * res.H + np.arange(res.H)) % res.tau
+            ring[pos], lfsr_states = res.step(float(u), ring[pos], lfsr_states)
+            X.append(offset_to_real(ring[pos], q) if stochastic else ring[pos])
     return np.reshape(X, np.shape(probes) + (res.H,))
 
 
@@ -33,20 +39,31 @@ class RowsInTurn(Reservoir):
         return super().run(inputs)
 
 
-def config(backend, policy, seed=3):
-    return TdrConfig(H=H, alpha=0.4, gamma=2.0, L=L if backend == "stochastic" else None,
-                     n=3, master_seed=seed, biases="random", reseed_policy=policy,
-                     backend=backend)
+def config(backend, policy, seed=3, tau=None):
+    return TdrConfig(H=H, alpha=0.4, gamma=2.0, tau=tau,
+                     L=L if backend == "stochastic" else None, n=3, master_seed=seed,
+                     biases="random", reseed_policy=policy, backend=backend)
 
 
-@pytest.mark.parametrize("policy", RESEED_POLICIES)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_block_run_matches_rows_in_turn(backend, policy):
-    res = Reservoir(config(backend, policy))
+# every backend and policy at tau = H (each node reads itself), the default
+# H + 1 (a ring, the plain id) and 2H + 3 (the first steps read the zero line)
+@pytest.mark.parametrize("backend,policy,tau", [
+    pytest.param(b, p, t, id=f"{b}-{p}" + ("" if t == H + 1 else f"-tau={t}"))
+    for b in BACKENDS for p in RESEED_POLICIES for t in (H, H + 1, 2 * H + 3)])
+def test_block_run_matches_rows_in_turn(backend, policy, tau):
+    res = Reservoir(config(backend, policy, tau=tau))
     probes = quantize(np.random.default_rng(1).uniform(-1.0, 1.0, (4, M)), res.cfg.q)
     X = res.run(probes)
     assert X.shape == (4, M, H)
     np.testing.assert_array_equal(X, rows_in_turn(res, probes))
+
+
+@pytest.mark.parametrize("policy", RESEED_POLICIES)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sequence_run_matches_rows_in_turn(backend, policy):
+    res = Reservoir(config(backend, policy))
+    row = quantize(np.random.default_rng(2).uniform(-1.0, 1.0, M), res.cfg.q)
+    np.testing.assert_array_equal(res.run(row), rows_in_turn(res, [row])[0])
 
 
 @pytest.mark.parametrize("policy", RESEED_POLICIES)
@@ -63,15 +80,14 @@ def test_ranks_match_rows_in_turn(monkeypatch, backend, policy):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_step_rejects_a_non_finite_row(backend):
     res = Reservoir(config(backend, "per-node"))
-    state = TdrState(np.zeros((3, res.tau)))
     with pytest.raises(ValueError, match="not finite"):
-        res.step(state, np.array([res.weights[0], np.nan, res.weights[1]]))
+        res.step(np.array([res.weights[0], np.nan, res.weights[1]]), np.zeros((3, res.H)), None)
 
 
 def test_stochastic_step_takes_one_sequence():
     res = Reservoir(config("stochastic", "per-node"))
     with pytest.raises(ValueError, match="one sequence at a time"):
-        res.step(TdrState(np.zeros((2, res.tau), dtype=np.int64)), quantize(np.zeros(2)))
+        res.step(quantize(np.zeros(2)), np.zeros((2, res.H), dtype=np.int64), None)
 
 
 def test_metrics_csv_does_not_depend_on_worker_count(tmp_path):

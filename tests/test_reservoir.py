@@ -111,7 +111,7 @@ def test_step_rejects_non_finite_input(backend, bad):
     L = 16 if backend == "stochastic" else None
     res = Reservoir(TdrConfig(H=3, alpha=0.5, gamma=2.0, L=L, backend=backend))
     with pytest.raises(ValueError, match="not finite"):
-        res.step(res.initial_state(), bad)
+        res.step(bad, np.zeros(res.H), None)
     with pytest.raises(ValueError, match="not finite"):
         res.run([float(quantize(0.0, res.cfg.q)), bad])
 
@@ -128,11 +128,11 @@ def test_scalar_input_check_raises_on_every_repeat(backend, bad, match):
     # a failing input raises on each call and leaves the reservoir usable
     L = 16 if backend == "stochastic" else None
     res = Reservoir(TdrConfig(H=3, alpha=0.5, gamma=2.0, L=L, backend=backend))
-    state = res.initial_state()
+    fb = np.zeros(res.H)
     for _ in range(3):
         with pytest.raises(ValueError, match=match):
-            res.step(state, bad)
-        res.step(state, float(quantize(0.5, res.cfg.q)))
+            res.step(bad, fb, None)
+        res.step(float(quantize(0.5, res.cfg.q)), fb, None)
 
 
 @pytest.mark.parametrize("q", [2, 8, 10, 16])
@@ -165,9 +165,9 @@ def test_run_takes_every_macro_step_through_step(backend, shape, monkeypatch):
     calls = []
     step = Reservoir.step
 
-    def counted(self, state, u):
+    def counted(self, u, *args):
         calls.append(u)
-        return step(self, state, u)
+        return step(self, u, *args)
 
     monkeypatch.setattr(Reservoir, "step", counted)
     L = 16 if backend == "stochastic" else None
