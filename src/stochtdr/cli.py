@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -381,10 +382,12 @@ def _bench_point(args: dict) -> list[list]:
 
 def _run_points(cfg: ExperimentConfig, worker, tasks: list[dict]) -> list[list]:
     """Dispatch grid points, collect in submission order regardless of workers."""
-    if cfg.workers == 1 or len(tasks) == 1:
+    # one process per point and per CPU at most: a fork pool starts them all at once
+    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         batches = [worker(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(worker, tasks))
     return [row for batch in batches for row in batch]
 

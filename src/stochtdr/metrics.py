@@ -10,10 +10,11 @@ means similar inputs collapse to similar states).
 The probes go to :meth:`Reservoir.run` as one ``(H, m)`` block.  The ideal
 backends advance all H probes together, one ``(H, H)`` step per macro step,
 instead of paying the per-step Python overhead H times.  The ``stochastic``
-backend runs the rows in turn: under the free-running ``none`` policy a
-bit-identical batched packed step gathers about 30 MB of LFSR words per
-macro step (12 roles of B*H*L bytes at B = H = m = 50, L = 1000, q = 8),
-and took 2.6-3.0 s against 1.6-1.8 s for rows in turn on a 2-core Xeon.
+backend runs the rows in turn under both reseed policies: a batched step
+holds each comparator output as (B, H, L) booleans, B times a row's, which
+is 164 MB at B = H = 200, L = 4096.  Under ``none`` it also gathers 12 roles
+of B*H*L LFSR words per macro step; bit-identical, it took 2.6-3.0 s against
+1.6-1.8 s for rows in turn (B = H = m = 50, L = 1000, q = 8, 2-core Xeon).
 Under that policy the probe runs share the advancing LFSRs in row order,
 as a hardware part would between bursts.
 """

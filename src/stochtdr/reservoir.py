@@ -8,6 +8,8 @@ With tau = H + 1 the virtual nodes form a unidirectional ring.
 :meth:`Reservoir.step` is the node, one macro step of H outputs from the
 held input and their feedback; :meth:`Reservoir.run` keeps each sequence's
 delay line as its output history, so the read and the write are two slices.
+``run`` checks the whole input once and hands the node each held input as
+an offset word on ``stochastic``, like the feedback, and as the value otherwise.
 
 The per-node update is
 
@@ -182,23 +184,11 @@ def check_run_length(m: int) -> None:
         raise ValueError("need a nonempty input sequence")
 
 
-def _scalar_offset(u: float, q: int) -> int:
-    """Offset word of a float input; raises unless u is finite and on the
-    width-q grid.
-
-    The checks of :meth:`Reservoir.step` in math-module arithmetic: numpy
-    ufuncs on one float cost about 15 us more per step (2-core Xeon).  On
-    every input that passes, the nearest word (clamped to [0, 2^q - 1]) is
-    the word of :func:`real_to_offset`, whose tie rules only act half a
-    grid step, at least 1/65535, off the grid.
-    """
-    if not math.isfinite(u):
-        raise ValueError(f"input {u} is not finite")
-    full = (1 << q) - 1
-    off = round(min(max((u + 1.0) * 0.5 * full, 0.0), full))
-    if abs((2.0 * off - full) / full - u) > 1e-12:
-        raise ValueError(f"input {u} not representable at width q={q}")
-    return off
+def _input_error(inputs: np.ndarray, bad: np.ndarray, what: str) -> ValueError:
+    """The error naming the first flagged input, its step and, in a block, its row."""
+    at = tuple(np.argwhere(bad)[0])
+    where = f"row {at[0]}, step {at[1]}" if len(at) == 2 else f"step {at[0]}"
+    return ValueError(f"input {inputs[at]} at {where} {what}")
 
 
 @functools.lru_cache(maxsize=128)
@@ -292,27 +282,19 @@ class Reservoir:
         and the feedback ``fb``, the values written ``tau`` slots back; returns
         (outputs, LFSR registers after the step).
 
-        On ``stochastic`` the feedback and the outputs are offset words (the
-        line holds them in ``word_dtype(q)``), and ``lfsr_states`` holds each
+        ``u`` comes as :meth:`run` prepared it, and the step checks no
+        values.  On ``stochastic``, ``u``, the feedback and the outputs are
+        offset words in ``word_dtype(q)``, and ``lfsr_states`` holds each
         role's free-running register under the ``none`` reseed policy
-        (``None`` otherwise).  The ideal backends take ``None`` and may step
-        B sequences at once: ``u`` then holds one sample per row of a
-        ``(B, H)`` feedback block.
+        (``None`` otherwise).  The ideal backends take the signed value and
+        ``None``, and may step B sequences at once: ``u`` then holds one
+        sample per row of a ``(B, H)`` feedback block.
         """
-        q = self.cfg.q
-        if isinstance(u, float):
-            off = _scalar_offset(u, q)
-        else:
-            if not np.isfinite(u).all():
-                raise ValueError(f"input {u} is not finite")
-            off = real_to_offset(u, q)
-            if (np.abs(offset_to_real(off, q) - u) > 1e-12).any():
-                raise ValueError(f"input {u} not representable at width q={q}")
         if self.cfg.backend == "stochastic":
-            if np.ndim(off) or np.ndim(fb) != 1:
+            if np.ndim(u) or np.ndim(fb) != 1:
                 raise ValueError("the stochastic backend steps one sequence at a time")
-            return self._step_stochastic(int(off), fb, lfsr_states)
-        return self._step_ideal(np.asarray(u, dtype=np.float64), fb), lfsr_states
+            return self._step_stochastic(u, fb, lfsr_states)
+        return self._step_ideal(u, fb), lfsr_states
 
     def _step_ideal(self, u: np.ndarray, fb: np.ndarray) -> np.ndarray:
         """Node outputs from the held input(s) and the feedback values."""
@@ -324,7 +306,7 @@ class Reservoir:
         beta = np.asarray(self.beta_words) / ((1 << cfg.q) - 1)
         return 2.0 * bp.bernstein_eval(beta, (s + 1.0) / 2.0) - 1.0
 
-    def _step_stochastic(self, u_off: int, fb: np.ndarray,
+    def _step_stochastic(self, u_off: np.integer, fb: np.ndarray,
                          lfsr_states: tuple | None) -> tuple[np.ndarray, tuple | None]:
         """Node output words from the input word and the feedback words, and
         the LFSR registers after the step."""
@@ -348,6 +330,11 @@ class Reservoir:
         """Feed a held-input sequence from the zero delay line; row p of the
         result holds x_1..x_H (signed values on every backend).
 
+        The whole input is checked once, before the first step: each value
+        must be finite and within 1e-12 of the width-q grid, and the error
+        names the first bad one (in row order), its step and, in a block, its
+        row.  On ``stochastic`` the inputs become ``word_dtype(q)`` words once.
+
         Each sequence's delay line is its output history: ``tau`` zero slots
         (the zero word on ``stochastic``), then the H outputs of every macro
         step.  Node i of step p reads slot p*H + i and writes slot
@@ -365,20 +352,28 @@ class Reservoir:
             raise ValueError("need an input sequence or (B, m) block")
         check_run_length(inputs.size)
         H, tau, q = self.H, self.tau, self.cfg.q
+        bad = ~np.isfinite(inputs)
+        if bad.any():
+            raise _input_error(inputs, bad, "is not finite")
+        # nothing beyond +-2 is on the grid; the clip keeps the scaling finite
+        off = real_to_offset(np.clip(inputs, -2.0, 2.0), q)
+        bad = np.abs(offset_to_real(off, q) - inputs) > 1e-12
+        if bad.any():
+            raise _input_error(inputs, bad, f"not representable at width q={q}")
+
         stochastic = self.cfg.backend == "stochastic"
         zero, dtype = (real_to_offset(0.0, q), word_dtype(q)) if stochastic else (0.0, np.float64)
+        held = off.astype(dtype) if stochastic else inputs
         hist = np.full(inputs.shape[:-1] + (tau + inputs.shape[-1] * H,), zero, dtype=dtype)
-        if inputs.ndim == 2 and not stochastic:
-            # the rows advance together, one (B, H) step per macro step
-            for p, u in enumerate(inputs.T):
+        # an ideal block advances one (B, H) step per macro step, a column at
+        # a time; a 1-D input, or each row of a stochastic block, steps as one
+        # sequence
+        sequences = zip(held, hist) if stochastic and held.ndim == 2 else [(held, hist)]
+        lfsr_states = self._initial_lfsr_states()
+        for seq, line in sequences:
+            for p, u in enumerate(seq.T):
                 g = p * H
-                hist[:, tau + g:tau + g + H], _ = self.step(u, hist[:, g:g + H], None)
-        else:
-            lfsr_states = self._initial_lfsr_states()
-            for row, line in zip(np.atleast_2d(inputs), np.atleast_2d(hist)):
-                for p, u in enumerate(row.tolist()):
-                    g = p * H
-                    line[tau + g:tau + g + H], lfsr_states = self.step(u, line[g:g + H],
-                                                                       lfsr_states)
+                line[..., tau + g:tau + g + H], lfsr_states = self.step(
+                    u, line[..., g:g + H], lfsr_states)
         X = hist[..., tau:].reshape(inputs.shape + (H,))
         return offset_to_real(X, q) if stochastic else X

@@ -203,6 +203,35 @@ def test_results_csv_does_not_depend_on_worker_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("cpus,sizes", [(8, [3]), (2, [2]), (None, [])])
+def test_the_pool_never_outgrows_the_grid_or_the_cpus(tmp_path, monkeypatch, cpus, sizes):
+    # a fork-based pool starts all of its processes at once; this fake
+    # records its size and runs the points here, so no process starts
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    argv = ["metrics", "--H", "4", "--m", "5", "--runs", "1", "--alpha-grid", "0.2,0.5,0.8",
+            "--workers", "1000000", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert seen == sizes  # one process per point and per CPU at most; one CPU runs here
+    # the header, then run 0, mean and std of each point
+    assert len((tmp_path / "metrics.csv").read_text().splitlines()) == 1 + 3 * 3
+
+
 BAD_INPUTS = {
     "nan": "step,u\n0,0.5\n1,nan\n",
     "missing-value": "step,u\n0,0.5\n1,\n",  # reads as NaN

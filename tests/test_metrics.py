@@ -20,12 +20,14 @@ def rows_in_turn(res: Reservoir, probes) -> np.ndarray:
     """
     q, stochastic = res.cfg.q, res.cfg.backend == "stochastic"
     lfsr_states, X = res._initial_lfsr_states(), []
-    for row in probes:
+    for row in np.asarray(probes, dtype=np.float64):
         ring = (np.full(res.tau, real_to_offset(0.0, q), dtype=word_dtype(q)) if stochastic
                 else np.zeros(res.tau))
-        for p, u in enumerate(row):
+        # step takes the input word on stochastic, the value on the ideal backends
+        for p, u in enumerate(real_to_offset(row, q).astype(word_dtype(q)) if stochastic
+                              else row):
             pos = (p * res.H + np.arange(res.H)) % res.tau
-            ring[pos], lfsr_states = res.step(float(u), ring[pos], lfsr_states)
+            ring[pos], lfsr_states = res.step(u, ring[pos], lfsr_states)
             X.append(offset_to_real(ring[pos], q) if stochastic else ring[pos])
     return np.reshape(X, np.shape(probes) + (res.H,))
 
@@ -79,9 +81,12 @@ def test_ranks_match_rows_in_turn(monkeypatch, backend, policy):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_step_rejects_a_non_finite_row(backend):
+    # run checks the block before its first step and names the row
     res = Reservoir(config(backend, "per-node"))
-    with pytest.raises(ValueError, match="not finite"):
-        res.step(np.array([res.weights[0], np.nan, res.weights[1]]), np.zeros((3, res.H)), None)
+    with pytest.raises(ValueError, match="input nan at row 1, step 0 is not finite"):
+        res.run(np.array([[res.weights[0]], [np.nan], [res.weights[1]]]))
+    with pytest.raises(ValueError, match="input 0.1 at row 2, step 1 not representable"):
+        res.run(np.array([[res.weights[0]] * 3] * 2 + [[res.weights[1], 0.1, 0.2]]))
 
 
 def test_stochastic_step_takes_one_sequence():

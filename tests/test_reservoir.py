@@ -27,7 +27,6 @@ from stochtdr.reservoir import (
     ROLE_SELECT_MIX,
     ROLE_WEIGHT,
     _TAG_FREERUN,
-    _scalar_offset,
     Reservoir,
     TdrConfig,
     derive_seed,
@@ -44,6 +43,7 @@ from stochtdr.streams import (
     real_to_offset,
     stoch_mult,
     stoch_mux_average,
+    word_dtype,
 )
 
 
@@ -108,11 +108,12 @@ def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_step_rejects_non_finite_input(backend, bad):
+    # run checks the whole input before its first step, and names the step
     L = 16 if backend == "stochastic" else None
     res = Reservoir(TdrConfig(H=3, alpha=0.5, gamma=2.0, L=L, backend=backend))
-    with pytest.raises(ValueError, match="not finite"):
-        res.step(bad, np.zeros(res.H), None)
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="step 0 is not finite"):
+        res.run([bad])
+    with pytest.raises(ValueError, match="step 1 is not finite"):
         res.run([float(quantize(0.0, res.cfg.q)), bad])
 
 
@@ -125,36 +126,54 @@ def test_step_rejects_non_finite_input(backend, bad):
                                        (0.0, "not representable"),
                                        (-0.0, "not representable")])
 def test_scalar_input_check_raises_on_every_repeat(backend, bad, match):
-    # a failing input raises on each call and leaves the reservoir usable
+    # a failing input raises on each run and leaves the reservoir usable
     L = 16 if backend == "stochastic" else None
-    res = Reservoir(TdrConfig(H=3, alpha=0.5, gamma=2.0, L=L, backend=backend))
-    fb = np.zeros(res.H)
+    cfg = TdrConfig(H=3, alpha=0.5, gamma=2.0, L=L, reseed_policy="none", backend=backend)
+    res = Reservoir(cfg)
+    good = [float(quantize(0.5, cfg.q))] * 2
+    expected = Reservoir(cfg).run(good)
     for _ in range(3):
         with pytest.raises(ValueError, match=match):
-            res.step(bad, fb, None)
-        res.step(float(quantize(0.5, res.cfg.q)), fb, None)
+            res.run([bad])
+        np.testing.assert_array_equal(res.run(good), expected)
 
 
 @pytest.mark.parametrize("q", [2, 8, 10, 16])
-def test_scalar_input_check_matches_the_array_quantizer(q):
-    # every word at q <= 10, every 97th at q = 16; on the grid, just off it,
-    # off it, at the midpoints (ties) and outside [-1, 1]
+def test_run_checks_every_input_against_the_width_q_grid(q, monkeypatch):
+    # every word at q <= 10, every 97th at q = 16; on the grid and within
+    # 1e-13 of it pass, while 1e-11 off it, off it, at the midpoints (ties),
+    # +-0.0 and outside [-1, 1] fail
     full = (1 << q) - 1
     grid = offset_to_real(np.arange(0, full + 1, 1 if q <= 10 else 97), q)
-    u = np.concatenate([grid, grid + 1e-13, grid - 1e-11, grid + 0.3 / full, grid + 1.0 / full,
-                        [0.0, -0.0, 1.0 + 1e-13, -1.0 - 1e-13, 1.5, -1.5, 1e300, -1e300]])
-    offs = real_to_offset(u, q)
-    on_grid = np.abs(offset_to_real(offs, q) - u) <= 1e-12
-    assert on_grid.sum() == 2 * len(grid) + 2  # the grid, +1e-13 and the two ends
-    for x, off, ok in zip(u.tolist(), offs.tolist(), on_grid.tolist()):
-        if ok:
-            assert _scalar_offset(x, q) == off
+    on = np.concatenate([grid, grid + 1e-13, grid - 1e-13, [1.0 + 1e-13, -1.0 - 1e-13]])
+    off = np.concatenate([grid - 1e-11, grid + 0.3 / full, grid + 1.0 / full,
+                          [0.0, -0.0, 1.5, -1.5, 1e300, -1e300],
+                          [1e308]])  # past the float range once scaled by 2^q - 1 (q >= 8)
+    held = []
+
+    def recorded(self, u, fb, lfsr_states):
+        # a stand-in node: keeps what run hands it, writes zeros
+        held.append(u)
+        return np.zeros_like(fb), lfsr_states
+
+    monkeypatch.setattr(Reservoir, "step", recorded)
+    for backend in ("ideal-exact", "stochastic"):
+        # free-running registers: no per-node words to draw for a node that is not run
+        res = Reservoir(TdrConfig(H=2, alpha=0.5, gamma=2.0, L=5, n=2, q=q,
+                                  reseed_policy="none", backend=backend))
+        held.clear()
+        res.run(on[:, None])  # one macro step per row
+        if backend == "stochastic":
+            # the rows step in turn, each on its input's offset word
+            assert {type(u) for u in held} == {word_dtype(q)}
+            np.testing.assert_array_equal(held, real_to_offset(on, q))
         else:
-            with pytest.raises(ValueError, match="not representable"):
-                _scalar_offset(x, q)
-    # past the float range once scaled by 2^q - 1
-    with pytest.raises(ValueError, match="not representable"):
-        _scalar_offset(1e308, q)
+            # the rows step together, on the checked values
+            np.testing.assert_array_equal(held, [on])
+    # the check comes before the backends part ways
+    for x in off.tolist():
+        with pytest.raises(ValueError, match=f"not representable at width q={q}"):
+            res.run([x])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -210,7 +229,9 @@ def state_rms(cfg_a: dict, cfg_b: dict, q: int) -> np.ndarray:
 @pytest.mark.parametrize("policy", RESEED_POLICIES)
 def test_stochastic_converges_to_ideal_bernstein(policy):
     # the stream fluctuation shrinks as 1/sqrt(L); at q = 16 every L stays
-    # far below the LFSR period, where whole-period exactness would set in
+    # far below the LFSR period.  A whole period brings no exactness here:
+    # at q = 8 the Bernstein node's static error is 0.117 at L = 255 = 2^q - 1,
+    # its worst, against 0.024 at L = 1000
     means = []
     for L in (64, 512, 4096):
         rms = state_rms({"backend": "stochastic", "L": L, "reseed_policy": policy},

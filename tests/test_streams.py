@@ -59,16 +59,24 @@ def test_lfsr_period_and_coverage_q8():
     assert sorted(words[:255]) == list(range(1, 256))  # every nonzero word exactly once
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("q", supported_widths())
 def test_all_table_masks_are_maximal(q):
+    # lfsr_cycle walks the register from state 1 and raises unless it comes
+    # back after 2^q - 1 steps; its words are checked here without a second
+    # pure-Python walk of a whole q = 16 period: the first 4096 against the
+    # bit-level reference, and every transition, the wrap included, against
+    # the same law applied to all words at once
     full = (1 << q) - 1
     for mask in _TAP_MASKS[q]:
-        states = reference_lfsr(q, mask, 1, full + 1)
-        assert len(set(states[:full])) == full, f"mask {mask:#x} at q={q} is not maximal"
-        assert states[full] == 1
         cycle, pos = lfsr_cycle(q, mask)
-        assert list(cycle) == states[:full]
-        assert list(pos[cycle]) == list(range(full))
+        states = reference_lfsr(q, mask, 1, min(full, 4096))
+        assert cycle[:len(states)].tolist() == states
+        c = cycle.astype(np.int64)
+        parity = np.bitwise_count(c & mask).astype(np.int64) & 1
+        assert np.array_equal((c >> 1) | (parity << (q - 1)), np.roll(c, -1))
+        assert np.array_equal(np.sort(c), np.arange(1, full + 1)), \
+            f"mask {mask:#x} at q={q} is not maximal"
+        assert np.array_equal(pos[cycle], np.arange(full))
 
 
 def test_lfsr_zero_seed_rejected():
