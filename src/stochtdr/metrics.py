@@ -15,8 +15,9 @@ holds each comparator output as (B, H, L) booleans, B times a row's, which
 is 164 MB at B = H = 200, L = 4096.  Under ``none`` it also gathers 12 roles
 of B*H*L LFSR words per macro step; bit-identical, it took 2.6-3.0 s against
 1.6-1.8 s for rows in turn (B = H = m = 50, L = 1000, q = 8, 2-core Xeon).
-Under that policy the probe runs share the advancing LFSRs in row order,
-as a hardware part would between bursts.
+Under that policy row b of the block reads the free-running LFSRs from
+macro step b*m on, where row b - 1 left them, as a hardware part would
+between bursts.
 """
 
 from __future__ import annotations

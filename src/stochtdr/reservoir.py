@@ -5,9 +5,10 @@ nodes: at macro step p the held input u is mixed, node by node, with the
 value written ``tau`` slots back (virtual node g = p*H + i reads the output
 of node g - tau, or zero for g < tau), and passed through the activation.
 With tau = H + 1 the virtual nodes form a unidirectional ring.
-:meth:`Reservoir.step` is the node, one macro step of H outputs from the
-held input and their feedback; :meth:`Reservoir.run` keeps each sequence's
-delay line as its output history, so the read and the write are two slices.
+:meth:`Reservoir.step` is the node, a pure function from the held input, its
+feedback and the macro step's index t to the step's H outputs;
+:meth:`Reservoir.run` keeps each sequence's delay line as its output history,
+so the read and the write are two slices.
 ``run`` checks the whole input once and hands the node each held input as
 an offset word on ``stochastic``, like the feedback, and as the value otherwise.
 
@@ -26,7 +27,9 @@ on the streams of all H nodes: :func:`streams.b2s`,
 :func:`streams.stoch_mult`, :func:`streams.stoch_mux_average`,
 :func:`bernstein.make_independent_copies`,
 :func:`bernstein.bernstein_mux_packed` and :func:`streams.s2b`; the LFSR
-words come from :func:`streams.lfsr_words`.  The step only composes them.
+words come from :func:`streams.lfsr_words` (per-node seeds) or, for the
+free-running LFSRs of the ``none`` policy, from :func:`streams.lfsr_windows`
+at step t's position on each cycle.  The step only composes them.
 Every stream is packed right after its comparator, so the gate chain runs
 on (H, ceil(L/8)) bytes.
 The two ideal backends evaluate the same composition in exact arithmetic,
@@ -47,6 +50,8 @@ from . import bernstein as bp
 from .streams import (
     DEFAULT_Q,
     b2s,
+    lfsr_cycle,
+    lfsr_windows,
     lfsr_words,
     maximal_taps,
     offset_to_real,
@@ -154,8 +159,7 @@ class TdrConfig:
             if self.L < self.n:
                 raise ValueError(f"stream length L={self.L} is shorter than the Bernstein "
                                  f"degree n={self.n}: the adder's rotated copies would repeat")
-        if self.n < 1:
-            raise ValueError("Bernstein degree must be >= 1")
+        bp.check_fit_size(self.n)
 
     @property
     def effective_tau(self) -> int:
@@ -208,8 +212,9 @@ class Reservoir:
     """A configured reservoir instance with precomputed per-node machinery.
 
     Instances hold no mutable run state: :meth:`run` owns the delay line,
-    and the free-running LFSR registers pass through :meth:`step`, so
-    distinct instances (and sweep workers) share nothing.
+    and :meth:`step` reads the free-running LFSRs at the macro step's
+    position on their cycles, so distinct instances (and sweep workers)
+    share nothing.
     """
 
     def __init__(self, cfg: TdrConfig):
@@ -246,6 +251,9 @@ class Reservoir:
             self._fixed_streams = self._operand_streams(words)
             self._node_words = {ROLE_INPUT: words[ROLE_INPUT],
                                 ROLE_FEEDBACK: words[ROLE_FEEDBACK]}
+        else:
+            self._freerun_seeds = [reseed_for_node(cfg.master_seed, _TAG_FREERUN, role, q)
+                                   for role in range(len(self._taps))]
 
     def _operand_streams(self, words: list[np.ndarray]) -> tuple:
         """Packed W, T, SM, SB and coefficient streams from each role's words."""
@@ -256,45 +264,37 @@ class Reservoir:
                 pack(b2s(self._bias_thr, words[ROLE_SELECT_BIAS])),
                 np.stack([pack(b2s(thr, w)) for thr, w in zip(self.beta_words, coeff_words)]))
 
-    def _initial_lfsr_states(self) -> tuple[int, ...] | None:
-        if self.cfg.backend != "stochastic" or self.cfg.reseed_policy != "none":
-            return None
-        full = (1 << self.cfg.q) - 1
-        return tuple(derive_seed(self.cfg.master_seed, _TAG_FREERUN, role) & full or 1
-                     for role in range(len(self._taps)))
-
-    def _draw_words(self, lfsr_states: tuple[int, ...]) -> tuple[list[np.ndarray], tuple]:
-        """H*L words from each role's free-running LFSR (nodes in order), and
-        the registers after them."""
-        H, L = self.H, self.cfg.L
-        words, after = [], []
-        for taps, state in zip(self._taps, lfsr_states):
-            run = lfsr_words(self.cfg.q, taps, state, H * L + 1)
-            words.append(run[:-1].reshape(H, L))
-            after.append(int(run[-1]))
-        return words, tuple(after)
+    def _draw_words(self, t: int) -> list[np.ndarray]:
+        """Each role's (H, L) words of macro step t, nodes in order: a view of
+        the H*L words from the cycle position of the role's seed plus t*H*L."""
+        H, L, q = self.H, self.cfg.L, self.cfg.q
+        words = []
+        for taps, seed in zip(self._taps, self._freerun_seeds):
+            k = (lfsr_cycle(q, taps)[1][seed] + t * H * L) % ((1 << q) - 1)
+            words.append(lfsr_windows(q, taps, H * L)[k].reshape(H, L))
+        return words
 
     # -- stepping -------------------------------------------------------------
 
-    def step(self, u, fb: np.ndarray,
-             lfsr_states: tuple | None) -> tuple[np.ndarray, tuple | None]:
+    def step(self, u, fb: np.ndarray, t: int) -> np.ndarray:
         """One macro step of the node: the H outputs from the held input ``u``
-        and the feedback ``fb``, the values written ``tau`` slots back; returns
-        (outputs, LFSR registers after the step).
+        and the feedback ``fb``, the values written ``tau`` slots back.
 
-        ``u`` comes as :meth:`run` prepared it, and the step checks no
-        values.  On ``stochastic``, ``u``, the feedback and the outputs are
-        offset words in ``word_dtype(q)``, and ``lfsr_states`` holds each
-        role's free-running register under the ``none`` reseed policy
-        (``None`` otherwise).  The ideal backends take the signed value and
-        ``None``, and may step B sequences at once: ``u`` then holds one
-        sample per row of a ``(B, H)`` feedback block.
+        A pure function of its arguments.  ``t`` is the macro step's index
+        in the run (b*m + p for step p of row b of a ``(B, m)`` block); only
+        ``stochastic`` under the ``none`` reseed policy reads it, to place
+        the step's words on each free-running LFSR's cycle.  ``u`` comes as
+        :meth:`run` prepared it, and the step checks no values.  On
+        ``stochastic``, ``u``, the feedback and the outputs are offset words
+        in ``word_dtype(q)``.  The ideal backends take the signed value and
+        may step B sequences at once: ``u`` then holds one sample per row of
+        a ``(B, H)`` feedback block.
         """
         if self.cfg.backend == "stochastic":
             if np.ndim(u) or np.ndim(fb) != 1:
                 raise ValueError("the stochastic backend steps one sequence at a time")
-            return self._step_stochastic(u, fb, lfsr_states)
-        return self._step_ideal(u, fb), lfsr_states
+            return self._step_stochastic(u, fb, t)
+        return self._step_ideal(u, fb)
 
     def _step_ideal(self, u: np.ndarray, fb: np.ndarray) -> np.ndarray:
         """Node outputs from the held input(s) and the feedback values."""
@@ -306,16 +306,14 @@ class Reservoir:
         beta = np.asarray(self.beta_words) / ((1 << cfg.q) - 1)
         return 2.0 * bp.bernstein_eval(beta, (s + 1.0) / 2.0) - 1.0
 
-    def _step_stochastic(self, u_off: np.integer, fb: np.ndarray,
-                         lfsr_states: tuple | None) -> tuple[np.ndarray, tuple | None]:
-        """Node output words from the input word and the feedback words, and
-        the LFSR registers after the step."""
+    def _step_stochastic(self, u_off: np.integer, fb: np.ndarray, t: int) -> np.ndarray:
+        """Node output words of macro step t from the input word and the feedback words."""
         cfg = self.cfg
         if cfg.reseed_policy == "per-node":
             words = self._node_words
             W, T, SM, SB, beta = self._fixed_streams
         else:
-            words, lfsr_states = self._draw_words(lfsr_states)
+            words = self._draw_words(t)
             W, T, SM, SB, beta = self._operand_streams(words)
         U = pack(b2s(u_off, words[ROLE_INPUT]))
         F = pack(b2s(fb[:, None], words[ROLE_FEEDBACK]))
@@ -324,7 +322,7 @@ class Reservoir:
         # the 0.5-MUX averages in the bias
         mixed = stoch_mux_average(stoch_mux_average(stoch_mult(U, W), F, SM), T, SB)
         copies = bp.make_independent_copies(mixed, self._copy_delays, cfg.L)
-        return s2b(bp.bernstein_mux_packed(copies, beta), cfg.L, cfg.q), lfsr_states
+        return s2b(bp.bernstein_mux_packed(copies, beta), cfg.L, cfg.q)
 
     def run(self, inputs) -> np.ndarray:
         """Feed a held-input sequence from the zero delay line; row p of the
@@ -344,14 +342,15 @@ class Reservoir:
 
         A ``(B, m)`` block runs B sequences and returns ``(B, m, H)``.  The
         ideal backends step the rows together; the stochastic backend runs
-        them in turn (see ``metrics``), its free-running LFSR registers
-        carried through the rows in order.
+        them in turn (see ``metrics``).  Step p of row b is macro step
+        t = b*m + p, so under ``none`` row b continues the free-running
+        streams where row b - 1 left them.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim not in (1, 2):
             raise ValueError("need an input sequence or (B, m) block")
         check_run_length(inputs.size)
-        H, tau, q = self.H, self.tau, self.cfg.q
+        H, tau, q, m = self.H, self.tau, self.cfg.q, inputs.shape[-1]
         bad = ~np.isfinite(inputs)
         if bad.any():
             raise _input_error(inputs, bad, "is not finite")
@@ -364,16 +363,14 @@ class Reservoir:
         stochastic = self.cfg.backend == "stochastic"
         zero, dtype = (real_to_offset(0.0, q), word_dtype(q)) if stochastic else (0.0, np.float64)
         held = off.astype(dtype) if stochastic else inputs
-        hist = np.full(inputs.shape[:-1] + (tau + inputs.shape[-1] * H,), zero, dtype=dtype)
+        hist = np.full(inputs.shape[:-1] + (tau + m * H,), zero, dtype=dtype)
         # an ideal block advances one (B, H) step per macro step, a column at
         # a time; a 1-D input, or each row of a stochastic block, steps as one
         # sequence
         sequences = zip(held, hist) if stochastic and held.ndim == 2 else [(held, hist)]
-        lfsr_states = self._initial_lfsr_states()
-        for seq, line in sequences:
+        for b, (seq, line) in enumerate(sequences):
             for p, u in enumerate(seq.T):
                 g = p * H
-                line[..., tau + g:tau + g + H], lfsr_states = self.step(
-                    u, line[..., g:g + H], lfsr_states)
+                line[..., tau + g:tau + g + H] = self.step(u, line[..., g:g + H], b * m + p)
         X = hist[..., tau:].reshape(inputs.shape + (H,))
         return offset_to_real(X, q) if stochastic else X

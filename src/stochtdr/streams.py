@@ -36,9 +36,9 @@ DEFAULT_Q = 8
 # Maximal-length feedback tap masks per register width, for the Fibonacci
 # form used here: feedback = parity(state & mask), then
 # state <- (state >> 1) | (feedback << (q - 1)).
-# Every mask is verified to visit all 2^q - 1 nonzero states (the suite
-# re-checks the small widths by full enumeration).  Several masks per width
-# are kept so that independent random sources can run distinct sequences.
+# Every mask is verified to visit all 2^q - 1 nonzero states; the suite
+# re-checks every width, q = 2-16, over its whole cycle.  Several masks per
+# width are kept so that independent random sources can run distinct sequences.
 _TAP_MASKS: dict[int, tuple[int, ...]] = {
     2: (0x3,),
     3: (0x3, 0x5),
@@ -72,8 +72,10 @@ def supported_widths() -> tuple[int, ...]:
 def maximal_taps(q: int, index: int = 0) -> int:
     """Return a maximal-length tap mask for width ``q``.
 
-    ``index`` selects among the known masks (wrapping), so callers that
-    need several decorrelated sources can hand each one its own sequence.
+    ``index`` selects among the known masks, so callers that need several
+    decorrelated sources can hand each one its own sequence while the index
+    stays below the width's mask count.  Past it the index wraps: two
+    sources then share one sequence.
     """
     if q not in _TAP_MASKS:
         raise ValueError(f"no maximal-length taps known for width q={q}")
@@ -123,18 +125,14 @@ def lfsr_cycle(q: int, taps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _word_windows(q: int, taps: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, windows): ``windows[i]`` is the ``count`` words emitted from
-    cycle position i, a read-only sliding view of the cycle repeated to
-    ``period + count - 1`` words, and ``rows[s]`` is the position of state s.
-    Invalid states get the row past the end, so indexing ``windows`` with
-    them raises IndexError: the zero state directly, and negative or
-    too-large states, which ``take(mode="clip")`` sends to ``rows[0]`` or
-    to the extra last entry."""
-    cycle, pos = lfsr_cycle(q, taps)
-    rows = np.append(np.where(pos < 0, cycle.size, pos), cycle.size)
-    rows.flags.writeable = False
-    return rows, sliding_window_view(np.resize(cycle, cycle.size + count - 1), count)
+def lfsr_windows(q: int, taps: int, count: int) -> np.ndarray:
+    """``windows[k]`` is the ``count`` words emitted from cycle position k.
+
+    A read-only sliding view of the cycle repeated to ``period + count - 1``
+    words, so every window, and any reshape of one, is a view.  Cached.
+    """
+    cycle, _ = lfsr_cycle(q, taps)
+    return sliding_window_view(np.resize(cycle, cycle.size + count - 1), count)
 
 
 def lfsr_words(q: int, taps: int, states, count: int) -> np.ndarray:
@@ -143,16 +141,14 @@ def lfsr_words(q: int, taps: int, states, count: int) -> np.ndarray:
     The first word is the start state itself; over ``count`` = one period
     every nonzero word appears exactly once.  The result has shape
     ``np.shape(states) + (count,)`` and ``word_dtype(q)``.  For a single
-    state it is a read-only view of a cached repetition of the cycle, so a
-    free-running source is drawn without a copy.
+    state it is a read-only view of :func:`lfsr_windows`.
     """
     if count < 1:
         raise ValueError("need at least one word")
-    rows, windows = _word_windows(q, taps, count)
-    try:
-        return windows[rows.take(states, mode="clip")]
-    except IndexError:
-        raise ValueError(f"LFSR states must be nonzero {q}-bit words") from None
+    states = np.asarray(states)
+    if ((states < 1) | (states >= 1 << q)).any():
+        raise ValueError(f"LFSR states must be nonzero {q}-bit words")
+    return lfsr_windows(q, taps, count)[lfsr_cycle(q, taps)[1][states]]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,9 @@ from stochtdr.tasks import narma10_generate, sine_square_generate
     ["metrics", "--config", "gamma_grid = -inf:1:0"],
     ["metrics", "--alpha-grid", "0:1e-300:1"],  # about 1e300 points
     ["bench", "narma10", "--H-grid", "1:1:1e12"],
+    ["fit-activation", "--degree", "1030"],  # C(1030, 515) is past the float range
+    ["metrics", "--backend", "ideal-bernstein", "--degree", "1030"],
+    ["fit-activation", "--degree", "1000000000"],  # rejected before any grid is built
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     if "--config" in argv:  # the value after --config is the file's text

@@ -13,21 +13,21 @@ H, M, L = 5, 7, 24
 
 def rows_in_turn(res: Reservoir, probes) -> np.ndarray:
     """Each probe row from a zero delay line, one ``Reservoir.step`` at a
-    time, LFSR registers carried from row to row.
+    time; step p of row b is macro step b*m + p of the run.
 
     The line is a ring of ``tau`` slots, independent of ``run``'s history:
     node i of step p reads, then overwrites, slot (p*H + i) mod tau.
     """
     q, stochastic = res.cfg.q, res.cfg.backend == "stochastic"
-    lfsr_states, X = res._initial_lfsr_states(), []
-    for row in np.asarray(probes, dtype=np.float64):
+    X = []
+    for b, row in enumerate(np.asarray(probes, dtype=np.float64)):
         ring = (np.full(res.tau, real_to_offset(0.0, q), dtype=word_dtype(q)) if stochastic
                 else np.zeros(res.tau))
         # step takes the input word on stochastic, the value on the ideal backends
         for p, u in enumerate(real_to_offset(row, q).astype(word_dtype(q)) if stochastic
                               else row):
             pos = (p * res.H + np.arange(res.H)) % res.tau
-            ring[pos], lfsr_states = res.step(u, ring[pos], lfsr_states)
+            ring[pos] = res.step(u, ring[pos], b * len(row) + p)
             X.append(offset_to_real(ring[pos], q) if stochastic else ring[pos])
     return np.reshape(X, np.shape(probes) + (res.H,))
 
@@ -70,6 +70,25 @@ def test_sequence_run_matches_rows_in_turn(backend, policy):
 
 @pytest.mark.parametrize("policy", RESEED_POLICIES)
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_step_is_pure(backend, policy):
+    # a run's macro steps replayed in reverse, each on the feedback the run's
+    # history holds for it, give the run's outputs back: a step depends on
+    # (u, fb, t) alone, and row 1 of a block is steps t = m..2m - 1
+    res = Reservoir(config(backend, policy))
+    q, stochastic = res.cfg.q, backend == "stochastic"
+    block = quantize(np.random.default_rng(4).uniform(-1.0, 1.0, (3, M)), q)
+    for u, X, t0 in ((block[0], res.run(block[0]), 0), (block[1], res.run(block)[1], M)):
+        if stochastic:  # step takes and returns offset words there
+            u, X = (real_to_offset(v, q).astype(word_dtype(q)) for v in (u, X))
+        zero = real_to_offset(0.0, q) if stochastic else 0.0
+        line = np.concatenate([np.full(res.tau, zero, dtype=X.dtype), X.ravel()])
+        for p in reversed(range(M)):
+            np.testing.assert_array_equal(res.step(u[p], line[p * H:(p + 1) * H], t0 + p),
+                                          X[p])
+
+
+@pytest.mark.parametrize("policy", RESEED_POLICIES)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_ranks_match_rows_in_turn(monkeypatch, backend, policy):
     cfg = config(backend, policy, seed=5)
     kq = metrics.kernel_quality(cfg, M, seed=2)
@@ -92,7 +111,7 @@ def test_step_rejects_a_non_finite_row(backend):
 def test_stochastic_step_takes_one_sequence():
     res = Reservoir(config("stochastic", "per-node"))
     with pytest.raises(ValueError, match="one sequence at a time"):
-        res.step(quantize(np.zeros(2)), np.zeros((2, res.H), dtype=np.int64), None)
+        res.step(quantize(np.zeros(2)), np.zeros((2, res.H), dtype=np.int64), 0)
 
 
 def test_metrics_csv_does_not_depend_on_worker_count(tmp_path):

@@ -151,14 +151,15 @@ def test_run_checks_every_input_against_the_width_q_grid(q, monkeypatch):
                           [1e308]])  # past the float range once scaled by 2^q - 1 (q >= 8)
     held = []
 
-    def recorded(self, u, fb, lfsr_states):
+    def recorded(self, u, fb, t):
         # a stand-in node: keeps what run hands it, writes zeros
         held.append(u)
-        return np.zeros_like(fb), lfsr_states
+        return np.zeros_like(fb)
 
     monkeypatch.setattr(Reservoir, "step", recorded)
     for backend in ("ideal-exact", "stochastic"):
-        # free-running registers: no per-node words to draw for a node that is not run
+        # free-running LFSRs: each step reads its words by cycle position, so
+        # the build draws none for a node that is not run
         res = Reservoir(TdrConfig(H=2, alpha=0.5, gamma=2.0, L=5, n=2, q=q,
                                   reseed_policy="none", backend=backend))
         held.clear()
