@@ -37,13 +37,20 @@ def _basis(k: int, n: int, u: np.ndarray) -> np.ndarray:
     return math.comb(n, k) * u**k * (1.0 - u) ** (n - k)
 
 
+def _check_degree(n: int, least: int = 0) -> None:
+    if not least <= n <= MAX_DEGREE:
+        raise ValueError(f"degree must be in {least}..{MAX_DEGREE}, got {n}")
+
+
 def _check_unit_interval(u: np.ndarray) -> None:
-    if np.any(u < 0.0) or np.any(u > 1.0):
+    # one pass each way; a NaN fails both compares
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("basis argument outside [0, 1]")
 
 
 def bernstein_basis(k: int, n: int, u):
     """Basis polynomial b_{k,n}(u) = C(n,k) u^k (1-u)^(n-k)."""
+    _check_degree(n)
     if not 0 <= k <= n:
         raise ValueError(f"basis index k={k} outside 0..{n}")
     u = np.asarray(u, dtype=np.float64)
@@ -52,14 +59,33 @@ def bernstein_basis(k: int, n: int, u):
 
 
 def bernstein_eval(beta, u):
-    """Evaluate sum(beta_k * b_{k,n}(u)) for coefficient vector beta."""
-    beta = np.asarray(beta, dtype=np.float64)
-    n = beta.size - 1
+    """Evaluate sum(beta_k * b_{k,n}(u)) for coefficient vector beta.
+
+    The nested form of Schumaker & Volk (CAGD 1986): Horner in f = 1 - u
+    on the weights C(n,k) beta_k, with u^k built up by one multiply per
+    degree, so a call costs O(n) array operations and no powers.  For beta
+    in [0, 1] and u in [0, 1] every weight, power and factor is
+    non-negative, so no step cancels and the rounding error stays relative
+    to the value, unlike Horner in the power basis (Farouki & Rajan, CAGD
+    1987); and the partial sum after degree k stays below C(n, k) / (k + 1),
+    so no degree up to MAX_DEGREE overflows.
+    """
+    beta = np.asarray(beta, dtype=np.float64).ravel().tolist()
+    n = len(beta) - 1
+    _check_degree(n)
     u = np.asarray(u, dtype=np.float64)
     _check_unit_interval(u)
-    out = np.zeros_like(u, dtype=np.float64)
-    for k in range(n + 1):
-        out = out + beta[k] * _basis(k, n, u)
+    if n == 0:
+        out = np.full(u.shape, beta[0])
+    else:
+        f = 1.0 - u
+        out = beta[0] * f
+        un = u.copy()  # u^k at degree k
+        for k in range(1, n):
+            out += math.comb(n, k) * beta[k] * un
+            out *= f
+            un *= u
+        out += beta[n] * un
     return out if out.ndim else float(out)
 
 
@@ -106,8 +132,7 @@ def check_fit_size(n: int, grid_size: int | None = None) -> int:
 
     Raises ValueError unless 1 <= n <= MAX_DEGREE and the grid has >= 10(n+1) points.
     """
-    if not 1 <= n <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {n}")
+    _check_degree(n, least=1)
     if grid_size is None:
         return max(10 * (n + 1), 201)
     if grid_size < 10 * (n + 1):

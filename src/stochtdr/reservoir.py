@@ -227,6 +227,8 @@ class Reservoir:
                        else np.zeros(cfg.H))
         self.beta_words = (None if cfg.backend == "ideal-exact"
                            else _fitted_betas(cfg.gamma, cfg.n, cfg.q))
+        if cfg.backend == "ideal-bernstein":
+            self._beta = tuple(w / ((1 << cfg.q) - 1) for w in self.beta_words)
         if cfg.backend == "stochastic":
             self._prepare_stochastic()
 
@@ -303,8 +305,7 @@ class Reservoir:
             + 0.5 * self.biases
         if cfg.backend == "ideal-exact":
             return activation_ideal(s, cfg.gamma)
-        beta = np.asarray(self.beta_words) / ((1 << cfg.q) - 1)
-        return 2.0 * bp.bernstein_eval(beta, (s + 1.0) / 2.0) - 1.0
+        return 2.0 * bp.bernstein_eval(self._beta, (s + 1.0) / 2.0) - 1.0
 
     def _step_stochastic(self, u_off: np.integer, fb: np.ndarray, t: int) -> np.ndarray:
         """Node output words of macro step t from the input word and the feedback words."""

@@ -1,13 +1,21 @@
-"""Adder + MUX Bernstein node: the packed bit-sliced kernel against the
-count-and-gather reading of the circuit, and the packed rotated copies
+"""Bernstein polynomials: the nested evaluator against exact rational
+arithmetic, and the adder + MUX node: the packed bit-sliced kernel against
+the count-and-gather reading of the circuit, and the packed rotated copies
 against ``np.roll`` of the unpacked stream."""
+
+import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stochtdr import cli
 from stochtdr.bernstein import (
+    MAX_DEGREE,
     TransformedActivation,
     bernstein_basis,
+    bernstein_eval,
     bernstein_mux_packed,
     check_fit_size,
     fit_bernstein_coeffs,
@@ -15,7 +23,77 @@ from stochtdr.bernstein import (
     spread_delays,
     transform_activation,
 )
+from stochtdr.reservoir import Reservoir, TdrConfig
 from stochtdr.streams import pack
+
+
+def exact_eval(beta, u: float) -> float:
+    """sum(C(n,k) beta_k u^k (1-u)^(n-k)) in exact rationals, u = a/d, rounded once."""
+    a, d = u.as_integer_ratio()
+    n = len(beta) - 1
+    total = sum(math.comb(n, k) * Fraction(b) * (a**k * (d - a) ** (n - k))
+                for k, b in enumerate(beta))
+    return float(total / d**n)
+
+
+@pytest.mark.parametrize("n,us", [
+    *[pytest.param(n, [0.0, 1e-300, 0.3, 0.5, 0.9, 1.0], id=f"n={n}") for n in (1, 5, 20, 100)],
+    # short dyadic arguments keep the exact sum small at the largest degree
+    pytest.param(MAX_DEGREE, [0.0, 0.25, 0.5, 1.0], id="n=MAX_DEGREE"),
+])
+def test_eval_matches_exact_arithmetic(n, us):
+    beta = np.random.default_rng(n).random(n + 1)
+    got = bernstein_eval(beta, np.array(us))
+    np.testing.assert_allclose(got, [exact_eval(beta, u) for u in us], rtol=0, atol=1e-12)
+
+
+def test_eval_keeps_the_shape_of_its_argument():
+    beta = [0.2, 0.5, 0.9]
+    assert type(bernstein_eval(beta, 0.3)) is float
+    u = np.linspace(0.0, 1.0, 24).reshape(2, 3, 4)
+    assert bernstein_eval(beta, u).shape == (2, 3, 4)
+    assert bernstein_eval([0.7], u).shape == (2, 3, 4)  # degree 0 is the constant
+    assert bernstein_eval([0.7], 0.3) == 0.7
+    assert bernstein_eval(beta, np.empty((0, 3))).shape == (0, 3)
+    assert bernstein_basis(1, 2, np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("u", [np.nan, -1e-300, 1.0 + 1e-15, [0.3, np.nan], [0.2, np.inf]])
+def test_arguments_outside_the_unit_interval_are_rejected(u):
+    with pytest.raises(ValueError, match="outside"):
+        bernstein_eval([0.2, 0.5, 0.9], u)
+    with pytest.raises(ValueError, match="outside"):
+        bernstein_basis(1, 2, u)
+
+
+def test_degree_above_the_float_range_is_rejected():
+    with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+        bernstein_eval(np.full(MAX_DEGREE + 2, 0.5), 0.3)
+    with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+        bernstein_basis(0, MAX_DEGREE + 1, 0.3)
+    with pytest.raises(ValueError, match="degree"):
+        bernstein_eval([], 0.3)
+
+
+def test_ideal_bernstein_step_is_the_basis_sum():
+    cfg = TdrConfig(H=6, alpha=0.3, gamma=2.0, n=7, biases="random", backend="ideal-bernstein")
+    res = Reservoir(cfg)
+    rng = np.random.default_rng(5)
+    u, fb = rng.uniform(-1.0, 1.0, 4), rng.uniform(-1.0, 1.0, (4, 6))
+    s = 0.5 * (cfg.alpha * res.weights * u[:, None] + (1.0 - cfg.alpha) * fb) + 0.5 * res.biases
+    beta = np.asarray(res.beta_words) / ((1 << cfg.q) - 1)
+    want = 2.0 * sum(b * bernstein_basis(k, cfg.n, (s + 1.0) / 2.0)
+                     for k, b in enumerate(beta)) - 1.0
+    np.testing.assert_allclose(res.step(u, fb, 0), want, rtol=0, atol=1e-13)
+
+
+def test_ideal_bernstein_metrics_csv_is_pinned(tmp_path):
+    # ranks are integers, so the evaluator's last digits must not move them
+    assert cli.main(["metrics", "--backend", "ideal-bernstein", "--H", "16", "--m", "6",
+                     "--runs", "2", "--alpha-grid", "0.2,0.8", "--degree", "20",
+                     "--seed", "3", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == "bc27bb0351b428c2040047f2f56bbb646d62c4543be6d05b7b0c91b45eab6122"
 
 
 def count_and_gather(copy_bits: np.ndarray, beta_bits: np.ndarray) -> np.ndarray:
