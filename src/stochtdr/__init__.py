@@ -28,7 +28,6 @@ from .bernstein import (
     fit_bernstein_coeffs,
     make_independent_copies,
     spread_delays,
-    transform_activation,
 )
 from .reservoir import (
     Reservoir,
@@ -37,14 +36,12 @@ from .reservoir import (
 )
 from .readout import (
     RankDeficiencyError,
-    ReadoutModel,
     classification_accuracy,
     nmse,
     predict,
     ridge_train,
 )
 from .metrics import (
-    MetricRun,
     generalization_rank,
     kernel_quality,
     metric_study,

@@ -21,7 +21,6 @@ coefficients stacked on a new first axis.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -119,12 +118,6 @@ class TransformedActivation:
         raw = np.sin(self.gamma * self.delta_s * (sbar - 0.5))
         out = (raw + self.f_max) / (2.0 * self.f_max)
         return out if out.ndim else float(out)
-
-
-@functools.lru_cache(maxsize=128)  # frozen; the ideal-exact step reads f_max every step
-def transform_activation(gamma: float, delta_s: float = DEFAULT_DELTA_S) -> TransformedActivation:
-    """Shift/scale the sine activation so its used portion fills [0,1]x[0,1]."""
-    return TransformedActivation(gamma, delta_s)
 
 
 def check_fit_size(n: int, grid_size: int | None = None) -> int:

@@ -36,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bernstein import (DEFAULT_DEGREE, DEFAULT_DELTA_S, check_fit_size, fit_bernstein_coeffs,
-                        transform_activation)
+from .bernstein import (DEFAULT_DEGREE, DEFAULT_DELTA_S, TransformedActivation, check_fit_size,
+                        fit_bernstein_coeffs)
 from .metrics import (DEFAULT_NOISE_AMPLITUDE, DEFAULT_RANK_TOL, check_probes, check_rank_tol,
                       metric_study)
 from .readout import check_lambda
@@ -295,7 +295,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     # a value the run would reject is a config error, not a failure mid-run
     try:
         if cfg.command == "fit-activation":
-            transform_activation(cfg.gamma, cfg.delta_s)
+            TransformedActivation(cfg.gamma, cfg.delta_s)
             check_fit_size(cfg.degree, cfg.grid_size)
         elif cfg.command == "metrics":
             check_probes(cfg.m, cfg.noise)
@@ -352,25 +352,23 @@ def _summary(values) -> tuple[float, float]:
     return float(np.mean(values)), std
 
 
-def _metrics_point(args: dict) -> list[list]:
-    cfg = ExperimentConfig(**args["cfg"])
-    idx = args["index"]
-    tdr = _tdr_config(cfg, args["point"], derive_seed(cfg.seed, _TAG_MASTER, idx))
-    result = metric_study(tdr, cfg.m, runs=cfg.runs,
-                          seed=derive_seed(cfg.seed, _TAG_POINT, idx),
+def _metrics_point(cfg: ExperimentConfig, indexed_point: tuple[int, dict]) -> list[list]:
+    idx, point = indexed_point
+    tdr = _tdr_config(cfg, point, derive_seed(cfg.seed, _TAG_MASTER, idx))
+    kq, gr = metric_study(tdr, cfg.m, runs=cfg.runs, seed=derive_seed(cfg.seed, _TAG_POINT, idx),
                           noise_amplitude=cfg.noise, rel_tol=cfg.rank_tol)
     prefix = [tdr.alpha, tdr.gamma, tdr.L, cfg.reseed]
-    rows = [[*prefix, r, int(result.kq[r]), int(result.gr[r])] for r in range(cfg.runs)]
-    mean, std = zip(_summary(result.kq), _summary(result.gr))  # (kq, gr) each
+    rows = [[*prefix, r, int(kq[r]), int(gr[r])] for r in range(cfg.runs)]
+    mean, std = zip(_summary(kq), _summary(gr))  # (kq, gr) each
     return rows + [[*prefix, "mean", *mean], [*prefix, "std", *std]]
 
 
-def _bench_point(args: dict) -> list[list]:
-    cfg = ExperimentConfig(**args["cfg"])
+def _bench_point(cfg: ExperimentConfig, indexed_point: tuple[int, dict]) -> list[list]:
+    _, point = indexed_point
     evaluate = evaluate_regression if cfg.task == "narma10" else evaluate_classification
     values = []
     for r in range(cfg.runs):
-        tdr = _tdr_config(cfg, args["point"], derive_seed(cfg.seed, _TAG_MASTER, r))
+        tdr = _tdr_config(cfg, point, derive_seed(cfg.seed, _TAG_MASTER, r))
         res = evaluate(tdr, cfg.train, cfg.test, lam=cfg.lam,
                        washout=cfg.washout, seed=derive_seed(cfg.seed, _TAG_TASK, r))
         values.append(res.value)
@@ -380,15 +378,17 @@ def _bench_point(args: dict) -> list[list]:
     return rows + [[*prefix, "mean", res.metric, mean], [*prefix, "std", res.metric, std]]
 
 
-def _run_points(cfg: ExperimentConfig, worker, tasks: list[dict]) -> list[list]:
-    """Dispatch grid points, collect in submission order regardless of workers."""
+def _run_points(cfg: ExperimentConfig, worker, points: list[dict]) -> list[list]:
+    """Run ``worker(cfg, (index, point))`` on each grid point; collect the rows
+    in grid order whatever the worker count."""
     # one process per point and per CPU at most: a fork pool starts them all at once
-    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    workers = min(cfg.workers, len(points), os.cpu_count() or 1)
+    work = functools.partial(worker, cfg)
     if workers == 1:
-        batches = [worker(t) for t in tasks]
+        batches = [work(p) for p in enumerate(points)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(worker, tasks))
+            batches = list(pool.map(work, enumerate(points)))
     return [row for batch in batches for row in batch]
 
 
@@ -448,7 +448,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     extra: dict = {}
 
     if cfg.command == "fit-activation":
-        beta = fit_bernstein_coeffs(transform_activation(cfg.gamma, cfg.delta_s),
+        beta = fit_bernstein_coeffs(TransformedActivation(cfg.gamma, cfg.delta_s),
                                     cfg.degree, grid_size=cfg.grid_size)
         _write_csv(out / "coefficients.csv", "k,beta",
                    ([k, f"{b:.12g}"] for k, b in enumerate(beta)))
@@ -456,15 +456,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     elif cfg.command in ("metrics", "bench"):
         points = _sweep(cfg)
-        base = vars(cfg).copy()
-        tasks = [{"cfg": base, "point": p, "index": i} for i, p in enumerate(points)]
         if cfg.command == "metrics":
-            name, header = "metrics.csv", "alpha,gamma,L,policy,run,kq,gr"
-            rows = _run_points(cfg, _metrics_point, tasks)
+            worker, name, header = _metrics_point, "metrics.csv", "alpha,gamma,L,policy,run,kq,gr"
         else:
-            name, header = "results.csv", "task,backend,H,alpha,gamma,L,n,run,metric,value"
-            rows = _run_points(cfg, _bench_point, tasks)
-        _write_csv(out / name, header, rows)
+            worker, name, header = (_bench_point, "results.csv",
+                                    "task,backend,H,alpha,gamma,L,n,run,metric,value")
+        _write_csv(out / name, header, _run_points(cfg, worker, points))
         extra["outputs"] = [name]
         extra["grid_points"] = len(points)
         if cfg.command == "bench" and cfg.dump_sequences:

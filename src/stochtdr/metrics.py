@@ -5,7 +5,11 @@ Both drive the reservoir with H probe sequences of length m, each from a
 zeroed delay line, and take the rank of the H x H matrix of final state
 vectors.  Kernel quality uses independent random probes (separation);
 generalization rank perturbs one base probe with small noise (a low rank
-means similar inputs collapse to similar states).
+means similar inputs collapse to similar states).  Both take a built
+:class:`Reservoir`, and each run of :func:`metric_study` probes one draw
+both ways, as Legenstein & Maass (Neural Networks 2007) define the two
+metrics on one circuit.  ``run`` keeps no state between calls (macro step
+t restarts at 0), so the second probe block sees what a fresh build would.
 
 The probes go to :meth:`Reservoir.run` as one ``(H, m)`` block.  The ideal
 backends advance all H probes together, one ``(H, H)`` step per macro step,
@@ -23,7 +27,7 @@ between bursts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,48 +69,39 @@ def numerical_rank(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def kernel_quality(cfg: TdrConfig, m: int, seed: int = 0,
+def kernel_quality(res: Reservoir, m: int, seed: int = 0,
                    rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the final-state matrix under H independent random probes."""
     check_probes(m)
     rng = np.random.default_rng(derive_seed(seed, _TAG_KQ))
-    probes = quantize(rng.uniform(-1.0, 1.0, (cfg.H, m)), cfg.q)
-    return numerical_rank(Reservoir(cfg).run(probes)[:, -1, :].T, rel_tol)
+    probes = quantize(rng.uniform(-1.0, 1.0, (res.H, m)), res.cfg.q)
+    return numerical_rank(res.run(probes)[:, -1, :].T, rel_tol)
 
 
-def generalization_rank(cfg: TdrConfig, m: int, seed: int = 0,
+def generalization_rank(res: Reservoir, m: int, seed: int = 0,
                         noise_amplitude: float = DEFAULT_NOISE_AMPLITUDE,
                         rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the final-state matrix when all probes share one noisy base."""
     check_probes(m, noise_amplitude)
     rng = np.random.default_rng(derive_seed(seed, _TAG_GR))
     base = rng.uniform(-1.0, 1.0, m)
-    noise = rng.uniform(-noise_amplitude, noise_amplitude, (cfg.H, m))
-    probes = quantize(np.clip(base[None, :] + noise, -1.0, 1.0), cfg.q)
-    return numerical_rank(Reservoir(cfg).run(probes)[:, -1, :].T, rel_tol)
-
-
-@dataclass
-class MetricRun:
-    """Repeated KQ/GR measurements for one configuration; per-run values are
-    raw ranks in [0, H]."""
-
-    kq: np.ndarray
-    gr: np.ndarray
+    noise = rng.uniform(-noise_amplitude, noise_amplitude, (res.H, m))
+    probes = quantize(np.clip(base[None, :] + noise, -1.0, 1.0), res.cfg.q)
+    return numerical_rank(res.run(probes)[:, -1, :].T, rel_tol)
 
 
 def metric_study(cfg: TdrConfig, m: int, runs: int = 10, seed: int = 0,
                  noise_amplitude: float = DEFAULT_NOISE_AMPLITUDE,
-                 rel_tol: float = DEFAULT_RANK_TOL) -> MetricRun:
-    """KQ and GR over several runs, each with a fresh reservoir draw and probes."""
+                 rel_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """KQ and GR over several runs, each on a fresh reservoir draw with fresh
+    probes: the two int64 arrays (kq, gr) of per-run ranks in [0, H]."""
     if runs < 1:
         raise ValueError("need at least one run")
     kq = np.empty(runs, dtype=np.int64)
     gr = np.empty(runs, dtype=np.int64)
     for r in range(runs):
-        run_cfg = replace(
-            cfg, master_seed=derive_seed(cfg.master_seed, _TAG_RUN, r))
+        res = Reservoir(replace(cfg, master_seed=derive_seed(cfg.master_seed, _TAG_RUN, r)))
         probe_seed = derive_seed(seed, _TAG_RUN, r)
-        kq[r] = kernel_quality(run_cfg, m, probe_seed, rel_tol)
-        gr[r] = generalization_rank(run_cfg, m, probe_seed, noise_amplitude, rel_tol)
-    return MetricRun(kq=kq, gr=gr)
+        kq[r] = kernel_quality(res, m, probe_seed, rel_tol)
+        gr[r] = generalization_rank(res, m, probe_seed, noise_amplitude, rel_tol)
+    return kq, gr

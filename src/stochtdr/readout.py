@@ -3,26 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class RankDeficiencyError(ValueError):
     """Normal equations are singular and no regularization was requested."""
-
-
-@dataclass
-class ReadoutModel:
-    """Output weights trained by ridge regression on the states plus a bias
-    column (its weight is last); output function is identity."""
-
-    w_out: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        """Reservoir dimension this model was trained on."""
-        return self.w_out.size - 1
 
 
 def _with_bias(X: np.ndarray) -> np.ndarray:
@@ -35,9 +21,10 @@ def check_lambda(lam: float) -> None:
         raise ValueError(f"regularization parameter lambda={lam} must be finite and >= 0")
 
 
-def ridge_train(X: np.ndarray, Y: np.ndarray, lam: float) -> ReadoutModel:
-    """Solve (Xd^T Xd + lam*I) w = Xd^T Y by a factored linear solve, where
-    Xd is X with a column of ones appended.
+def ridge_train(X: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
+    """The output weights w solving (Xd^T Xd + lam*I) w = Xd^T Y by a factored
+    linear solve, where Xd is X with a column of ones appended: one weight
+    per state column, then the bias weight last.
 
     With lam > 0 the system is always solvable; at lam = 0 a singular
     Gram matrix raises RankDeficiencyError with the detected rank.
@@ -56,17 +43,17 @@ def ridge_train(X: np.ndarray, Y: np.ndarray, lam: float) -> ReadoutModel:
         if rank < Xd.shape[1]:
             raise RankDeficiencyError(
                 f"X^T X is rank deficient (rank {rank} < {Xd.shape[1]}) and lam = 0")
-    w = np.linalg.solve(gram, Xd.T @ Y)
-    return ReadoutModel(w_out=w)
+    return np.linalg.solve(gram, Xd.T @ Y)
 
 
-def predict(model: ReadoutModel, X: np.ndarray) -> np.ndarray:
-    """yhat = Xd w (identity output function)."""
+def predict(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """yhat = Xd w for weights w from :func:`ridge_train`, the bias weight
+    last (identity output function)."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.dim:
+    if X.ndim != 2 or X.shape[1] != w.size - 1:
         raise ValueError(f"X has {X.shape[1] if X.ndim == 2 else '?'} columns, "
-                         f"model expects {model.dim}")
-    return _with_bias(X) @ model.w_out
+                         f"model expects {w.size - 1}")
+    return _with_bias(X) @ w
 
 
 def nmse(y: np.ndarray, yhat: np.ndarray, y_train_mean: float) -> float:

@@ -70,8 +70,9 @@ BACKENDS = ("ideal-exact", "ideal-bernstein", "stochastic")
 RESEED_POLICIES = ("none", "per-node")
 
 # One LFSR role per stochastic source inside a node; role r runs the tap mask
-# maximal_taps(q, r).  That index wraps where a width has fewer masks than a
-# node has roles (q = 2-6 and 13-16 at n = 5): two roles then share a sequence.
+# maximal_taps(q, r), so no two roles share a sequence.  A node has 7 + n
+# roles, and TdrConfig.validate rejects a width with fewer masks (every
+# q <= 6, and n >= 10 at the 16 masks of q >= 7).
 ROLE_INPUT = 0
 ROLE_WEIGHT = 1
 ROLE_BIAS = 2
@@ -159,6 +160,12 @@ class TdrConfig:
             if self.L < self.n:
                 raise ValueError(f"stream length L={self.L} is shorter than the Bernstein "
                                  f"degree n={self.n}: the adder's rotated copies would repeat")
+            roles = ROLE_COEFF_BASE + self.n + 1
+            try:
+                maximal_taps(self.q, roles - 1)
+            except ValueError as e:
+                raise ValueError(f"a stochastic node of degree n={self.n} runs {roles} LFSR "
+                                 f"roles, one tap mask each, but {e}") from None
         bp.check_fit_size(self.n)
 
     @property
@@ -170,16 +177,6 @@ def _seeded_uniform(cfg: TdrConfig, tag: int) -> np.ndarray:
     """H values drawn uniformly from [-1, 1] by the master seed, on the width-q grid."""
     rng = np.random.default_rng(derive_seed(cfg.master_seed, tag))
     return quantize(rng.uniform(-1.0, 1.0, cfg.H), cfg.q)
-
-
-def activation_ideal(s: np.ndarray, gamma: float) -> np.ndarray:
-    """Exact activation in bipolar terms: the unit-square sine, mapped back.
-
-    sin(gamma*s) over the sine's largest value on the used interval (the
-    ``f_max`` of :func:`bernstein.transform_activation`), so +-1 are the
-    extrema; gamma = 0 is the linear limit (identity).
-    """
-    return np.sin(gamma * s) / bp.transform_activation(gamma).f_max if gamma else s
 
 
 def check_run_length(m: int) -> None:
@@ -203,7 +200,7 @@ def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
     gamma = 0 falls back to the identity ramp k/n (the linear limit of the
     transform), which the basis reproduces exactly.
     """
-    beta = (bp.fit_bernstein_coeffs(bp.transform_activation(gamma), n) if gamma
+    beta = (bp.fit_bernstein_coeffs(bp.TransformedActivation(gamma), n) if gamma
             else [k / n for k in range(n + 1)])
     return tuple(quantize_probability(b, q) for b in beta)
 
@@ -227,6 +224,8 @@ class Reservoir:
                        else np.zeros(cfg.H))
         self.beta_words = (None if cfg.backend == "ideal-exact"
                            else _fitted_betas(cfg.gamma, cfg.n, cfg.q))
+        if cfg.backend == "ideal-exact" and cfg.gamma:
+            self._f_max = bp.TransformedActivation(cfg.gamma).f_max
         if cfg.backend == "ideal-bernstein":
             self._beta = tuple(w / ((1 << cfg.q) - 1) for w in self.beta_words)
         if cfg.backend == "stochastic":
@@ -304,7 +303,9 @@ class Reservoir:
         s = 0.5 * (cfg.alpha * (self.weights * u[..., None]) + (1.0 - cfg.alpha) * fb) \
             + 0.5 * self.biases
         if cfg.backend == "ideal-exact":
-            return activation_ideal(s, cfg.gamma)
+            # the unit-square sine mapped back, so +-1 are its extrema on the
+            # used interval; gamma = 0 is the linear limit (identity)
+            return np.sin(cfg.gamma * s) / self._f_max if cfg.gamma else s
         return 2.0 * bp.bernstein_eval(self._beta, (s + 1.0) / 2.0) - 1.0
 
     def _step_stochastic(self, u_off: np.integer, fb: np.ndarray, t: int) -> np.ndarray:

@@ -36,9 +36,10 @@ DEFAULT_Q = 8
 # Maximal-length feedback tap masks per register width, for the Fibonacci
 # form used here: feedback = parity(state & mask), then
 # state <- (state >> 1) | (feedback << (q - 1)).
-# Every mask is verified to visit all 2^q - 1 nonzero states; the suite
-# re-checks every width, q = 2-16, over its whole cycle.  Several masks per
-# width are kept so that independent random sources can run distinct sequences.
+# Each width holds its first maximal masks in ascending order: all of them at
+# q <= 6 (1, 2, 2, 6, 6), the first 16 at q >= 7 (q = 8 has only 16).  The
+# suite re-checks every mask over its whole cycle.  A stochastic node runs
+# each of its 7 + n LFSR roles on its own mask, so no two share a sequence.
 _TAP_MASKS: dict[int, tuple[int, ...]] = {
     2: (0x3,),
     3: (0x3, 0x5),
@@ -57,10 +58,14 @@ _TAP_MASKS: dict[int, tuple[int, ...]] = {
          0x7B, 0x8D, 0x95, 0x9F, 0xA9, 0xB1, 0xCF, 0xD1),
     12: (0x53, 0x69, 0x7B, 0x7D, 0x99, 0xD1, 0xEB, 0x107,
          0x11F, 0x123, 0x13B, 0x14F, 0x157, 0x161, 0x16B, 0x185),
-    13: (0x1B, 0x27, 0x35, 0x53, 0x65, 0x6F),
-    14: (0x2B, 0x39, 0x53, 0x5F, 0x7B, 0xA9),
-    15: (0x3, 0x11, 0x17, 0x2D, 0x35, 0x5F),
-    16: (0x2D, 0x39, 0x3F, 0x53, 0xBD, 0xD7),
+    13: (0x1B, 0x27, 0x35, 0x53, 0x65, 0x6F, 0x8B, 0x8D,
+         0x9F, 0xA5, 0xAF, 0xBB, 0xBD, 0xC3, 0xC9, 0xE1),
+    14: (0x2B, 0x39, 0x53, 0x5F, 0x7B, 0xA9, 0xAF, 0xBB,
+         0xBD, 0xCF, 0xEB, 0xF3, 0x10D, 0x113, 0x13B, 0x143),
+    15: (0x3, 0x11, 0x17, 0x2D, 0x35, 0x5F, 0x77, 0x81,
+         0x87, 0x93, 0xA5, 0xC3, 0xCF, 0xDD, 0xE7, 0xF5),
+    16: (0x2D, 0x39, 0x3F, 0x53, 0xBD, 0xD7, 0x12F, 0x13D,
+         0x14F, 0x15D, 0x197, 0x1A1, 0x1AD, 0x1BF, 0x1C7, 0x215),
 }
 
 
@@ -70,17 +75,18 @@ def supported_widths() -> tuple[int, ...]:
 
 
 def maximal_taps(q: int, index: int = 0) -> int:
-    """Return a maximal-length tap mask for width ``q``.
+    """Return maximal-length tap mask number ``index`` of width ``q``.
 
-    ``index`` selects among the known masks, so callers that need several
-    decorrelated sources can hand each one its own sequence while the index
-    stays below the width's mask count.  Past it the index wraps: two
-    sources then share one sequence.
+    Distinct indices give distinct masks, so callers that need several
+    decorrelated sources hand each one its own sequence.  An index past the
+    width's masks raises ValueError naming their count.
     """
     if q not in _TAP_MASKS:
         raise ValueError(f"no maximal-length taps known for width q={q}")
     masks = _TAP_MASKS[q]
-    return masks[index % len(masks)]
+    if not 0 <= index < len(masks):
+        raise ValueError(f"width q={q} has {len(masks)} maximal tap masks, no mask {index}")
+    return masks[index]
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +114,14 @@ def lfsr_cycle(q: int, taps: int) -> tuple[np.ndarray, np.ndarray]:
     if q not in _TAP_MASKS:
         raise ValueError(f"no maximal-length taps known for width q={q}")
     full = (1 << q) - 1
-    cycle = np.empty(full, dtype=word_dtype(q))
+    states = []
     s = 1
-    for i in range(full):
-        cycle[i] = s
-        fb = bin(s & taps).count("1") & 1
-        s = (s >> 1) | (fb << (q - 1))
+    for _ in range(full):
+        states.append(s)
+        s = (s >> 1) | (((s & taps).bit_count() & 1) << (q - 1))
     if s != 1:
         raise ValueError(f"tap mask {taps:#x} is not maximal-length at q={q}")
+    cycle = np.array(states, dtype=word_dtype(q))
     pos = np.full(full + 1, -1, dtype=np.int64)
     pos[cycle] = np.arange(full)
     if (pos[1:] < 0).any():

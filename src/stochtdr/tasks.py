@@ -113,7 +113,8 @@ def sine_square_generate(m: int, seed: int = 0) -> SineSquareSequence:
 
 @dataclass
 class EvalResult:
-    """Score plus everything needed to reproduce the run."""
+    """One evaluation's score: the metric's name and value, and in
+    ``metadata`` the NARMA ``regenerations`` (empty for sine/square)."""
 
     metric: str
     value: float
@@ -137,8 +138,7 @@ def _split_and_fit(cfg: TdrConfig, drive: np.ndarray, targets: np.ndarray,
     X_train, y_train = X[washout:m_train], targets[washout:m_train]
     X_test = X[m_train + washout:]
     y_test = targets[m_train + washout:]
-    model = ridge_train(X_train, y_train, lam)
-    return model, X_test, y_test, float(np.mean(y_train))
+    return ridge_train(X_train, y_train, lam), X_test, y_test, float(np.mean(y_train))
 
 
 def evaluate_regression(cfg: TdrConfig, m_train: int = 1000, m_test: int = 1000,
@@ -151,14 +151,9 @@ def evaluate_regression(cfg: TdrConfig, m_train: int = 1000, m_test: int = 1000,
     """
     data = narma10_generate(m_train + m_test, seed)
     drive = quantize(4.0 * data.u - 1.0, cfg.q)
-    model, X_test, y_test, y_mean = _split_and_fit(
-        cfg, drive, data.y, m_train, lam, washout)
-    value = nmse(y_test, predict(model, X_test), y_mean)
-    return EvalResult(metric="nmse", value=value, metadata={
-        "task": "narma10", "m_train": m_train, "m_test": m_test,
-        "lambda": lam, "washout": washout, "seed": seed,
-        "input_scale": "u -> 4u - 1", "regenerations": data.regenerations,
-    })
+    w, X_test, y_test, y_mean = _split_and_fit(cfg, drive, data.y, m_train, lam, washout)
+    return EvalResult("nmse", nmse(y_test, predict(w, X_test), y_mean),
+                      {"regenerations": data.regenerations})
 
 
 def evaluate_classification(cfg: TdrConfig, m_train: int = 1000, m_test: int = 1000,
@@ -168,11 +163,6 @@ def evaluate_classification(cfg: TdrConfig, m_train: int = 1000, m_test: int = 1
     """Sine/square discrimination accuracy with a 0/1 target and 0.5 decision."""
     data = sine_square_generate(m_train + m_test, seed)
     drive = quantize(data.signal, cfg.q)
-    model, X_test, y_test, _ = _split_and_fit(
+    w, X_test, y_test, _ = _split_and_fit(
         cfg, drive, data.labels.astype(np.float64), m_train, lam, washout)
-    value = classification_accuracy(y_test, predict(model, X_test))
-    return EvalResult(metric="accuracy", value=value, metadata={
-        "task": "sinesquare", "m_train": m_train, "m_test": m_test,
-        "lambda": lam, "washout": washout, "seed": seed,
-        "period": SINE_SQUARE_PERIOD, "input_scale": "identity",
-    })
+    return EvalResult("accuracy", classification_accuracy(y_test, predict(w, X_test)), {})

@@ -21,7 +21,6 @@ from stochtdr.bernstein import (
     fit_bernstein_coeffs,
     make_independent_copies,
     spread_delays,
-    transform_activation,
 )
 from stochtdr.reservoir import Reservoir, TdrConfig
 from stochtdr.streams import pack
@@ -174,7 +173,7 @@ def test_copies_need_the_packed_width_of_L():
 @pytest.mark.parametrize("gamma,n", [(0.5, 3), (2.0, 5), (4.0, 7), (-1.5, 4), (6.0, 9)])
 def test_fit_matches_bounded_least_squares(gamma, n):
     optimize = pytest.importorskip("scipy.optimize")
-    fbar = transform_activation(gamma)
+    fbar = TransformedActivation(gamma)
     u = np.linspace(0.0, 1.0, check_fit_size(n))
     A = np.column_stack([bernstein_basis(k, n, u) for k in range(n + 1)])
     f = fbar(u)

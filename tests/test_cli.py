@@ -50,6 +50,10 @@ from stochtdr.tasks import narma10_generate, sine_square_generate
     ["fit-activation", "--degree", "1030"],  # C(1030, 515) is past the float range
     ["metrics", "--backend", "ideal-bernstein", "--degree", "1030"],
     ["fit-activation", "--degree", "1000000000"],  # rejected before any grid is built
+    # a stochastic node runs 7 + n LFSR roles, each on its own tap mask: q <= 6
+    # has at most 6 masks, and q >= 7 has 16
+    *[["simulate", "--backend", "stochastic", "--L", "16", "--q", str(q)] for q in range(2, 7)],
+    ["metrics", "--backend", "stochastic", "--L", "16", "--degree", "10"],
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     if "--config" in argv:  # the value after --config is the file's text
@@ -125,7 +129,7 @@ RUNS = {
                        "--delta-s", "1.25", "--grid", "120"],
     "metrics": ["metrics", "--backend", "stochastic", "--L", "8", "--L", "12", "--reseed", "none",
                 "--H", "4", "--m", "6", "--runs", "2", "--alpha-grid", "0.1:0.2:0.3",
-                "--gamma-grid", "1.0,2.5", "--noise", "0.1", "--rank-tol", "1e-5", "--q", "6"],
+                "--gamma-grid", "1.0,2.5", "--noise", "0.1", "--rank-tol", "1e-5", "--q", "7"],
     "bench": ["bench", "narma10", "--H-grid", "4,5", "--tau", "7", "--train", "40", "--test", "40",
               "--washout", "5", "--lambda", "0.001", "--runs", "2", "--seed", "3",
               "--dump-sequences"],

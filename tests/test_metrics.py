@@ -1,11 +1,13 @@
 """Batched probe runs: a ``(B, m)`` block against rows run one at a time,
 the KQ/GR ranks built on them, and sweep output across worker counts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from stochtdr import cli, metrics
-from stochtdr.reservoir import BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig
+from stochtdr.reservoir import BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, derive_seed
 from stochtdr.streams import offset_to_real, quantize, real_to_offset, word_dtype
 
 H, M, L = 5, 7, 24
@@ -89,13 +91,49 @@ def test_step_is_pure(backend, policy):
 
 @pytest.mark.parametrize("policy", RESEED_POLICIES)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_ranks_match_rows_in_turn(monkeypatch, backend, policy):
+def test_ranks_match_rows_in_turn(backend, policy):
     cfg = config(backend, policy, seed=5)
-    kq = metrics.kernel_quality(cfg, M, seed=2)
-    gr = metrics.generalization_rank(cfg, M, seed=2)
-    monkeypatch.setattr(metrics, "Reservoir", RowsInTurn)
-    assert (kq, gr) == (metrics.kernel_quality(cfg, M, seed=2),
-                        metrics.generalization_rank(cfg, M, seed=2))
+    res, oracle = Reservoir(cfg), RowsInTurn(cfg)
+    assert (metrics.kernel_quality(res, M, seed=2), metrics.generalization_rank(res, M, seed=2)) \
+        == (metrics.kernel_quality(oracle, M, seed=2), metrics.generalization_rank(oracle, M, seed=2))
+
+
+@pytest.mark.parametrize("policy", RESEED_POLICIES)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_metric_study_probes_one_reservoir_per_run_both_ways(monkeypatch, backend, policy):
+    cfg = config(backend, policy, seed=6)
+    built = []
+    init = Reservoir.__init__
+
+    def counted(self, run_cfg):
+        built.append(run_cfg)
+        init(self, run_cfg)
+
+    monkeypatch.setattr(Reservoir, "__init__", counted)
+    kq, gr = metrics.metric_study(cfg, M, runs=3, seed=2)
+    monkeypatch.undo()
+    assert [c.master_seed for c in built] == [derive_seed(6, metrics._TAG_RUN, r)
+                                              for r in range(3)]
+    assert kq.dtype == gr.dtype == np.int64 and kq.shape == gr.shape == (3,)
+    for r, run_cfg in enumerate(built):
+        res = Reservoir(run_cfg)
+        probe_seed = derive_seed(2, metrics._TAG_RUN, r)
+        assert (kq[r], gr[r]) == (metrics.kernel_quality(res, M, probe_seed),
+                                  metrics.generalization_rank(res, M, probe_seed))
+
+
+@pytest.mark.parametrize("policy,digest", [
+    ("none", "695cb506c8238d33ea0acb76ede8e5adb19ac4cb29627deb00961ff86469ef01"),
+    ("per-node", "07ad4847b6787099b55a62e4679c133181ce1bba285621ea6de43b70e2f53c44"),
+])
+def test_stochastic_metrics_csv_is_pinned(tmp_path, policy, digest):
+    # the digests of the sweep as it ran when each probe built its own
+    # reservoir: probing one draw both ways changes no rank
+    assert cli.main(["metrics", "--backend", "stochastic", "--H", "6", "--m", "6", "--L", "24",
+                     "--rank-tol", "0.05", "--runs", "2", "--alpha-grid", "0.2,0.5",
+                     "--gamma", "1.3", "--seed", "3", "--reseed", policy,
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -135,4 +173,5 @@ def test_rank_tolerance_must_lie_in_the_unit_interval(rel_tol):
 @pytest.mark.parametrize("m,noise", [(0, 0.05), (5, np.nan), (5, -0.1), (5, np.inf)])
 def test_probe_length_and_noise_are_checked(m, noise):
     with pytest.raises(ValueError, match="probe length|noise amplitude"):
-        metrics.generalization_rank(config("ideal-exact", "per-node"), m, noise_amplitude=noise)
+        metrics.generalization_rank(Reservoir(config("ideal-exact", "per-node")), m,
+                                    noise_amplitude=noise)

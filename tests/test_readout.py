@@ -11,13 +11,13 @@ def test_ridge_matches_lstsq_on_the_augmented_system(lam):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(60, 5))
     y = X @ rng.normal(size=5) + 0.7 + 0.1 * rng.normal(size=60)
-    model = ridge_train(X, y, lam)
+    w_out = ridge_train(X, y, lam)
     # (Xd^T Xd + lam I) w = Xd^T y are the normal equations of [Xd; sqrt(lam) I] w = [y; 0]
     Xd = np.column_stack([X, np.ones(60)])
     A = np.vstack([Xd, np.sqrt(lam) * np.eye(Xd.shape[1])])
     w, *_ = np.linalg.lstsq(A, np.concatenate([y, np.zeros(Xd.shape[1])]), rcond=None)
-    np.testing.assert_allclose(model.w_out, w, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(predict(model, X), Xd @ w, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(w_out, w, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(predict(w_out, X), Xd @ w, rtol=1e-9, atol=1e-12)
 
 
 def test_rank_deficient_data_needs_regularization():
@@ -26,7 +26,7 @@ def test_rank_deficient_data_needs_regularization():
     y = X[:, 0]
     with pytest.raises(RankDeficiencyError, match="rank 4 < 5"):
         ridge_train(X, y, 0.0)
-    assert np.isfinite(ridge_train(X, y, 1e-3).w_out).all()
+    assert np.isfinite(ridge_train(X, y, 1e-3)).all()
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
@@ -34,3 +34,13 @@ def test_lambda_must_be_finite_and_non_negative(lam):
     X = np.eye(4)
     with pytest.raises(ValueError, match="lambda"):
         ridge_train(X, np.ones(4), lam)
+
+
+def test_predict_rejects_weights_of_the_wrong_width():
+    X = np.random.default_rng(5).normal(size=(10, 3))
+    w = ridge_train(X, X[:, 0], 1e-3)
+    assert w.shape == (4,)  # one weight per column, then the bias weight
+    with pytest.raises(ValueError, match="X has 2 columns, model expects 3"):
+        predict(w, X[:, :2])
+    with pytest.raises(ValueError, match="X has 3 columns, model expects 4"):
+        predict(np.append(w, 0.0), X)

@@ -11,6 +11,7 @@ ones count, against which ``tests/test_bernstein.py`` and
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,7 +158,8 @@ def test_run_checks_every_input_against_the_width_q_grid(q, monkeypatch):
         return np.zeros_like(fb)
 
     monkeypatch.setattr(Reservoir, "step", recorded)
-    for backend in ("ideal-exact", "stochastic"):
+    # q = 2 has one tap mask, too few for a stochastic node's LFSR roles
+    for backend in ("ideal-exact",) if q == 2 else ("ideal-exact", "stochastic"):
         # free-running LFSRs: each step reads its words by cycle position, so
         # the build draws none for a node that is not run
         res = Reservoir(TdrConfig(H=2, alpha=0.5, gamma=2.0, L=5, n=2, q=q,
@@ -206,6 +208,23 @@ def test_stochastic_rejects_streams_shorter_than_degree():
     assert sorted(spread_delays(5, 5)) == [0, 1, 2, 3, 4]
     # the ideal backends have no streams to check
     TdrConfig(H=3, alpha=0.5, gamma=2.0, n=5, backend="ideal-bernstein").validate()
+
+
+@pytest.mark.parametrize("q,n", [*((q, 1) for q in range(2, 7)), (8, 10)])
+def test_stochastic_rejects_fewer_tap_masks_than_lfsr_roles(q, n):
+    cfg = TdrConfig(H=3, alpha=0.5, gamma=2.0, L=16, n=n, q=q, backend="stochastic")
+    with pytest.raises(ValueError, match=rf"runs {7 + n} LFSR roles.* q={q} has \d+ maximal"):
+        cfg.validate()
+    # the ideal backends run no LFSRs
+    replace(cfg, L=None, backend="ideal-bernstein").validate()
+
+
+@pytest.mark.parametrize("q", range(7, 17))
+def test_every_lfsr_role_runs_its_own_tap_mask(q):
+    # n = 9 is the largest degree at the 16 masks of q >= 7: 7 + n roles
+    res = Reservoir(TdrConfig(H=2, alpha=0.5, gamma=2.0, L=16, n=9, q=q,
+                              reseed_policy="none", backend="stochastic"))
+    assert len(set(res._taps)) == len(res._taps) == ROLE_COEFF_BASE + 10
 
 
 @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])

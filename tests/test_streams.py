@@ -67,6 +67,8 @@ def test_all_table_masks_are_maximal(q):
     # bit-level reference, and every transition, the wrap included, against
     # the same law applied to all words at once
     full = (1 << q) - 1
+    assert list(_TAP_MASKS[q]) == sorted(set(_TAP_MASKS[q]))  # distinct, ascending
+    assert len(_TAP_MASKS[q]) == (16 if q >= 7 else [1, 2, 2, 6, 6][q - 2])
     for mask in _TAP_MASKS[q]:
         cycle, pos = lfsr_cycle(q, mask)
         states = reference_lfsr(q, mask, 1, min(full, 4096))
@@ -101,6 +103,13 @@ def test_lfsr_determinism_and_words():
     for idx in np.ndindex(states.shape):
         assert list(rows[idx]) == reference_lfsr(8, taps, int(states[idx]), 300)
     assert lfsr_words(12, maximal_taps(12), 5, 3).dtype == np.uint16
+
+
+def test_maximal_taps_raise_past_the_table():
+    assert maximal_taps(6, 5) == _TAP_MASKS[6][-1]
+    for index in (6, 7, -1):
+        with pytest.raises(ValueError, match="q=6 has 6 maximal tap masks"):
+            maximal_taps(6, index)
 
 
 def test_unsupported_width_rejected():
