@@ -45,8 +45,7 @@ from .reservoir import (BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, check_r
                         derive_seed)
 from .streams import DEFAULT_Q, quantize
 from .tasks import (DEFAULT_LAMBDA, DEFAULT_WASHOUT, check_narma_length, check_split,
-                    evaluate_classification, evaluate_regression, narma10_generate,
-                    sine_square_generate)
+                    evaluate_classification, evaluate_regression)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -364,7 +363,7 @@ def _metrics_point(cfg: ExperimentConfig, indexed_point: tuple[int, dict]) -> li
 
 
 def _bench_point(cfg: ExperimentConfig, indexed_point: tuple[int, dict]) -> list[list]:
-    _, point = indexed_point
+    idx, point = indexed_point
     evaluate = evaluate_regression if cfg.task == "narma10" else evaluate_classification
     values = []
     for r in range(cfg.runs):
@@ -372,6 +371,10 @@ def _bench_point(cfg: ExperimentConfig, indexed_point: tuple[int, dict]) -> list
         res = evaluate(tdr, cfg.train, cfg.test, lam=cfg.lam,
                        washout=cfg.washout, seed=derive_seed(cfg.seed, _TAG_TASK, r))
         values.append(res.value)
+        if cfg.dump_sequences and idx == r == 0:  # the task draw run 0 was scored on
+            seq = np.column_stack([res.sequence.u, res.sequence.y])
+            _write_csv(Path(cfg.out) / "sequence.csv", "step,u,y",
+                       ([p, *row] for p, row in enumerate(seq.tolist())))
     prefix = [cfg.task, cfg.backend, tdr.H, cfg.alpha, cfg.gamma, tdr.L, cfg.degree]
     rows = [[*prefix, r, res.metric, values[r]] for r in range(cfg.runs)]
     mean, std = _summary(values)
@@ -464,16 +467,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         _write_csv(out / name, header, _run_points(cfg, worker, points))
         extra["outputs"] = [name]
         extra["grid_points"] = len(points)
-        if cfg.command == "bench" and cfg.dump_sequences:
-            seed0 = derive_seed(cfg.seed, _TAG_TASK, 0)
-            if cfg.task == "narma10":
-                data = narma10_generate(cfg.train + cfg.test, seed0)
-                seq = np.column_stack([data.u, data.y])
-            else:
-                data = sine_square_generate(cfg.train + cfg.test, seed0)
-                seq = np.column_stack([data.signal, data.labels])
-            _write_csv(out / "sequence.csv", "step,u,y",
-                       ([p, *row] for p, row in enumerate(seq.tolist())))
+        if cfg.command == "bench" and cfg.dump_sequences:  # written by point 0
             extra["outputs"].append("sequence.csv")
 
     elif cfg.command == "simulate":

@@ -14,13 +14,14 @@ an offset word on ``stochastic``, like the feedback, and as the value otherwise.
 
 The per-node update is
 
-    s = 0.5 * (alpha * (w_i * u) + (1 - alpha) * x_fb) + 0.5 * theta_i
+    s = 0.5 * (alpha * (w_i * u) + (1 - alpha) * x_fb) + 0.5 * theta
     x = activation(s)
 
-which the ``stochastic`` backend realizes gate for gate: comparator-based
-B2S of the operands, XNOR for the input weighting, one MUX (select
-probability alpha) mixing input against feedback, a second MUX (select 0.5)
-averaging in the bias, an adder+MUX Bernstein node for the activation, and
+with theta = 0.  The ``stochastic`` backend realizes it gate for gate:
+comparator-based B2S of the operands, XNOR for the input weighting, one MUX
+(select probability alpha) mixing input against feedback, the paper's second
+MUX (select 0.5) averaging in the bias operand, which is the zero word, an
+adder+MUX Bernstein node for the activation, and
 an up/down-counter S2B whose q-bit word enters the delay line.  Each gate
 is one array kernel of ``streams`` or ``bernstein``, called once per step
 on the streams of all H nodes: :func:`streams.b2s`,
@@ -83,7 +84,6 @@ ROLE_COEFF_BASE = 6  # coefficient k uses role ROLE_COEFF_BASE + k
 
 _MASK64 = (1 << 64) - 1
 _TAG_WEIGHTS = 0xA5B35E12D3C4F607
-_TAG_BIASES = 0x9D2C5680CA3E1B45
 _TAG_FREERUN = 0x6C62272E07BB0142
 
 
@@ -120,9 +120,8 @@ class TdrConfig:
     """All reservoir hyperparameters.
 
     ``L`` is the stochastic stream length; ``None`` marks the ideal
-    (infinite-stream) backends.  The input weights are always a master-seed
-    draw (uniform, width-q representable); the biases are zero unless
-    ``biases="random"`` draws them the same way.
+    (infinite-stream) backends.  The input weights are a master-seed draw
+    (uniform, width-q representable); the bias is zero on every node.
     """
 
     H: int
@@ -133,7 +132,6 @@ class TdrConfig:
     n: int = bp.DEFAULT_DEGREE
     q: int = DEFAULT_Q
     master_seed: int = 0
-    biases: str | None = None
     reseed_policy: str = "per-node"
     backend: str = "ideal-exact"
 
@@ -148,8 +146,6 @@ class TdrConfig:
             raise ValueError(f"delay tau={self.tau} must be >= H={self.H}")
         if self.q not in supported_widths():
             raise ValueError(f"unsupported word width q={self.q}")
-        if self.biases not in (None, "random"):
-            raise ValueError(f"biases must be None or 'random', got {self.biases!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
         if self.reseed_policy not in RESEED_POLICIES:
@@ -171,12 +167,6 @@ class TdrConfig:
     @property
     def effective_tau(self) -> int:
         return self.tau if self.tau is not None else self.H + 1
-
-
-def _seeded_uniform(cfg: TdrConfig, tag: int) -> np.ndarray:
-    """H values drawn uniformly from [-1, 1] by the master seed, on the width-q grid."""
-    rng = np.random.default_rng(derive_seed(cfg.master_seed, tag))
-    return quantize(rng.uniform(-1.0, 1.0, cfg.H), cfg.q)
 
 
 def check_run_length(m: int) -> None:
@@ -219,9 +209,9 @@ class Reservoir:
         self.cfg = cfg
         self.H = cfg.H
         self.tau = cfg.effective_tau
-        self.weights = _seeded_uniform(cfg, _TAG_WEIGHTS)
-        self.biases = (_seeded_uniform(cfg, _TAG_BIASES) if cfg.biases == "random"
-                       else np.zeros(cfg.H))
+        # H weights drawn uniformly from [-1, 1] by the master seed, on the width-q grid
+        rng = np.random.default_rng(derive_seed(cfg.master_seed, _TAG_WEIGHTS))
+        self.weights = quantize(rng.uniform(-1.0, 1.0, cfg.H), cfg.q)
         self.beta_words = (None if cfg.backend == "ideal-exact"
                            else _fitted_betas(cfg.gamma, cfg.n, cfg.q))
         if cfg.backend == "ideal-exact" and cfg.gamma:
@@ -238,7 +228,7 @@ class Reservoir:
         L, q, H, n = cfg.L, cfg.q, cfg.H, cfg.n
         # thresholds share the words' narrow type, so no comparator widens
         self._w_offsets = real_to_offset(self.weights, q).astype(word_dtype(q))[:, None]
-        self._t_offsets = real_to_offset(self.biases, q).astype(word_dtype(q))[:, None]
+        self._t_offset = word_dtype(q)(real_to_offset(0.0, q))  # the zero-word bias
         self._alpha_thr = quantize_probability(cfg.alpha, q)
         self._bias_thr = quantize_probability(0.5, q)
         self._copy_delays = bp.spread_delays(n, L)
@@ -260,7 +250,7 @@ class Reservoir:
         """Packed W, T, SM, SB and coefficient streams from each role's words."""
         coeff_words = words[ROLE_COEFF_BASE:]
         return (pack(b2s(self._w_offsets, words[ROLE_WEIGHT])),
-                pack(b2s(self._t_offsets, words[ROLE_BIAS])),
+                pack(b2s(self._t_offset, words[ROLE_BIAS])),
                 pack(b2s(self._alpha_thr, words[ROLE_SELECT_MIX])),
                 pack(b2s(self._bias_thr, words[ROLE_SELECT_BIAS])),
                 np.stack([pack(b2s(thr, w)) for thr, w in zip(self.beta_words, coeff_words)]))
@@ -287,9 +277,10 @@ class Reservoir:
         the step's words on each free-running LFSR's cycle.  ``u`` comes as
         :meth:`run` prepared it, and the step checks no values.  On
         ``stochastic``, ``u``, the feedback and the outputs are offset words
-        in ``word_dtype(q)``.  The ideal backends take the signed value and
-        may step B sequences at once: ``u`` then holds one sample per row of
-        a ``(B, H)`` feedback block.
+        in ``word_dtype(q)``.  The ideal backends take the signed value, a
+        plain float as well as a numpy scalar, and may step B sequences at
+        once: ``u`` then holds one sample per row of a ``(B, H)`` feedback
+        block.
         """
         if self.cfg.backend == "stochastic":
             if np.ndim(u) or np.ndim(fb) != 1:
@@ -297,11 +288,10 @@ class Reservoir:
             return self._step_stochastic(u, fb, t)
         return self._step_ideal(u, fb)
 
-    def _step_ideal(self, u: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    def _step_ideal(self, u, fb: np.ndarray) -> np.ndarray:
         """Node outputs from the held input(s) and the feedback values."""
         cfg = self.cfg
-        s = 0.5 * (cfg.alpha * (self.weights * u[..., None]) + (1.0 - cfg.alpha) * fb) \
-            + 0.5 * self.biases
+        s = 0.5 * (cfg.alpha * np.multiply.outer(u, self.weights) + (1.0 - cfg.alpha) * fb)
         if cfg.backend == "ideal-exact":
             # the unit-square sine mapped back, so +-1 are its extrema on the
             # used interval; gamma = 0 is the linear limit (identity)
@@ -321,7 +311,7 @@ class Reservoir:
         F = pack(b2s(fb[:, None], words[ROLE_FEEDBACK]))
 
         # XNOR multiplies input by weight, the alpha-MUX mixes in the feedback,
-        # the 0.5-MUX averages in the bias
+        # the 0.5-MUX averages in the zero-word bias
         mixed = stoch_mux_average(stoch_mux_average(stoch_mult(U, W), F, SM), T, SB)
         copies = bp.make_independent_copies(mixed, self._copy_delays, cfg.L)
         return s2b(bp.bernstein_mux_packed(copies, beta), cfg.L, cfg.q)

@@ -53,8 +53,9 @@ def narma10_recurrence(u: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class NarmaSequence:
-    """Inputs in [0, 0.5], bounded targets, and the rejected-draw count."""
+class TaskSequence:
+    """One task draw: the input ``u``, the target ``y`` and, for NARMA10,
+    the number of divergent draws rejected before it."""
 
     u: np.ndarray
     y: np.ndarray
@@ -67,7 +68,7 @@ def check_narma_length(m: int) -> None:
         raise ValueError(f"sequence length must be >= {2 * NARMA_ORDER}")
 
 
-def narma10_generate(m: int, seed: int = 0) -> NarmaSequence:
+def narma10_generate(m: int, seed: int = 0) -> TaskSequence:
     """Draw u ~ U[0, 0.5]^m and its NARMA targets, regenerating divergent draws.
 
     Divergent draws are rejected and retried with the next sub-seed; the
@@ -81,20 +82,14 @@ def narma10_generate(m: int, seed: int = 0) -> NarmaSequence:
             y = narma10_recurrence(u)
         except NarmaDivergence:
             continue
-        return NarmaSequence(u=u, y=y, regenerations=attempt)
+        return TaskSequence(u, y, regenerations=attempt)
     raise RuntimeError(f"no stable NARMA draw in {NARMA_MAX_ATTEMPTS} attempts")
 
 
-@dataclass
-class SineSquareSequence:
-    """Waveform samples in [-1, 1] with per-sample labels (0=sine, 1=square)."""
-
-    signal: np.ndarray
-    labels: np.ndarray
-
-
-def sine_square_generate(m: int, seed: int = 0) -> SineSquareSequence:
-    """One-period segments, each a fair coin flip between sine and square.
+def sine_square_generate(m: int, seed: int = 0) -> TaskSequence:
+    """One-period segments, each a fair coin flip between sine and square:
+    waveform samples ``u`` in [-1, 1] and per-sample labels ``y`` (0=sine,
+    1=square).
 
     The square is +1 on the first half-period and -1 on the second, so it
     has no 0 samples where sign(sin) would.
@@ -106,18 +101,19 @@ def sine_square_generate(m: int, seed: int = 0) -> SineSquareSequence:
     segments = (np.sin(2.0 * np.pi * t / SINE_SQUARE_PERIOD),
                 np.where(t < SINE_SQUARE_PERIOD / 2, 1.0, -1.0))
     is_square = [int(rng.integers(0, 2)) for _ in range(-(-m // SINE_SQUARE_PERIOD))]
-    signal = np.concatenate([segments[k] for k in is_square])[:m]
-    labels = np.repeat(is_square, SINE_SQUARE_PERIOD)[:m]
-    return SineSquareSequence(signal=signal, labels=labels)
+    return TaskSequence(np.concatenate([segments[k] for k in is_square])[:m],
+                        np.repeat(is_square, SINE_SQUARE_PERIOD)[:m])
 
 
 @dataclass
 class EvalResult:
-    """One evaluation's score: the metric's name and value, and in
-    ``metadata`` the NARMA ``regenerations`` (empty for sine/square)."""
+    """One evaluation's score: the metric's name and value, the sequence it
+    was scored on, and in ``metadata`` the NARMA ``regenerations`` (empty for
+    sine/square)."""
 
     metric: str
     value: float
+    sequence: TaskSequence
     metadata: dict
 
 
@@ -152,7 +148,7 @@ def evaluate_regression(cfg: TdrConfig, m_train: int = 1000, m_test: int = 1000,
     data = narma10_generate(m_train + m_test, seed)
     drive = quantize(4.0 * data.u - 1.0, cfg.q)
     w, X_test, y_test, y_mean = _split_and_fit(cfg, drive, data.y, m_train, lam, washout)
-    return EvalResult("nmse", nmse(y_test, predict(w, X_test), y_mean),
+    return EvalResult("nmse", nmse(y_test, predict(w, X_test), y_mean), data,
                       {"regenerations": data.regenerations})
 
 
@@ -162,7 +158,7 @@ def evaluate_classification(cfg: TdrConfig, m_train: int = 1000, m_test: int = 1
                             seed: int = 0) -> EvalResult:
     """Sine/square discrimination accuracy with a 0/1 target and 0.5 decision."""
     data = sine_square_generate(m_train + m_test, seed)
-    drive = quantize(data.signal, cfg.q)
+    drive = quantize(data.u, cfg.q)
     w, X_test, y_test, _ = _split_and_fit(
-        cfg, drive, data.labels.astype(np.float64), m_train, lam, washout)
-    return EvalResult("accuracy", classification_accuracy(y_test, predict(w, X_test)), {})
+        cfg, drive, data.y.astype(np.float64), m_train, lam, washout)
+    return EvalResult("accuracy", classification_accuracy(y_test, predict(w, X_test)), data, {})

@@ -75,11 +75,11 @@ def test_degree_above_the_float_range_is_rejected():
 
 
 def test_ideal_bernstein_step_is_the_basis_sum():
-    cfg = TdrConfig(H=6, alpha=0.3, gamma=2.0, n=7, biases="random", backend="ideal-bernstein")
+    cfg = TdrConfig(H=6, alpha=0.3, gamma=2.0, n=7, backend="ideal-bernstein")
     res = Reservoir(cfg)
     rng = np.random.default_rng(5)
     u, fb = rng.uniform(-1.0, 1.0, 4), rng.uniform(-1.0, 1.0, (4, 6))
-    s = 0.5 * (cfg.alpha * res.weights * u[:, None] + (1.0 - cfg.alpha) * fb) + 0.5 * res.biases
+    s = 0.5 * (cfg.alpha * res.weights * u[:, None] + (1.0 - cfg.alpha) * fb)
     beta = np.asarray(res.beta_words) / ((1 << cfg.q) - 1)
     want = 2.0 * sum(b * bernstein_basis(k, cfg.n, (s + 1.0) / 2.0)
                      for k, b in enumerate(beta)) - 1.0

@@ -2,13 +2,14 @@
 the option table behind flags, config-file keys and config.txt, and the
 CSV formats it writes."""
 
-from dataclasses import replace
+import hashlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from stochtdr import cli
-from stochtdr.reservoir import Reservoir, derive_seed
+from stochtdr import cli, tasks
+from stochtdr.reservoir import Reservoir, TdrConfig, derive_seed
 from stochtdr.streams import quantize
 from stochtdr.tasks import narma10_generate, sine_square_generate
 
@@ -199,6 +200,13 @@ def test_an_L_sweep_is_the_same_from_repeated_flags_a_list_and_a_file(tmp_path):
         {"alpha": 0.2, "gamma": g, "L": None} for g in (1.0, 2.5)]
 
 
+def test_tdr_config_sets_every_reservoir_field(monkeypatch):
+    # a TdrConfig field that no option sets would be a knob only tests reach
+    cfg = cli.parse_config(["simulate"])
+    monkeypatch.setattr(cli, "TdrConfig", lambda **kw: kw)
+    assert set(cli._tdr_config(cfg, cli._sweep(cfg)[0])) == {f.name for f in fields(TdrConfig)}
+
+
 def test_results_csv_does_not_depend_on_worker_count(tmp_path):
     argv = ["bench", "sinesquare", "--H-grid", "4,5", "--train", "40", "--test", "30",
             "--washout", "5", "--runs", "2", "--seed", "4"]
@@ -306,10 +314,43 @@ def test_dumped_sequence_csv_parses_back_to_the_generator(tmp_path, task):
                      "--out", str(out)]) == cli.EXIT_OK
     seq = _read_csv(out / "sequence.csv", "step,u,y")
     seed0 = derive_seed(5, cli._TAG_TASK, 0)
-    if task == "narma10":
-        data = narma10_generate(55, seed0)
-        expected = (data.u, data.y)
-    else:
-        data = sine_square_generate(55, seed0)
-        expected = (data.signal, data.labels)
-    np.testing.assert_array_equal(seq, np.column_stack(expected))
+    data = (narma10_generate if task == "narma10" else sine_square_generate)(55, seed0)
+    np.testing.assert_array_equal(seq, np.column_stack([data.u, data.y]))
+
+
+@pytest.mark.parametrize("task,generator", [("narma10", "narma10_generate"),
+                                            ("sinesquare", "sine_square_generate")])
+def test_dumped_sequence_is_the_draw_of_run_0(tmp_path, monkeypatch, task, generator):
+    # the dump writes the sequence run 0 of point 0 drew: one draw per run, none more
+    calls = []
+    for name in ("narma10_generate", "sine_square_generate"):
+        real = getattr(tasks, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+        for module in (tasks, cli):  # wherever a caller reads the name from
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    assert cli.main(["bench", task, "--runs", "2", "--H-grid", "4,5", "--dump-sequences",
+                     "--workers", "1", "--train", "30", "--test", "25", "--washout", "3",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert calls == [generator] * 4  # runs x points
+    assert (tmp_path / "sequence.csv").is_file()
+
+
+# states of small runs of the bias-free node, one per backend and reseed policy
+@pytest.mark.parametrize("argv,digest", [
+    (["--backend", "ideal-exact"],
+     "d6887ffd788176779fdee951349a802fe33bbdc4b7ec2fa09af436075e5564ec"),
+    (["--backend", "ideal-bernstein"],
+     "63a3bffdc819d769ef07308041a802320833a9a493341fb2fbd02b633ba01679"),
+    (["--backend", "stochastic", "--reseed", "per-node"],
+     "c47aa7f013372705b52b540d918a7ed998fca946efaa0bb95c2f0b278fc48491"),
+    (["--backend", "stochastic", "--reseed", "none"],
+     "f9dd030cc9cab0805717da1e069295c584144f1bb67970513bfcba8a29ea4b0a"),
+], ids=["ideal-exact", "ideal-bernstein", "stochastic-per-node", "stochastic-none"])
+def test_simulate_states_csv_is_pinned(tmp_path, argv, digest):
+    assert cli.main(["simulate", *argv, "--H", "4", "--m", "12", "--L", "37",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert hashlib.sha256((tmp_path / "states.csv").read_bytes()).hexdigest() == digest

@@ -46,7 +46,7 @@ class RowsInTurn(Reservoir):
 def config(backend, policy, seed=3, tau=None):
     return TdrConfig(H=H, alpha=0.4, gamma=2.0, tau=tau,
                      L=L if backend == "stochastic" else None, n=3, master_seed=seed,
-                     biases="random", reseed_policy=policy, backend=backend)
+                     reseed_policy=policy, backend=backend)
 
 
 # every backend and policy at tau = H (each node reads itself), the default

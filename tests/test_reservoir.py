@@ -73,7 +73,7 @@ def oracle_run(res: Reservoir, inputs) -> np.ndarray:
             slot = (p * H + i) % res.tau
             U = b2s(real_to_offset(u, q), words(ROLE_INPUT, i, p))
             W = b2s(real_to_offset(res.weights[i], q), words(ROLE_WEIGHT, i, p))
-            T = b2s(real_to_offset(res.biases[i], q), words(ROLE_BIAS, i, p))
+            T = b2s(real_to_offset(0.0, q), words(ROLE_BIAS, i, p))  # the zero-word bias
             F = b2s(line[slot], words(ROLE_FEEDBACK, i, p))
             SM = b2s(quantize_probability(cfg.alpha, q), words(ROLE_SELECT_MIX, i, p))
             SB = b2s(quantize_probability(0.5, q), words(ROLE_SELECT_BIAS, i, p))
@@ -98,12 +98,21 @@ def oracle_run(res: Reservoir, inputs) -> np.ndarray:
 def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q):
     steps = 6
     cfg = TdrConfig(H=H, alpha=0.3, gamma=2.0, L=L, n=n, q=q, master_seed=11 * n + q,
-                    biases="random", reseed_policy=policy, backend="stochastic")
+                    reseed_policy=policy, backend="stochastic")
     res = Reservoir(cfg)
     inputs = quantize(np.random.default_rng(n).uniform(-1.0, 1.0, steps), q)
     X = res.run(inputs)
     assert X.shape == (steps, H)
     np.testing.assert_array_equal(X, oracle_run(res, inputs))
+
+
+@pytest.mark.parametrize("backend", ["ideal-exact", "ideal-bernstein"])
+def test_ideal_step_takes_a_plain_float(backend):
+    res = Reservoir(TdrConfig(H=3, alpha=0.2, gamma=2.0, backend=backend))
+    fb = quantize(np.random.default_rng(0).uniform(-1.0, 1.0, 3), res.cfg.q)
+    out = res.step(0.5, fb, 0)
+    assert out.shape == (3,)
+    np.testing.assert_array_equal(out, res.step(np.float64(0.5), fb, 0))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -235,11 +244,11 @@ def test_config_rejects_non_finite_gamma(gamma):
 
 def state_rms(cfg_a: dict, cfg_b: dict, q: int) -> np.ndarray:
     """Per seed 0-5, the RMS difference between the state matrices of two
-    reservoirs with the same weights and biases, driven by the same input."""
+    reservoirs with the same weights, driven by the same input."""
     rms = []
     for seed in range(6):
         u = quantize(np.random.default_rng(seed).uniform(-1.0, 1.0, 20), q)
-        base = dict(H=8, alpha=0.3, gamma=2.0, q=q, master_seed=seed, biases="random")
+        base = dict(H=8, alpha=0.3, gamma=2.0, q=q, master_seed=seed)
         X_a = Reservoir(TdrConfig(**base, **cfg_a)).run(u)
         X_b = Reservoir(TdrConfig(**base, **cfg_b)).run(u)
         rms.append(np.sqrt(np.mean((X_a - X_b) ** 2)))
