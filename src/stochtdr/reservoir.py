@@ -37,6 +37,18 @@ The two ideal backends evaluate the same composition in exact arithmetic,
 so the stochastic state matrix converges to the ``ideal-bernstein`` one as
 the stream length L grows.  Select thresholds are quantized at width q in the
 stochastic backend; the ideal backends use the exact alpha and 0.5.
+
+Both policies precompute the streams whose comparator threshold every node
+shares: the bias T, the two select lines SM and SB, and the n + 1
+coefficient streams.  Under ``per-node`` they are fixed, with the weight
+streams, at build time.  Under ``none``, node g of the run reads each role's
+words from cycle position pos + g*L (mod P = 2^q - 1), and g*L mod P depends
+only on the phase g mod P', with P' = P / gcd(L, P).  So the build packs the
+shared streams of phases 0 .. P' + H - 2 into one table, and step t reads
+its H rows from t*H mod P' on as a view.  A table past a fixed byte cap is
+not built, and each step then derives its own.  The input, weight and
+feedback streams get a comparator every step: the weight thresholds differ
+per node, and the other two depend on u and the feedback.
 """
 
 from __future__ import annotations
@@ -81,6 +93,12 @@ ROLE_FEEDBACK = 3
 ROLE_SELECT_MIX = 4
 ROLE_SELECT_BIAS = 5
 ROLE_COEFF_BASE = 6  # coefficient k uses role ROLE_COEFF_BASE + k
+
+# the roles whose comparator threshold differs per node or per step
+_NODE_ROLES = (ROLE_INPUT, ROLE_WEIGHT, ROLE_FEEDBACK)
+# the largest per-phase table of shared streams a free-running reservoir
+# builds; past it every step derives its own
+_PHASE_TABLE_MAX_BYTES = 4 << 20
 
 _MASK64 = (1 << 64) - 1
 _TAG_WEIGHTS = 0xA5B35E12D3C4F607
@@ -196,12 +214,13 @@ def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
 
 
 class Reservoir:
-    """A configured reservoir instance with precomputed per-node machinery.
+    """A configured reservoir instance with precomputed stream machinery:
+    per-node fixed streams, or the free-running per-phase table.
 
     Instances hold no mutable run state: :meth:`run` owns the delay line,
-    and :meth:`step` reads the free-running LFSRs at the macro step's
-    position on their cycles, so distinct instances (and sweep workers)
-    share nothing.
+    and :meth:`step` reads the free-running LFSRs and the table at the macro
+    step's position on their cycles, so distinct instances (and sweep
+    workers) share nothing.
     """
 
     def __init__(self, cfg: TdrConfig):
@@ -233,37 +252,50 @@ class Reservoir:
         self._bias_thr = quantize_probability(0.5, q)
         self._copy_delays = bp.spread_delays(n, L)
         self._taps = [maximal_taps(q, role) for role in range(ROLE_COEFF_BASE + n + 1)]
+        # T, SM, SB, then the coefficients: every node compares these roles'
+        # words against one threshold
+        self._shared_roles = (ROLE_BIAS, ROLE_SELECT_MIX, ROLE_SELECT_BIAS,
+                              *range(ROLE_COEFF_BASE, len(self._taps)))
 
         if cfg.reseed_policy == "per-node":
             words = [lfsr_words(q, taps, [reseed_for_node(cfg.master_seed, i, role, q)
                                           for i in range(H)], L)
                      for role, taps in enumerate(self._taps)]
             # constant operands freeze into fixed streams under re-seeding
-            self._fixed_streams = self._operand_streams(words)
+            self._w_stream = pack(b2s(self._w_offsets, words[ROLE_WEIGHT]))
+            self._shared = self._shared_streams(words)
             self._node_words = {ROLE_INPUT: words[ROLE_INPUT],
                                 ROLE_FEEDBACK: words[ROLE_FEEDBACK]}
         else:
-            self._freerun_seeds = [reseed_for_node(cfg.master_seed, _TAG_FREERUN, role, q)
-                                   for role in range(len(self._taps))]
+            period = (1 << q) - 1
+            self._freerun_pos = [
+                lfsr_cycle(q, taps)[1][reseed_for_node(cfg.master_seed, _TAG_FREERUN, role, q)]
+                for role, taps in enumerate(self._taps)]
+            # row j of the table holds the shared streams of phase j mod P'
+            self._phases = period // math.gcd(L, period)
+            rows = self._phases + H - 1
+            self._phase_table = None
+            if len(self._shared_roles) * rows * ((L + 7) // 8) <= _PHASE_TABLE_MAX_BYTES:
+                # rows*L words from each role's position: its cycle from there, repeated
+                self._phase_table = self._shared_streams(
+                    {role: np.resize(np.roll(lfsr_cycle(q, self._taps[role])[0],
+                                             -self._freerun_pos[role]), (rows, L))
+                     for role in self._shared_roles})
 
-    def _operand_streams(self, words: list[np.ndarray]) -> tuple:
-        """Packed W, T, SM, SB and coefficient streams from each role's words."""
-        coeff_words = words[ROLE_COEFF_BASE:]
-        return (pack(b2s(self._w_offsets, words[ROLE_WEIGHT])),
-                pack(b2s(self._t_offset, words[ROLE_BIAS])),
-                pack(b2s(self._alpha_thr, words[ROLE_SELECT_MIX])),
-                pack(b2s(self._bias_thr, words[ROLE_SELECT_BIAS])),
-                np.stack([pack(b2s(thr, w)) for thr, w in zip(self.beta_words, coeff_words)]))
+    def _shared_streams(self, words) -> np.ndarray:
+        """Packed T, SM, SB and coefficient streams, stacked on a leading axis,
+        from each role's words: the operands whose threshold every node shares."""
+        thresholds = (self._t_offset, self._alpha_thr, self._bias_thr, *self.beta_words)
+        return np.stack([pack(b2s(thr, words[role]))
+                         for thr, role in zip(thresholds, self._shared_roles)])
 
-    def _draw_words(self, t: int) -> list[np.ndarray]:
-        """Each role's (H, L) words of macro step t, nodes in order: a view of
-        the H*L words from the cycle position of the role's seed plus t*H*L."""
+    def _draw_words(self, t: int, roles) -> dict[int, np.ndarray]:
+        """The (H, L) words of macro step t of each role in ``roles``, nodes in
+        order: a view of the H*L words from the role's cycle position plus t*H*L."""
         H, L, q = self.H, self.cfg.L, self.cfg.q
-        words = []
-        for taps, seed in zip(self._taps, self._freerun_seeds):
-            k = (lfsr_cycle(q, taps)[1][seed] + t * H * L) % ((1 << q) - 1)
-            words.append(lfsr_windows(q, taps, H * L)[k].reshape(H, L))
-        return words
+        return {role: lfsr_windows(q, self._taps[role], H * L)[
+                    (self._freerun_pos[role] + t * H * L) % ((1 << q) - 1)].reshape(H, L)
+                for role in roles}
 
     # -- stepping -------------------------------------------------------------
 
@@ -302,11 +334,17 @@ class Reservoir:
         """Node output words of macro step t from the input word and the feedback words."""
         cfg = self.cfg
         if cfg.reseed_policy == "per-node":
-            words = self._node_words
-            W, T, SM, SB, beta = self._fixed_streams
+            words, W, shared = self._node_words, self._w_stream, self._shared
         else:
-            words = self._draw_words(t)
-            W, T, SM, SB, beta = self._operand_streams(words)
+            table = self._phase_table
+            words = self._draw_words(t, range(len(self._taps)) if table is None else _NODE_ROLES)
+            W = pack(b2s(self._w_offsets, words[ROLE_WEIGHT]))
+            if table is None:
+                shared = self._shared_streams(words)
+            else:
+                o = t * self.H % self._phases
+                shared = table[:, o:o + self.H]
+        T, SM, SB, beta = shared[0], shared[1], shared[2], shared[3:]
         U = pack(b2s(u_off, words[ROLE_INPUT]))
         F = pack(b2s(fb[:, None], words[ROLE_FEEDBACK]))
 

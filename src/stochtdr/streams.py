@@ -250,11 +250,20 @@ def pack(bits):
     return np.packbits(bits, axis=-1)
 
 
+@functools.lru_cache(maxsize=64)
+def _count_offsets(L: int, q: int) -> np.ndarray:
+    """The offset word of every ones count 0..L of an L-bit stream; cached, read-only."""
+    table = ones_count_to_offset(np.arange(L + 1), L, q)
+    table.flags.writeable = False
+    return table
+
+
 def s2b(words, L: int, q: int):
     """Stochastic-to-binary conversion by up/down counter, on packed streams.
 
     Each stream of ``L`` bits, packed along the last axis of ``words``,
     ends the count at c = #ones - #zeros; the result is the offset word of
-    the representable value nearest to ztilde = c / L (ties toward zero).
+    the representable value nearest to ztilde = c / L (ties toward zero),
+    read from a table indexed by the ones count.
     """
-    return ones_count_to_offset(np.bitwise_count(words).sum(axis=-1, dtype=np.int64), L, q)
+    return _count_offsets(L, q)[np.bitwise_count(words).sum(axis=-1, dtype=np.int64)]

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stochtdr import reservoir
 from stochtdr.bernstein import spread_delays
 from stochtdr.reservoir import (
     BACKENDS,
@@ -94,6 +95,11 @@ def oracle_run(res: Reservoir, inputs) -> np.ndarray:
     pytest.param(4, 37, 6, 8, id="6-8"),
     pytest.param(4, 37, 8, 10, id="8-10"),
     pytest.param(3, 5, 5, 8, id="L=n=5"),  # the shortest streams the config accepts
+    # under none, node g reads phase g mod P' = 255 / gcd(L, 255) of each
+    # cycle, so the 24 nodes wrap P' = 1, 3 (< H) and 5
+    pytest.param(4, 255, 5, 8, id="L=255"),
+    pytest.param(4, 85, 5, 8, id="L=85"),
+    pytest.param(4, 51, 5, 8, id="L=51"),
 ])
 def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q):
     steps = 6
@@ -104,6 +110,56 @@ def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q):
     X = res.run(inputs)
     assert X.shape == (steps, H)
     np.testing.assert_array_equal(X, oracle_run(res, inputs))
+
+
+def test_freerun_past_the_table_cap_matches_gate_oracle():
+    # P' = 65535 phases of 13 shared 8-byte streams are past the cap, so every
+    # step derives its own
+    cfg = TdrConfig(H=4, alpha=0.3, gamma=2.0, L=64, n=9, q=16, master_seed=5,
+                    reseed_policy="none", backend="stochastic")
+    res = Reservoir(cfg)
+    assert res._phase_table is None
+    inputs = quantize(np.random.default_rng(5).uniform(-1.0, 1.0, 6), cfg.q)
+    np.testing.assert_array_equal(res.run(inputs), oracle_run(res, inputs))
+
+
+@pytest.mark.parametrize("q,L", [(8, 1000), (10, 1001), (12, 1000)])
+def test_freerun_table_matches_per_step_streams(q, L, monkeypatch):
+    # 1000 nodes wrap P' = 51, 93 and 819 phases
+    cfg = TdrConfig(H=50, alpha=0.3, gamma=2.0, L=L, q=q, master_seed=q,
+                    reseed_policy="none", backend="stochastic")
+    inputs = quantize(np.random.default_rng(q).uniform(-1.0, 1.0, (2, 10)), q)
+    with_table = Reservoir(cfg)
+    monkeypatch.setattr(reservoir, "_PHASE_TABLE_MAX_BYTES", 0)
+    per_step = Reservoir(cfg)
+    calls = []
+    derive = Reservoir._shared_streams
+
+    def counted(self, words):
+        calls.append(self)
+        return derive(self, words)
+
+    monkeypatch.setattr(Reservoir, "_shared_streams", counted)
+    X = with_table.run(inputs)
+    assert calls == []  # the table serves every step
+    np.testing.assert_array_equal(per_step.run(inputs), X)
+    assert calls == [per_step] * inputs.size
+
+
+@pytest.mark.parametrize("q,L,H", [(8, 1000, 50), (8, 255, 4), (8, 85, 6), (10, 1001, 4),
+                                   (16, 64, 4)])  # the last is past the table cap
+def test_freerun_step_repeats_with_the_lfsr_phase(q, L, H):
+    # step t reads phases t*H mod P' on, so t and t + P'/gcd(H, P') agree
+    period = (1 << q) - 1
+    phases = period // math.gcd(L, period)
+    res = Reservoir(TdrConfig(H=H, alpha=0.3, gamma=2.0, L=L, q=q, master_seed=L,
+                              reseed_policy="none", backend="stochastic"))
+    rng = np.random.default_rng(L)
+    u = word_dtype(q)(rng.integers(0, period + 1))
+    fb = rng.integers(0, period + 1, H).astype(word_dtype(q))
+    for t in (0, 3, 100):
+        np.testing.assert_array_equal(res.step(u, fb, t),
+                                      res.step(u, fb, t + phases // math.gcd(H, phases)))
 
 
 @pytest.mark.parametrize("backend", ["ideal-exact", "ideal-bernstein"])
@@ -169,8 +225,8 @@ def test_run_checks_every_input_against_the_width_q_grid(q, monkeypatch):
     monkeypatch.setattr(Reservoir, "step", recorded)
     # q = 2 has one tap mask, too few for a stochastic node's LFSR roles
     for backend in ("ideal-exact",) if q == 2 else ("ideal-exact", "stochastic"):
-        # free-running LFSRs: each step reads its words by cycle position, so
-        # the build draws none for a node that is not run
+        # free-running LFSRs: the build draws one table row of shared streams
+        # per cycle phase, and the stand-in node draws no words
         res = Reservoir(TdrConfig(H=2, alpha=0.5, gamma=2.0, L=5, n=2, q=q,
                                   reseed_policy="none", backend=backend))
         held.clear()
