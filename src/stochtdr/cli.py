@@ -42,7 +42,7 @@ from .metrics import (DEFAULT_NOISE_AMPLITUDE, DEFAULT_RANK_TOL, check_probes, c
                       metric_study)
 from .readout import check_lambda
 from .reservoir import (BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, check_run_length,
-                        derive_seed)
+                        derive_seed, freerun_phases)
 from .streams import DEFAULT_Q, quantize
 from .tasks import (DEFAULT_LAMBDA, DEFAULT_WASHOUT, check_narma_length, check_split,
                     evaluate_classification, evaluate_regression)
@@ -481,6 +481,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     else:  # pragma: no cover - argparse restricts the choices
         raise ConfigError(f"unknown command {cfg.command!r}")
 
+    if cfg.command != "fit-activation" and cfg.backend == "stochastic" and cfg.reseed == "none":
+        # at these L every node and macro step reads one phase of each LFSR,
+        # and the stream error doubles
+        extra["degenerate_free_run_L"] = [L for L in cfg.L if freerun_phases(L, cfg.q) == 1]
     _write_provenance(cfg, out, time.time() - start, extra)
     return EXIT_OK
 

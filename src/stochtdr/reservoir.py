@@ -23,8 +23,9 @@ comparator-based B2S of the operands, XNOR for the input weighting, one MUX
 MUX (select 0.5) averaging in the bias operand, which is the zero word, an
 adder+MUX Bernstein node for the activation, and
 an up/down-counter S2B whose q-bit word enters the delay line.  Each gate
-is one array kernel of ``streams`` or ``bernstein``, called once per step
-on the streams of all H nodes: :func:`streams.b2s`,
+is one array kernel of ``streams`` or ``bernstein``, called on the streams
+of all H nodes at once, every step or, for the tables below, at build
+time: :func:`streams.b2s`,
 :func:`streams.stoch_mult`, :func:`streams.stoch_mux_average`,
 :func:`bernstein.make_independent_copies`,
 :func:`bernstein.bernstein_mux_packed` and :func:`streams.s2b`; the LFSR
@@ -41,14 +42,20 @@ stochastic backend; the ideal backends use the exact alpha and 0.5.
 Both policies precompute the streams whose comparator threshold every node
 shares: the bias T, the two select lines SM and SB, and the n + 1
 coefficient streams.  Under ``per-node`` they are fixed, with the weight
-streams, at build time.  Under ``none``, node g of the run reads each role's
-words from cycle position pos + g*L (mod P = 2^q - 1), and g*L mod P depends
-only on the phase g mod P', with P' = P / gcd(L, P).  So the build packs the
-shared streams of phases 0 .. P' + H - 2 into one table, and step t reads
-its H rows from t*H mod P' on as a view.  A table past a fixed byte cap is
-not built, and each step then derives its own.  The input, weight and
-feedback streams get a comparator every step: the weight thresholds differ
-per node, and the other two depend on u and the feedback.
+and input words, at build time, so the mix of node i depends only on the
+input word u and its feedback word.  A MUX distributes over OR, so the mix
+splits exactly into an input half, the two MUXes on the input operand with
+a zero feedback stream, and a feedback half, F masked by SB & ~SM.  The
+build tabulates the input half for every input word, 2^q rows of H packed
+streams, and the step ORs row u with the feedback half.  Under ``none``,
+node g of the run reads each role's words from cycle position pos + g*L
+(mod P = 2^q - 1), and g*L mod P depends only on the phase g mod P', with
+P' = P / gcd(L, P).  So the build packs the shared streams of phases
+0 .. P' + H - 2 into one table, and step t reads its H rows from t*H mod P'
+on as a view.  Either table is built only up to one fixed byte cap; past
+it each step derives its streams with comparators.  The feedback streams,
+and under ``none`` the input and weight streams, get a comparator every
+step: they depend on the feedback, or on the step's words.
 """
 
 from __future__ import annotations
@@ -96,9 +103,10 @@ ROLE_COEFF_BASE = 6  # coefficient k uses role ROLE_COEFF_BASE + k
 
 # the roles whose comparator threshold differs per node or per step
 _NODE_ROLES = (ROLE_INPUT, ROLE_WEIGHT, ROLE_FEEDBACK)
-# the largest per-phase table of shared streams a free-running reservoir
-# builds; past it every step derives its own
-_PHASE_TABLE_MAX_BYTES = 4 << 20
+# the largest precomputed stream table a reservoir builds, the per-word input
+# table of per-node or the per-phase table of none; past it every step
+# derives those streams with comparators
+_TABLE_MAX_BYTES = 4 << 20
 
 _MASK64 = (1 << 64) - 1
 _TAG_WEIGHTS = 0xA5B35E12D3C4F607
@@ -187,6 +195,14 @@ class TdrConfig:
         return self.tau if self.tau is not None else self.H + 1
 
 
+def freerun_phases(L: int, q: int) -> int:
+    """P' = P / gcd(L, P), P = 2^q - 1: the LFSR phases the nodes of a
+    free-running (``none``) reservoir of stream length L read.  At 1 every
+    node and every macro step reads the same words of each role."""
+    period = (1 << q) - 1
+    return period // math.gcd(L, period)
+
+
 def check_run_length(m: int) -> None:
     """Raise ValueError unless a run has at least one macro step."""
     if m < 1:
@@ -215,12 +231,14 @@ def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
 
 class Reservoir:
     """A configured reservoir instance with precomputed stream machinery:
-    per-node fixed streams, or the free-running per-phase table.
+    per-node fixed streams and the per-word input table, or the
+    free-running per-phase table, each table within ``_TABLE_MAX_BYTES``.
 
     Instances hold no mutable run state: :meth:`run` owns the delay line,
-    and :meth:`step` reads the free-running LFSRs and the table at the macro
-    step's position on their cycles, so distinct instances (and sweep
-    workers) share nothing.
+    and :meth:`step` reads the input table at the held input word, or the
+    free-running LFSRs and the per-phase table at the macro step's position
+    on their cycles, so distinct instances (and sweep workers) share
+    nothing.
     """
 
     def __init__(self, cfg: TdrConfig):
@@ -266,16 +284,25 @@ class Reservoir:
             self._shared = self._shared_streams(words)
             self._node_words = {ROLE_INPUT: words[ROLE_INPUT],
                                 ROLE_FEEDBACK: words[ROLE_FEEDBACK]}
+            _, SM, SB = self._shared[:3]
+            self._fb_gate = SB & ~SM  # where the two MUXes pass the feedback stream
+            # row v holds the input half of input word v, built 16 words per call
+            shape = (1 << q, H, (L + 7) // 8)
+            self._input_table = None
+            if math.prod(shape) <= _TABLE_MAX_BYTES:
+                v = np.arange(1 << q, dtype=word_dtype(q))[:, None, None]
+                self._input_table = table = np.empty(shape, dtype=np.uint8)
+                for c in range(0, 1 << q, 16):
+                    table[c:c + 16] = self._input_half(v[c:c + 16])
         else:
-            period = (1 << q) - 1
             self._freerun_pos = [
                 lfsr_cycle(q, taps)[1][reseed_for_node(cfg.master_seed, _TAG_FREERUN, role, q)]
                 for role, taps in enumerate(self._taps)]
             # row j of the table holds the shared streams of phase j mod P'
-            self._phases = period // math.gcd(L, period)
+            self._phases = freerun_phases(L, q)
             rows = self._phases + H - 1
             self._phase_table = None
-            if len(self._shared_roles) * rows * ((L + 7) // 8) <= _PHASE_TABLE_MAX_BYTES:
+            if len(self._shared_roles) * rows * ((L + 7) // 8) <= _TABLE_MAX_BYTES:
                 # rows*L words from each role's position: its cycle from there, repeated
                 self._phase_table = self._shared_streams(
                     {role: np.resize(np.roll(lfsr_cycle(q, self._taps[role])[0],
@@ -288,6 +315,14 @@ class Reservoir:
         thresholds = (self._t_offset, self._alpha_thr, self._bias_thr, *self.beta_words)
         return np.stack([pack(b2s(thr, words[role]))
                          for thr, role in zip(thresholds, self._shared_roles)])
+
+    def _input_half(self, u_off) -> np.ndarray:
+        """Packed mix(U*W, 0, T) of every node, ``per-node``: the two MUXes on
+        the input operand with a zero feedback stream, for input word(s)
+        ``u_off`` (a scalar, or an array with two trailing unit axes)."""
+        T, SM, SB = self._shared[:3]
+        U = pack(b2s(u_off, self._node_words[ROLE_INPUT]))
+        return stoch_mux_average(stoch_mux_average(stoch_mult(U, self._w_stream), 0, SM), T, SB)
 
     def _draw_words(self, t: int, roles) -> dict[int, np.ndarray]:
         """The (H, L) words of macro step t of each role in ``roles``, nodes in
@@ -334,7 +369,13 @@ class Reservoir:
         """Node output words of macro step t from the input word and the feedback words."""
         cfg = self.cfg
         if cfg.reseed_policy == "per-node":
-            words, W, shared = self._node_words, self._w_stream, self._shared
+            # mux(mux(U*W, F, SM), T, SB) = mix(U*W, 0, T) | mix(0, F, 0), since
+            # a MUX distributes over OR: the input half of word u, OR F & SB & ~SM
+            table = self._input_table
+            G = self._input_half(u_off) if table is None else table[u_off]
+            F = pack(b2s(fb[:, None], self._node_words[ROLE_FEEDBACK]))
+            mixed = G | (F & self._fb_gate)
+            beta = self._shared[3:]
         else:
             table = self._phase_table
             words = self._draw_words(t, range(len(self._taps)) if table is None else _NODE_ROLES)
@@ -344,13 +385,12 @@ class Reservoir:
             else:
                 o = t * self.H % self._phases
                 shared = table[:, o:o + self.H]
-        T, SM, SB, beta = shared[0], shared[1], shared[2], shared[3:]
-        U = pack(b2s(u_off, words[ROLE_INPUT]))
-        F = pack(b2s(fb[:, None], words[ROLE_FEEDBACK]))
-
-        # XNOR multiplies input by weight, the alpha-MUX mixes in the feedback,
-        # the 0.5-MUX averages in the zero-word bias
-        mixed = stoch_mux_average(stoch_mux_average(stoch_mult(U, W), F, SM), T, SB)
+            T, SM, SB, beta = shared[0], shared[1], shared[2], shared[3:]
+            U = pack(b2s(u_off, words[ROLE_INPUT]))
+            F = pack(b2s(fb[:, None], words[ROLE_FEEDBACK]))
+            # XNOR multiplies input by weight, the alpha-MUX mixes in the feedback,
+            # the 0.5-MUX averages in the zero-word bias
+            mixed = stoch_mux_average(stoch_mux_average(stoch_mult(U, W), F, SM), T, SB)
         copies = bp.make_independent_copies(mixed, self._copy_delays, cfg.L)
         return s2b(bp.bernstein_mux_packed(copies, beta), cfg.L, cfg.q)
 

@@ -3,6 +3,7 @@ the option table behind flags, config-file keys and config.txt, and the
 CSV formats it writes."""
 
 import hashlib
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -354,3 +355,18 @@ def test_simulate_states_csv_is_pinned(tmp_path, argv, digest):
     assert cli.main(["simulate", *argv, "--H", "4", "--m", "12", "--L", "37",
                      "--out", str(tmp_path)]) == cli.EXIT_OK
     assert hashlib.sha256((tmp_path / "states.csv").read_bytes()).hexdigest() == digest
+
+
+# 2^8 - 1 = 255 divides L = 255 and 510: every node and macro step of a free
+# run reads one LFSR phase
+@pytest.mark.parametrize("argv,flagged", [
+    (["simulate", "--reseed", "none", "--L", "255"], [255]),
+    (["simulate", "--reseed", "none", "--L", "37"], []),
+    (["metrics", "--reseed", "none", "--L", "51,510", "--runs", "1"], [510]),
+    (["simulate", "--reseed", "per-node", "--L", "255"], None),
+])
+def test_manifest_flags_a_degenerate_free_run(tmp_path, argv, flagged):
+    assert cli.main([*argv, "--backend", "stochastic", "--H", "4", "--m", "5",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest.get("degenerate_free_run_L") == flagged

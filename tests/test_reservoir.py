@@ -112,13 +112,15 @@ def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q):
     np.testing.assert_array_equal(X, oracle_run(res, inputs))
 
 
-def test_freerun_past_the_table_cap_matches_gate_oracle():
-    # P' = 65535 phases of 13 shared 8-byte streams are past the cap, so every
-    # step derives its own
-    cfg = TdrConfig(H=4, alpha=0.3, gamma=2.0, L=64, n=9, q=16, master_seed=5,
-                    reseed_policy="none", backend="stochastic")
+@pytest.mark.parametrize("policy,L", [("none", 64), ("per-node", 200)])
+def test_past_the_table_cap_matches_gate_oracle(policy, L):
+    # past the cap, every step derives its streams with comparators: under
+    # none, P' = 65535 phases of 13 shared 8-byte streams; under per-node,
+    # 2^16 input words of 4 nodes' 25-byte streams
+    cfg = TdrConfig(H=4, alpha=0.3, gamma=2.0, L=L, n=9, q=16, master_seed=5,
+                    reseed_policy=policy, backend="stochastic")
     res = Reservoir(cfg)
-    assert res._phase_table is None
+    assert (res._phase_table if policy == "none" else res._input_table) is None
     inputs = quantize(np.random.default_rng(5).uniform(-1.0, 1.0, 6), cfg.q)
     np.testing.assert_array_equal(res.run(inputs), oracle_run(res, inputs))
 
@@ -130,7 +132,7 @@ def test_freerun_table_matches_per_step_streams(q, L, monkeypatch):
                     reseed_policy="none", backend="stochastic")
     inputs = quantize(np.random.default_rng(q).uniform(-1.0, 1.0, (2, 10)), q)
     with_table = Reservoir(cfg)
-    monkeypatch.setattr(reservoir, "_PHASE_TABLE_MAX_BYTES", 0)
+    monkeypatch.setattr(reservoir, "_TABLE_MAX_BYTES", 0)
     per_step = Reservoir(cfg)
     calls = []
     derive = Reservoir._shared_streams
@@ -144,6 +146,30 @@ def test_freerun_table_matches_per_step_streams(q, L, monkeypatch):
     assert calls == []  # the table serves every step
     np.testing.assert_array_equal(per_step.run(inputs), X)
     assert calls == [per_step] * inputs.size
+
+
+@pytest.mark.parametrize("q,L", [(8, 1000), (10, 1001)])
+def test_input_table_matches_per_step_streams(q, L, monkeypatch):
+    # 2^q rows of 20 nodes' packed input halves: 320 KB and 2.6 MB
+    cfg = TdrConfig(H=20, alpha=0.3, gamma=2.0, L=L, q=q, master_seed=q,
+                    reseed_policy="per-node", backend="stochastic")
+    inputs = quantize(np.random.default_rng(q).uniform(-1.0, 1.0, (2, 10)), q)
+    with_table = Reservoir(cfg)
+    monkeypatch.setattr(reservoir, "_TABLE_MAX_BYTES", 0)
+    per_step = Reservoir(cfg)
+    compared = []
+
+    def comparator(offsets, words):
+        compared.append(words)
+        return b2s(offsets, words)
+
+    monkeypatch.setattr(reservoir, "b2s", comparator)
+    X = with_table.run(inputs)
+    # the table serves every step: each compares its feedback words alone
+    assert [w is with_table._node_words[ROLE_FEEDBACK] for w in compared] == [True] * inputs.size
+    compared.clear()
+    np.testing.assert_array_equal(per_step.run(inputs), X)
+    assert sum(w is per_step._node_words[ROLE_INPUT] for w in compared) == inputs.size
 
 
 @pytest.mark.parametrize("q,L,H", [(8, 1000, 50), (8, 255, 4), (8, 85, 6), (10, 1001, 4),

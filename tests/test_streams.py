@@ -302,6 +302,23 @@ def test_gates_on_packed_bytes_equal_packed_boolean_gates(L):
         pack(stoch_mux_average(stoch_mux_average(stoch_mult(a, b), f, s), t, ~s)))
 
 
+@pytest.mark.parametrize("L", [37, 1000])
+def test_mux_distributes_over_or_on_packed_streams(L):
+    # the per-node step reads mix(UW, 0, T) from a per-word table and ORs in
+    # mix(0, F, 0); L = 37 leaves zero padding in the last byte
+    rng = np.random.default_rng(L)
+    a, a2, b, b2, s, u, w, f, t, sm, sb = (pack(x) for x in rng.random((11, 5, L)) < 0.5)
+    np.testing.assert_array_equal(stoch_mux_average(a | a2, b | b2, s),
+                                  stoch_mux_average(a, b, s) | stoch_mux_average(a2, b2, s))
+    uw, zero = stoch_mult(u, w), np.zeros_like(f)
+
+    def mix(x, y, z):  # the alpha-MUX, then the 0.5-MUX
+        return stoch_mux_average(stoch_mux_average(x, y, sm), z, sb)
+
+    np.testing.assert_array_equal(mix(uw, f, t), mix(uw, zero, t) | mix(zero, f, zero))
+    np.testing.assert_array_equal(mix(zero, f, zero), f & sb & ~sm)
+
+
 def test_mux_empirical_half_mix_q16():
     q, L = 16, 100_000
     a = np.ones(L, dtype=bool)    # ztilde = +1
