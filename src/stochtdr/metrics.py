@@ -16,9 +16,10 @@ backends advance all H probes together, one ``(H, H)`` step per macro step,
 instead of paying the per-step Python overhead H times.  The ``stochastic``
 backend runs the rows in turn under both reseed policies: a batched step
 holds each comparator output as (B, H, L) booleans, B times a row's, which
-is 164 MB at B = H = 200, L = 4096.  Under ``none`` it also gathers 12 roles
-of B*H*L LFSR words per macro step; bit-identical, it took 2.6-3.0 s against
-1.6-1.8 s for rows in turn (B = H = m = 50, L = 1000, q = 8, 2-core Xeon).
+is 164 MB at B = H = 200, L = 4096.  Under ``none`` it would draw B*H*L
+words of the 3 per-node roles per macro step; when it drew all 12 roles,
+before the shared-stream table, it took 2.6-3.0 s against 1.6-1.8 s for
+rows in turn, bit-identical (B = H = m = 50, L = 1000, q = 8, 2-core Xeon).
 Under that policy row b of the block reads the free-running LFSRs from
 macro step b*m on, where row b - 1 left them, as a hardware part would
 between bursts.

@@ -39,23 +39,25 @@ so the stochastic state matrix converges to the ``ideal-bernstein`` one as
 the stream length L grows.  Select thresholds are quantized at width q in the
 stochastic backend; the ideal backends use the exact alpha and 0.5.
 
-Both policies precompute the streams whose comparator threshold every node
-shares: the bias T, the two select lines SM and SB, and the n + 1
-coefficient streams.  Under ``per-node`` they are fixed, with the weight
-and input words, at build time, so the mix of node i depends only on the
-input word u and its feedback word.  A MUX distributes over OR, so the mix
-splits exactly into an input half, the two MUXes on the input operand with
-a zero feedback stream, and a feedback half, F masked by SB & ~SM.  The
-build tabulates the input half for every input word, 2^q rows of H packed
-streams, and the step ORs row u with the feedback half.  Under ``none``,
-node g of the run reads each role's words from cycle position pos + g*L
-(mod P = 2^q - 1), and g*L mod P depends only on the phase g mod P', with
-P' = P / gcd(L, P).  So the build packs the shared streams of phases
-0 .. P' + H - 2 into one table, and step t reads its H rows from t*H mod P'
-on as a view.  Either table is built only up to one fixed byte cap; past
-it each step derives its streams with comparators.  The feedback streams,
-and under ``none`` the input and weight streams, get a comparator every
-step: they depend on the feedback, or on the step's words.
+The mix is SB ? (SM ? U*W : F) : T.  With the disjoint masks A = SM & SB,
+C = T & ~SB and D = SB & ~SM, all zero in the padding, it equals
+mux(U*W, C, A) | (F & D): an input half, the mix with a zero feedback
+stream, OR the feedback stream masked by D.  Every node compares the words
+of T, SM, SB and the n + 1 coefficient streams against one threshold, so
+both policies keep A, C, D and the coefficient streams as one table of
+n + 4 stacked rows of packed streams, and step t reads H rows of it from
+t*H mod P on as a view.  Under ``per-node`` every word is fixed at build
+time: the table holds the H nodes' rows and P = 1.  Under ``none``, node g
+of the run reads each role's words from cycle position pos + g*L, and on a
+cycle of 2^q - 1 words that depends only on the phase g mod P', with
+P' = (2^q - 1) / gcd(L, 2^q - 1): the table holds phases 0 .. P' + H - 2
+and P = P'.  Under ``per-node`` the input half depends only on the input
+word u, so the build also tabulates it for every input word, 2^q rows of H
+packed streams.  The ``none`` table and the input table are built only up
+to one fixed byte cap; past it each step derives their streams from its
+words with comparators.  The
+feedback streams, and under ``none`` the input and weight streams, get a
+comparator every step: they depend on the feedback, or on the step's words.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ ROLE_COEFF_BASE = 6  # coefficient k uses role ROLE_COEFF_BASE + k
 # the roles whose comparator threshold differs per node or per step
 _NODE_ROLES = (ROLE_INPUT, ROLE_WEIGHT, ROLE_FEEDBACK)
 # the largest precomputed stream table a reservoir builds, the per-word input
-# table of per-node or the per-phase table of none; past it every step
+# table of per-node or the shared-stream table of none; past it every step
 # derives those streams with comparators
 _TABLE_MAX_BYTES = 4 << 20
 
@@ -130,15 +132,17 @@ def derive_seed(master: int, *parts: int) -> int:
     return h
 
 
-def reseed_for_node(master_seed: int, node_index: int, role: int,
-                    q: int = DEFAULT_Q) -> int:
+def reseed_for_node(master_seed: int, node_index: int | np.ndarray, role: int,
+                    q: int = DEFAULT_Q) -> int | np.ndarray:
     """Node-unique nonzero q-bit LFSR seed, identical at every macro step.
 
     Hash-mix of (master seed, node index, role), truncated to q bits and
-    mapped away from zero.
+    mapped away from zero.  ``node_index`` may also be a uint64 array, which
+    hashes every node in one pass: the finalizer wraps mod 2^64 on it as on
+    the masked integers.
     """
     v = derive_seed(master_seed, node_index, role) & ((1 << q) - 1)
-    return v if v != 0 else 1
+    return v + (v == 0)
 
 
 @dataclass
@@ -231,14 +235,15 @@ def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
 
 class Reservoir:
     """A configured reservoir instance with precomputed stream machinery:
-    per-node fixed streams and the per-word input table, or the
-    free-running per-phase table, each table within ``_TABLE_MAX_BYTES``.
+    the shared-stream table of A, C, D and the coefficient streams, and
+    under ``per-node`` the fixed node streams and the per-word input table,
+    each table within ``_TABLE_MAX_BYTES``.
 
     Instances hold no mutable run state: :meth:`run` owns the delay line,
-    and :meth:`step` reads the input table at the held input word, or the
-    free-running LFSRs and the per-phase table at the macro step's position
-    on their cycles, so distinct instances (and sweep workers) share
-    nothing.
+    and :meth:`step` reads the shared rows of its macro step, the input
+    table at the held input word, and under ``none`` the free-running LFSRs
+    at the step's position on their cycles, so distinct instances (and
+    sweep workers) share nothing.
     """
 
     def __init__(self, cfg: TdrConfig):
@@ -265,64 +270,63 @@ class Reservoir:
         L, q, H, n = cfg.L, cfg.q, cfg.H, cfg.n
         # thresholds share the words' narrow type, so no comparator widens
         self._w_offsets = real_to_offset(self.weights, q).astype(word_dtype(q))[:, None]
-        self._t_offset = word_dtype(q)(real_to_offset(0.0, q))  # the zero-word bias
-        self._alpha_thr = quantize_probability(cfg.alpha, q)
-        self._bias_thr = quantize_probability(0.5, q)
+        # the thresholds of T (the zero-word bias), SM and SB
+        self._thresholds = (int(real_to_offset(0.0, q)), quantize_probability(cfg.alpha, q),
+                            quantize_probability(0.5, q))
         self._copy_delays = bp.spread_delays(n, L)
         self._taps = [maximal_taps(q, role) for role in range(ROLE_COEFF_BASE + n + 1)]
-        # T, SM, SB, then the coefficients: every node compares these roles'
-        # words against one threshold
-        self._shared_roles = (ROLE_BIAS, ROLE_SELECT_MIX, ROLE_SELECT_BIAS,
-                              *range(ROLE_COEFF_BASE, len(self._taps)))
+        self._w_stream = self._node_words = self._input_table = None
 
         if cfg.reseed_policy == "per-node":
-            words = [lfsr_words(q, taps, [reseed_for_node(cfg.master_seed, i, role, q)
-                                          for i in range(H)], L)
+            nodes = np.arange(H, dtype=np.uint64)
+            words = [lfsr_words(q, taps, reseed_for_node(cfg.master_seed, nodes, role, q), L)
                      for role, taps in enumerate(self._taps)]
             # constant operands freeze into fixed streams under re-seeding
             self._w_stream = pack(b2s(self._w_offsets, words[ROLE_WEIGHT]))
-            self._shared = self._shared_streams(words)
             self._node_words = {ROLE_INPUT: words[ROLE_INPUT],
                                 ROLE_FEEDBACK: words[ROLE_FEEDBACK]}
-            _, SM, SB = self._shared[:3]
-            self._fb_gate = SB & ~SM  # where the two MUXes pass the feedback stream
+            self._shared = self._shared_streams(words)
             # row v holds the input half of input word v, built 16 words per call
             shape = (1 << q, H, (L + 7) // 8)
-            self._input_table = None
             if math.prod(shape) <= _TABLE_MAX_BYTES:
+                A, C = self._shared[:2]
                 v = np.arange(1 << q, dtype=word_dtype(q))[:, None, None]
                 self._input_table = table = np.empty(shape, dtype=np.uint8)
                 for c in range(0, 1 << q, 16):
-                    table[c:c + 16] = self._input_half(v[c:c + 16])
+                    table[c:c + 16] = self._input_half(v[c:c + 16], self._node_words, A, C)
         else:
             self._freerun_pos = [
                 lfsr_cycle(q, taps)[1][reseed_for_node(cfg.master_seed, _TAG_FREERUN, role, q)]
                 for role, taps in enumerate(self._taps)]
             # row j of the table holds the shared streams of phase j mod P'
-            self._phases = freerun_phases(L, q)
-            rows = self._phases + H - 1
-            self._phase_table = None
-            if len(self._shared_roles) * rows * ((L + 7) // 8) <= _TABLE_MAX_BYTES:
+            rows = freerun_phases(L, q) + H - 1
+            self._shared = None
+            if (n + 4) * rows * ((L + 7) // 8) <= _TABLE_MAX_BYTES:
                 # rows*L words from each role's position: its cycle from there, repeated
-                self._phase_table = self._shared_streams(
-                    {role: np.resize(np.roll(lfsr_cycle(q, self._taps[role])[0],
-                                             -self._freerun_pos[role]), (rows, L))
-                     for role in self._shared_roles})
+                self._shared = self._shared_streams(
+                    {role: np.resize(np.roll(lfsr_cycle(q, taps)[0], -self._freerun_pos[role]),
+                                     (rows, L))
+                     for role, taps in enumerate(self._taps) if role not in _NODE_ROLES})
 
     def _shared_streams(self, words) -> np.ndarray:
-        """Packed T, SM, SB and coefficient streams, stacked on a leading axis,
-        from each role's words: the operands whose threshold every node shares."""
-        thresholds = (self._t_offset, self._alpha_thr, self._bias_thr, *self.beta_words)
-        return np.stack([pack(b2s(thr, words[role]))
-                         for thr, role in zip(thresholds, self._shared_roles)])
+        """The masks A = SM & SB, C = T & ~SB and D = SB & ~SM, then the
+        coefficient streams, packed and stacked on a leading axis, from each
+        role's words: the streams whose threshold every node shares."""
+        T, SM, SB = (pack(b2s(thr, words[role])) for thr, role in
+                     zip(self._thresholds, (ROLE_BIAS, ROLE_SELECT_MIX, ROLE_SELECT_BIAS)))
+        return np.stack([SM & SB, T & ~SB, SB & ~SM,
+                         *(pack(b2s(beta, words[ROLE_COEFF_BASE + k]))
+                           for k, beta in enumerate(self.beta_words))])
 
-    def _input_half(self, u_off) -> np.ndarray:
-        """Packed mix(U*W, 0, T) of every node, ``per-node``: the two MUXes on
-        the input operand with a zero feedback stream, for input word(s)
-        ``u_off`` (a scalar, or an array with two trailing unit axes)."""
-        T, SM, SB = self._shared[:3]
-        U = pack(b2s(u_off, self._node_words[ROLE_INPUT]))
-        return stoch_mux_average(stoch_mux_average(stoch_mult(U, self._w_stream), 0, SM), T, SB)
+    def _input_half(self, u_off, words, A, C) -> np.ndarray:
+        """Packed mux(U*W, C, A) of every node, the mix with a zero feedback
+        stream, for input word(s) ``u_off`` (a scalar, or an array with two
+        trailing unit axes) and the step's ``words``; ``per-node`` reads its
+        fixed W."""
+        W = (pack(b2s(self._w_offsets, words[ROLE_WEIGHT])) if self._w_stream is None
+             else self._w_stream)
+        U = pack(b2s(u_off, words[ROLE_INPUT]))
+        return stoch_mux_average(stoch_mult(U, W), C, A)
 
     def _draw_words(self, t: int, roles) -> dict[int, np.ndarray]:
         """The (H, L) words of macro step t of each role in ``roles``, nodes in
@@ -367,32 +371,23 @@ class Reservoir:
 
     def _step_stochastic(self, u_off: np.integer, fb: np.ndarray, t: int) -> np.ndarray:
         """Node output words of macro step t from the input word and the feedback words."""
-        cfg = self.cfg
-        if cfg.reseed_policy == "per-node":
-            # mux(mux(U*W, F, SM), T, SB) = mix(U*W, 0, T) | mix(0, F, 0), since
-            # a MUX distributes over OR: the input half of word u, OR F & SB & ~SM
-            table = self._input_table
-            G = self._input_half(u_off) if table is None else table[u_off]
-            F = pack(b2s(fb[:, None], self._node_words[ROLE_FEEDBACK]))
-            mixed = G | (F & self._fb_gate)
-            beta = self._shared[3:]
+        H, table = self.H, self._shared
+        if table is None:  # free-running past the cap: the step derives its shared rows
+            words = self._draw_words(t, range(len(self._taps)))
+            rows = self._shared_streams(words)
         else:
-            table = self._phase_table
-            words = self._draw_words(t, range(len(self._taps)) if table is None else _NODE_ROLES)
-            W = pack(b2s(self._w_offsets, words[ROLE_WEIGHT]))
-            if table is None:
-                shared = self._shared_streams(words)
-            else:
-                o = t * self.H % self._phases
-                shared = table[:, o:o + self.H]
-            T, SM, SB, beta = shared[0], shared[1], shared[2], shared[3:]
-            U = pack(b2s(u_off, words[ROLE_INPUT]))
-            F = pack(b2s(fb[:, None], words[ROLE_FEEDBACK]))
-            # XNOR multiplies input by weight, the alpha-MUX mixes in the feedback,
-            # the 0.5-MUX averages in the zero-word bias
-            mixed = stoch_mux_average(stoch_mux_average(stoch_mult(U, W), F, SM), T, SB)
-        copies = bp.make_independent_copies(mixed, self._copy_delays, cfg.L)
-        return s2b(bp.bernstein_mux_packed(copies, beta), cfg.L, cfg.q)
+            words = self._node_words or self._draw_words(t, _NODE_ROLES)
+            # H rows from t*H mod P on; the table holds P + H - 1 rows
+            o = t * H % (table.shape[1] - H + 1)
+            rows = table[:, o:o + H]
+        A, C, D, beta = rows[0], rows[1], rows[2], rows[3:]
+        G = (self._input_half(u_off, words, A, C) if self._input_table is None
+             else self._input_table[u_off])
+        F = pack(b2s(fb[:, None], words[ROLE_FEEDBACK]))
+        # XNOR, the alpha-MUX and the 0.5-MUX: SB ? (SM ? U*W : F) : T
+        mixed = G | (F & D)
+        copies = bp.make_independent_copies(mixed, self._copy_delays, self.cfg.L)
+        return s2b(bp.bernstein_mux_packed(copies, beta), self.cfg.L, self.cfg.q)
 
     def run(self, inputs) -> np.ndarray:
         """Feed a held-input sequence from the zero delay line; row p of the

@@ -120,56 +120,36 @@ def test_past_the_table_cap_matches_gate_oracle(policy, L):
     cfg = TdrConfig(H=4, alpha=0.3, gamma=2.0, L=L, n=9, q=16, master_seed=5,
                     reseed_policy=policy, backend="stochastic")
     res = Reservoir(cfg)
-    assert (res._phase_table if policy == "none" else res._input_table) is None
+    assert (res._shared if policy == "none" else res._input_table) is None
     inputs = quantize(np.random.default_rng(5).uniform(-1.0, 1.0, 6), cfg.q)
     np.testing.assert_array_equal(res.run(inputs), oracle_run(res, inputs))
 
 
-@pytest.mark.parametrize("q,L", [(8, 1000), (10, 1001), (12, 1000)])
-def test_freerun_table_matches_per_step_streams(q, L, monkeypatch):
-    # 1000 nodes wrap P' = 51, 93 and 819 phases
-    cfg = TdrConfig(H=50, alpha=0.3, gamma=2.0, L=L, q=q, master_seed=q,
-                    reseed_policy="none", backend="stochastic")
+@pytest.mark.parametrize("policy,q,L", [("none", 8, 1000), ("none", 10, 1001),
+                                        ("none", 12, 1000), ("per-node", 8, 1000),
+                                        ("per-node", 10, 1001)])
+def test_table_matches_per_step_streams(policy, q, L, monkeypatch):
+    # under none, the shared rows: 1000 nodes wrap P' = 51, 93 and 819 phases;
+    # under per-node, the input halves: 2^q rows of 20 nodes, 320 KB and 2.6 MB
+    cfg = TdrConfig(H=50 if policy == "none" else 20, alpha=0.3, gamma=2.0, L=L, q=q,
+                    master_seed=q, reseed_policy=policy, backend="stochastic")
     inputs = quantize(np.random.default_rng(q).uniform(-1.0, 1.0, (2, 10)), q)
     with_table = Reservoir(cfg)
     monkeypatch.setattr(reservoir, "_TABLE_MAX_BYTES", 0)
     per_step = Reservoir(cfg)
+    name = "_shared_streams" if policy == "none" else "_input_half"
+    derive = getattr(Reservoir, name)
     calls = []
-    derive = Reservoir._shared_streams
 
-    def counted(self, words):
+    def counted(self, *args):
         calls.append(self)
-        return derive(self, words)
+        return derive(self, *args)
 
-    monkeypatch.setattr(Reservoir, "_shared_streams", counted)
+    monkeypatch.setattr(Reservoir, name, counted)
     X = with_table.run(inputs)
     assert calls == []  # the table serves every step
     np.testing.assert_array_equal(per_step.run(inputs), X)
     assert calls == [per_step] * inputs.size
-
-
-@pytest.mark.parametrize("q,L", [(8, 1000), (10, 1001)])
-def test_input_table_matches_per_step_streams(q, L, monkeypatch):
-    # 2^q rows of 20 nodes' packed input halves: 320 KB and 2.6 MB
-    cfg = TdrConfig(H=20, alpha=0.3, gamma=2.0, L=L, q=q, master_seed=q,
-                    reseed_policy="per-node", backend="stochastic")
-    inputs = quantize(np.random.default_rng(q).uniform(-1.0, 1.0, (2, 10)), q)
-    with_table = Reservoir(cfg)
-    monkeypatch.setattr(reservoir, "_TABLE_MAX_BYTES", 0)
-    per_step = Reservoir(cfg)
-    compared = []
-
-    def comparator(offsets, words):
-        compared.append(words)
-        return b2s(offsets, words)
-
-    monkeypatch.setattr(reservoir, "b2s", comparator)
-    X = with_table.run(inputs)
-    # the table serves every step: each compares its feedback words alone
-    assert [w is with_table._node_words[ROLE_FEEDBACK] for w in compared] == [True] * inputs.size
-    compared.clear()
-    np.testing.assert_array_equal(per_step.run(inputs), X)
-    assert sum(w is per_step._node_words[ROLE_INPUT] for w in compared) == inputs.size
 
 
 @pytest.mark.parametrize("q,L,H", [(8, 1000, 50), (8, 255, 4), (8, 85, 6), (10, 1001, 4),
@@ -186,6 +166,18 @@ def test_freerun_step_repeats_with_the_lfsr_phase(q, L, H):
     for t in (0, 3, 100):
         np.testing.assert_array_equal(res.step(u, fb, t),
                                       res.step(u, fb, t + phases // math.gcd(H, phases)))
+
+
+@pytest.mark.parametrize("q", [2, 8, 12, 16])
+@pytest.mark.parametrize("master", [0, 7, (1 << 63) + 5, (1 << 64) - 1, -3])
+def test_node_seeds_hash_in_one_array_pass(master, q):
+    nodes = np.arange(300, dtype=np.uint64)
+    for role in (ROLE_INPUT, ROLE_FEEDBACK, ROLE_COEFF_BASE):
+        seeds = reseed_for_node(master, nodes, role, q)
+        assert seeds.dtype == np.uint64 and seeds.min() >= 1
+        assert seeds.tolist() == [reseed_for_node(master, i, role, q) for i in range(300)]
+    if q == 2:  # a quarter of the hashes truncate to zero and map to 1
+        assert any(derive_seed(master, i, ROLE_INPUT) & 3 == 0 for i in range(300))
 
 
 @pytest.mark.parametrize("backend", ["ideal-exact", "ideal-bernstein"])

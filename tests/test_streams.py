@@ -317,6 +317,13 @@ def test_mux_distributes_over_or_on_packed_streams(L):
 
     np.testing.assert_array_equal(mix(uw, f, t), mix(uw, zero, t) | mix(zero, f, zero))
     np.testing.assert_array_equal(mix(zero, f, zero), f & sb & ~sm)
+    # both policies' step: the disjoint masks, zero in the padding, fold the
+    # two MUXes into one MUX and an AND
+    A, C, D = sm & sb, t & ~sb, sb & ~sm
+    np.testing.assert_array_equal(mix(uw, f, t), stoch_mux_average(uw, C, A) | (f & D))
+    assert not ((A & C) | (A & D) | (C & D)).any()
+    if L % 8:
+        assert not ((A | C | D)[:, -1] & (0xFF >> L % 8)).any()
 
 
 def test_mux_empirical_half_mix_q16():
