@@ -16,7 +16,8 @@ the bit position is the last axis, leading axes are batch axes.  Both
 take streams packed 8 bits to a byte: :func:`make_independent_copies`
 rotates a packed L-bit stream into n packed copies, and
 :func:`bernstein_mux_packed` runs the adder plus MUX on them, copies and
-coefficients stacked on a new first axis.
+coefficients stacked on a new first axis, the coefficients in the pair
+form of :func:`pair_coefficients`.
 """
 
 from __future__ import annotations
@@ -224,29 +225,44 @@ def spread_delays(n: int, L: int) -> list[int]:
     return [(j * stride) % L for j in range(n)]
 
 
-def bernstein_mux_packed(copies, beta):
+def pair_coefficients(beta) -> np.ndarray:
+    """The n + 1 coefficient streams ``beta`` in the pair form that
+    :func:`bernstein_mux_packed` reads: the even streams beta_0, beta_2, ...,
+    beta_{2K-2}, then the pair differences delta_k = beta_{2k+1} ^ beta_{2k},
+    k < K = (n + 1) // 2, then beta_n when n + 1 is odd, stacked on the
+    first axis.  Same shape as ``beta``; a zero padding stays zero.
+    """
+    beta = np.asarray(beta)
+    even, odd = beta[0:len(beta) - 1:2], beta[1::2]
+    return np.concatenate([even, odd ^ even, beta[2 * len(odd):]])
+
+
+def bernstein_mux_packed(copies, pairs):
     """Adder + MUX Bernstein node on bit-packed streams, e.g. (n, H, W) words.
 
-    The first axis of ``copies`` (n input copies) and ``beta`` (n+1
-    coefficient streams) indexes streams; any batch axes lead the word axis.
-    A bit-sliced ripple counter adds the copies into n.bit_length() planes,
-    and a tree of MUX gates selects beta[count]: count plane i picks the odd
-    entry of each pair at level i.  An unpaired last entry passes up, since
-    the count never exceeds n.  All-zero padding counts 0, so zero-padded
-    beta_0 keeps the output padding zero.
+    The first axis of ``copies`` (n input copies) and ``pairs`` (the n + 1
+    coefficient streams in the form of :func:`pair_coefficients`) indexes
+    streams; any batch axes lead the word axis.  A bit-sliced ripple counter
+    adds the copies into n.bit_length() planes, and a tree of MUX gates
+    selects beta[count]: count plane i picks the odd entry of each pair at
+    level i.  Level 0 is one stacked MUX over all pairs, even ^ (plane 0 &
+    delta), since the pair differences come with the coefficients.  An
+    unpaired last entry passes up, since the count never exceeds n.  All-zero
+    padding counts 0, so zero-padded beta_0 keeps the output padding zero.
     """
-    n = len(copies)
-    if len(beta) != n + 1:
+    n, pairs = len(copies), np.asarray(pairs)
+    if len(pairs) != n + 1:
         raise ValueError(f"need {n + 1} coefficient streams for {n} copies, "
-                         f"got {len(beta)}")
+                         f"got {len(pairs)}")
     planes: list[np.ndarray] = []
     for j, carry in enumerate(copies):
         for i, p in enumerate(planes):
             planes[i], carry = p ^ carry, p & carry
         if (j + 1).bit_length() > len(planes):
             planes.append(carry)
-    level = list(beta)
-    for p in planes:
+    half = (n + 1) // 2
+    level = [*(pairs[:half] ^ (planes[0] & pairs[half:2 * half])), *pairs[2 * half:]]
+    for p in planes[1:]:
         level = [stoch_mux_average(level[k + 1], level[k], p) if k + 1 < len(level)
                  else level[k] for k in range(0, len(level), 2)]
     return level[0]

@@ -14,15 +14,17 @@ t restarts at 0), so the second probe block sees what a fresh build would.
 The probes go to :meth:`Reservoir.run` as one ``(H, m)`` block.  The ideal
 backends advance all H probes together, one ``(H, H)`` step per macro step,
 instead of paying the per-step Python overhead H times.  The ``stochastic``
-backend runs the rows in turn under both reseed policies: a batched step
-holds each comparator output as (B, H, L) booleans, B times a row's, which
-is 164 MB at B = H = 200, L = 4096.  Under ``none`` it would draw B*H*L
-words of the 3 per-node roles per macro step; when it drew all 12 roles,
-before the shared-stream table, it took 2.6-3.0 s against 1.6-1.8 s for
-rows in turn, bit-identical (B = H = m = 50, L = 1000, q = 8, 2-core Xeon).
-Under that policy row b of the block reads the free-running LFSRs from
-macro step b*m on, where row b - 1 left them, as a hardware part would
-between bursts.
+backend runs the rows in turn under both reseed policies.  A step that its
+per-word input and feedback tables serve runs no comparator, so a batched
+one would gather (B, H, ceil(L/8)) bytes from each table; past the table
+cap a batched step would hold each comparator output as (B, H, L) booleans,
+B times a row's, which is 164 MB at B = H = 200, L = 4096.  A batched
+``none`` step measured slower before any of the stream tables, when it drew
+the words of all 12 roles every step: 2.6-3.0 s against 1.6-1.8 s for rows
+in turn, bit-identical (B = H = m = 50, L = 1000, q = 8, 2-core Xeon); it
+has not been measured on the tables.  Under that policy row b of the block
+reads the free-running LFSRs from macro step b*m on, where row b - 1 left
+them, as a hardware part would between bursts.
 """
 
 from __future__ import annotations

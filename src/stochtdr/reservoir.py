@@ -42,22 +42,39 @@ stochastic backend; the ideal backends use the exact alpha and 0.5.
 The mix is SB ? (SM ? U*W : F) : T.  With the disjoint masks A = SM & SB,
 C = T & ~SB and D = SB & ~SM, all zero in the padding, it equals
 mux(U*W, C, A) | (F & D): an input half, the mix with a zero feedback
-stream, OR the feedback stream masked by D.  Every node compares the words
-of T, SM, SB and the n + 1 coefficient streams against one threshold, so
-both policies keep A, C, D and the coefficient streams as one table of
-n + 4 stacked rows of packed streams, and step t reads H rows of it from
+stream, OR the feedback stream masked by D.  The input half is in turn
+X0 ^ (U & A) with X0 = (A & ~W) | C.  Every node compares the words of
+T, SM, SB and the n + 1 coefficient streams against one threshold, so
+both policies keep A, C, D and the coefficient streams, these in the pair
+form of :func:`bernstein.pair_coefficients`, as one shared table of n + 4
+stacked rows of packed streams, and step t reads H rows of it from
 t*H mod P on as a view.  Under ``per-node`` every word is fixed at build
 time: the table holds the H nodes' rows and P = 1.  Under ``none``, node g
 of the run reads each role's words from cycle position pos + g*L, and on a
 cycle of 2^q - 1 words that depends only on the phase g mod P', with
 P' = (2^q - 1) / gcd(L, 2^q - 1): the table holds phases 0 .. P' + H - 2
-and P = P'.  Under ``per-node`` the input half depends only on the input
-word u, so the build also tabulates it for every input word, 2^q rows of H
-packed streams.  The ``none`` table and the input table are built only up
-to one fixed byte cap; past it each step derives their streams from its
-words with comparators.  The
-feedback streams, and under ``none`` the input and weight streams, get a
-comparator every step: they depend on the feedback, or on the step's words.
+and P = P'.
+
+The streams whose threshold is a node's own word, U, W and F, come from
+per-word tables, so a step whose tables are all built runs no comparator.
+Each has a row for every q-bit word v and every source, the H nodes under
+``per-node`` or the P' phases under ``none``:
+
+* the feedback table FD[v, s] = pack(b2s(v, F words of s)) & D_s, read at
+  each node's feedback word, 2^q * S * ceil(L/8) bytes for S sources;
+* under ``per-node``, the input table G[u] of the whole input half of
+  every node, X0 folded in, 2^q * H * ceil(L/8) bytes;
+* under ``none``, the input table UA[v, s] = pack(b2s(v, U words of s)) &
+  A_s (2^q * P' * ceil(L/8) bytes) and X0 of node i at phase s, which
+  repeats with g mod lcm(H, P'): lcm(H, P') rows, from t*H mod lcm(H, P')
+  on.
+
+At q = 8, H = 50, L = 1000 that is 1.6 MB each for FD and G or UA, and
+0.3 MB for X0.  Each table is built only within one fixed byte cap, the
+per-word ones only beside the shared table, and X0 only with UA; past the
+cap each step derives the missing streams from its words with comparators,
+as the gate chain above reads.  The per-word tables are built by one
+scatter and a running OR over v rather than by comparing every word.
 """
 
 from __future__ import annotations
@@ -105,9 +122,9 @@ ROLE_COEFF_BASE = 6  # coefficient k uses role ROLE_COEFF_BASE + k
 
 # the roles whose comparator threshold differs per node or per step
 _NODE_ROLES = (ROLE_INPUT, ROLE_WEIGHT, ROLE_FEEDBACK)
-# the largest precomputed stream table a reservoir builds, the per-word input
-# table of per-node or the shared-stream table of none; past it every step
-# derives those streams with comparators
+# the largest precomputed stream table a reservoir builds, each of the
+# shared-stream table of none, the per-word input and feedback tables and X0;
+# past it every step derives those streams with comparators
 _TABLE_MAX_BYTES = 4 << 20
 
 _MASK64 = (1 << 64) - 1
@@ -220,6 +237,47 @@ def _input_error(inputs: np.ndarray, bad: np.ndarray, what: str) -> ValueError:
     return ValueError(f"input {inputs[at]} at {where} {what}")
 
 
+def _prefix_or(table: np.ndarray) -> None:
+    """OR every row of ``table``, a power of two of them, into all later
+    rows, in place.
+
+    The rows go in blocks of about sqrt(rows): a scan inside every block,
+    then each block takes the last row of the one before, so the Python
+    loop runs about 2*sqrt(rows) slices (0.3 ms for 256 rows of 6.4 KB,
+    5 ms for 2^16 rows of 32 bytes, against 0.5 ms and 56 ms row by row
+    and 2.4 ms for ``np.bitwise_or.accumulate`` on axis 0, 2-core Xeon).
+    """
+    b = 1 << (len(table).bit_length() // 2)
+    blocks = table.reshape(-1, b, *table.shape[1:])
+    for j in range(1, b):
+        blocks[:, j] |= blocks[:, j - 1]
+    for k in range(1, len(blocks)):
+        blocks[k] |= blocks[k - 1, -1]
+
+
+def _word_table(words: np.ndarray, mask: np.ndarray, q: int) -> np.ndarray:
+    """T[v, s] = pack(b2s(v, words[s])) & mask[s] for every q-bit word v, shape
+    (2^q, S, ceil(L/8)) from the (S, L) comparator words of S sources.
+
+    Bit r of source s turns on at v = words[s, r] and stays on, so the
+    table sets each bit at the row of its word and ORs every row into the
+    later ones.  The 8 bits of a byte hold 8 consecutive words of a
+    maximal LFSR, all distinct at q >= 3, so no two share a row.  0.8 ms
+    against 2.1 ms for comparators in chunks of 16 words at q=8, S=51,
+    L=1000 (2-core Xeon).
+    """
+    S, L = words.shape
+    width = (L + 7) // 8
+    table = np.zeros((1 << q, S, width), dtype=np.uint8)
+    r = np.arange(L)
+    # one flat index: three index arrays take about 4x as long
+    at = words.astype(np.intp) * (S * width) + (np.arange(S)[:, None] * width + r // 8)
+    table.reshape(-1)[at] = (0x80 >> r % 8).astype(np.uint8)
+    _prefix_or(table)
+    table &= mask
+    return table
+
+
 @functools.lru_cache(maxsize=128)
 def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
     """Bernstein coefficients of the sine activation as width-q threshold words;
@@ -235,13 +293,15 @@ def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
 
 class Reservoir:
     """A configured reservoir instance with precomputed stream machinery:
-    the shared-stream table of A, C, D and the coefficient streams, and
-    under ``per-node`` the fixed node streams and the per-word input table,
-    each table within ``_TABLE_MAX_BYTES``.
+    the shared-stream table of A, C, D and the coefficient streams, the
+    per-word feedback and input tables (and X0 under ``none``), and under
+    ``per-node`` the fixed node streams, each table within
+    ``_TABLE_MAX_BYTES``.
 
     Instances hold no mutable run state: :meth:`run` owns the delay line,
     and :meth:`step` reads the shared rows of its macro step, the input
-    table at the held input word, and under ``none`` the free-running LFSRs
+    table at the held input word, the feedback table at each node's
+    feedback word and, past the cap under ``none``, the free-running LFSRs
     at the step's position on their cycles, so distinct instances (and
     sweep workers) share nothing.
     """
@@ -268,6 +328,7 @@ class Reservoir:
     def _prepare_stochastic(self) -> None:
         cfg = self.cfg
         L, q, H, n = cfg.L, cfg.q, cfg.H, cfg.n
+        width = (L + 7) // 8
         # thresholds share the words' narrow type, so no comparator widens
         self._w_offsets = real_to_offset(self.weights, q).astype(word_dtype(q))[:, None]
         # the thresholds of T (the zero-word bias), SM and SB
@@ -275,7 +336,8 @@ class Reservoir:
                             quantize_probability(0.5, q))
         self._copy_delays = bp.spread_delays(n, L)
         self._taps = [maximal_taps(q, role) for role in range(ROLE_COEFF_BASE + n + 1)]
-        self._w_stream = self._node_words = self._input_table = None
+        self._w_stream = self._node_words = self._input_table = self._feedback_table = None
+        self._x0 = self._sources = None
 
         if cfg.reseed_policy == "per-node":
             nodes = np.arange(H, dtype=np.uint64)
@@ -286,43 +348,61 @@ class Reservoir:
             self._node_words = {ROLE_INPUT: words[ROLE_INPUT],
                                 ROLE_FEEDBACK: words[ROLE_FEEDBACK]}
             self._shared = self._shared_streams(words)
-            # row v holds the input half of input word v, built 16 words per call
-            shape = (1 << q, H, (L + 7) // 8)
-            if math.prod(shape) <= _TABLE_MAX_BYTES:
-                A, C = self._shared[:2]
-                v = np.arange(1 << q, dtype=word_dtype(q))[:, None, None]
-                self._input_table = table = np.empty(shape, dtype=np.uint8)
-                for c in range(0, 1 << q, 16):
-                    table[c:c + 16] = self._input_half(v[c:c + 16], self._node_words, A, C)
+            # step t's nodes read rows t*H mod P on; a node's own row in the
+            # per-word tables is its node, or under none its phase
+            self._period, self._sources = 1, np.arange(H)
+            if (1 << q) * H * width <= _TABLE_MAX_BYTES:
+                A, C, D = self._shared[:3]
+                # row u: the input half X0 ^ (U & A) of input word u, X0 = (A & ~W) | C
+                self._input_table = _word_table(words[ROLE_INPUT], A, q)
+                self._input_table ^= (A & ~self._w_stream) | C
+                self._feedback_table = _word_table(words[ROLE_FEEDBACK], D, q)
         else:
             self._freerun_pos = [
                 lfsr_cycle(q, taps)[1][reseed_for_node(cfg.master_seed, _TAG_FREERUN, role, q)]
                 for role, taps in enumerate(self._taps)]
-            # row j of the table holds the shared streams of phase j mod P'
-            rows = freerun_phases(L, q) + H - 1
+
+            def phase_words(role, rows):
+                """rows*L words from the role's position: its cycle from there, repeated;
+                row j holds the words of phase j mod P'"""
+                cycle = lfsr_cycle(q, self._taps[role])[0]
+                return np.resize(np.roll(cycle, -self._freerun_pos[role]), (rows, L))
+
+            self._period = P = freerun_phases(L, q)
             self._shared = None
-            if (n + 4) * rows * ((L + 7) // 8) <= _TABLE_MAX_BYTES:
-                # rows*L words from each role's position: its cycle from there, repeated
+            if (n + 4) * (P + H - 1) * width <= _TABLE_MAX_BYTES:
+                self._sources = np.arange(P + H - 1) % P
                 self._shared = self._shared_streams(
-                    {role: np.resize(np.roll(lfsr_cycle(q, taps)[0], -self._freerun_pos[role]),
-                                     (rows, L))
-                     for role, taps in enumerate(self._taps) if role not in _NODE_ROLES})
+                    {role: phase_words(role, P + H - 1)
+                     for role in range(len(self._taps)) if role not in _NODE_ROLES})
+                A, C, D = self._shared[:3, :P]
+                if (1 << q) * P * width <= _TABLE_MAX_BYTES:
+                    self._feedback_table = _word_table(phase_words(ROLE_FEEDBACK, P), D, q)
+                    # row r of X0 serves node r mod H at phase r mod P'
+                    rows = math.lcm(H, P)
+                    if rows * width <= _TABLE_MAX_BYTES:
+                        r, s = np.arange(rows) % H, np.arange(rows) % P
+                        # A & ~W = A ^ (W & A)
+                        WA = _word_table(phase_words(ROLE_WEIGHT, P), A, q)
+                        self._x0 = (A[s] ^ WA[self._w_offsets[r, 0], s]) | C[s]
+                        del WA  # freed before UA is built: 1.6 MB less peak RSS at q=8
+                        self._input_table = _word_table(phase_words(ROLE_INPUT, P), A, q)
 
     def _shared_streams(self, words) -> np.ndarray:
         """The masks A = SM & SB, C = T & ~SB and D = SB & ~SM, then the
-        coefficient streams, packed and stacked on a leading axis, from each
-        role's words: the streams whose threshold every node shares."""
+        coefficient streams in pair form, packed and stacked on a leading
+        axis, from each role's words: the streams whose threshold every
+        node shares."""
         T, SM, SB = (pack(b2s(thr, words[role])) for thr, role in
                      zip(self._thresholds, (ROLE_BIAS, ROLE_SELECT_MIX, ROLE_SELECT_BIAS)))
-        return np.stack([SM & SB, T & ~SB, SB & ~SM,
-                         *(pack(b2s(beta, words[ROLE_COEFF_BASE + k]))
-                           for k, beta in enumerate(self.beta_words))])
+        coeffs = [pack(b2s(beta, words[ROLE_COEFF_BASE + k]))
+                  for k, beta in enumerate(self.beta_words)]
+        return np.stack([SM & SB, T & ~SB, SB & ~SM, *bp.pair_coefficients(coeffs)])
 
     def _input_half(self, u_off, words, A, C) -> np.ndarray:
         """Packed mux(U*W, C, A) of every node, the mix with a zero feedback
-        stream, for input word(s) ``u_off`` (a scalar, or an array with two
-        trailing unit axes) and the step's ``words``; ``per-node`` reads its
-        fixed W."""
+        stream, for input word ``u_off`` and the step's ``words``;
+        ``per-node`` reads its fixed W."""
         W = (pack(b2s(self._w_offsets, words[ROLE_WEIGHT])) if self._w_stream is None
              else self._w_stream)
         U = pack(b2s(u_off, words[ROLE_INPUT]))
@@ -371,22 +451,31 @@ class Reservoir:
 
     def _step_stochastic(self, u_off: np.integer, fb: np.ndarray, t: int) -> np.ndarray:
         """Node output words of macro step t from the input word and the feedback words."""
-        H, table = self.H, self._shared
+        H, table, words = self.H, self._shared, self._node_words
+        # H rows from t*H mod P on; the shared table holds P + H - 1 rows
+        o = t * H % self._period
         if table is None:  # free-running past the cap: the step derives its shared rows
             words = self._draw_words(t, range(len(self._taps)))
             rows = self._shared_streams(words)
         else:
-            words = self._node_words or self._draw_words(t, _NODE_ROLES)
-            # H rows from t*H mod P on; the table holds P + H - 1 rows
-            o = t * H % (table.shape[1] - H + 1)
             rows = table[:, o:o + H]
+            # each node's row in the per-word tables, which exist only beside the shared one
+            src = self._sources[o:o + H]
+            if words is None and self._x0 is None:  # free-running, input half past the cap
+                words = self._draw_words(t, _NODE_ROLES)
         A, C, D, beta = rows[0], rows[1], rows[2], rows[3:]
-        G = (self._input_half(u_off, words, A, C) if self._input_table is None
-             else self._input_table[u_off])
-        F = pack(b2s(fb[:, None], words[ROLE_FEEDBACK]))
+        # the input half mux(U*W, C, A), and the feedback stream masked by D
+        if self._input_table is None:
+            G = self._input_half(u_off, words, A, C)
+        elif self._x0 is None:  # per-node: row u holds it whole
+            G = self._input_table[u_off]
+        else:  # none: X0 of the step's nodes at their phases, XOR U & A of word u
+            r = t * H % len(self._x0)
+            G = self._x0[r:r + H] ^ self._input_table[u_off, src]
+        FD = (pack(b2s(fb[:, None], words[ROLE_FEEDBACK])) & D if self._feedback_table is None
+              else self._feedback_table[fb, src])
         # XNOR, the alpha-MUX and the 0.5-MUX: SB ? (SM ? U*W : F) : T
-        mixed = G | (F & D)
-        copies = bp.make_independent_copies(mixed, self._copy_delays, self.cfg.L)
+        copies = bp.make_independent_copies(G | FD, self._copy_delays, self.cfg.L)
         return s2b(bp.bernstein_mux_packed(copies, beta), self.cfg.L, self.cfg.q)
 
     def run(self, inputs) -> np.ndarray:

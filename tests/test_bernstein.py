@@ -1,7 +1,8 @@
 """Bernstein polynomials: the nested evaluator against exact rational
-arithmetic, and the adder + MUX node: the packed bit-sliced kernel against
-the count-and-gather reading of the circuit, and the packed rotated copies
-against ``np.roll`` of the unpacked stream."""
+arithmetic, and the adder + MUX node: the packed bit-sliced kernel, on
+coefficients in pair form, against the count-and-gather reading of the
+circuit, and the packed rotated copies against ``np.roll`` of the unpacked
+stream."""
 
 import hashlib
 import math
@@ -20,6 +21,7 @@ from stochtdr.bernstein import (
     check_fit_size,
     fit_bernstein_coeffs,
     make_independent_copies,
+    pair_coefficients,
     spread_delays,
 )
 from stochtdr.reservoir import Reservoir, TdrConfig
@@ -101,17 +103,30 @@ def count_and_gather(copy_bits: np.ndarray, beta_bits: np.ndarray) -> np.ndarray
     return np.take_along_axis(beta_bits, count[None], axis=0)[0]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 12, 16])
+@pytest.mark.parametrize("n", [*range(1, 13), 16])
 def test_stochastic_bernstein_eval_matches_count_and_gather(n):
     # bit r of the copies holds r % (n+1) ones, so every count 0..n occurs,
-    # including the top ones that an unpaired MUX-tree entry serves
+    # including the top ones that an unpaired MUX-tree entry serves; odd and
+    # even n give an even and an odd number of coefficient streams, and
+    # L = 37 leaves 3 padding bits
     rng = np.random.default_rng(n)
-    L = 37 + n
+    L = 37
     copy_bits = rng.permuted(np.arange(n)[:, None] < np.arange(L) % (n + 1), axis=0)
     beta_bits = rng.random((n + 1, L)) < 0.5
-    out = np.unpackbits(bernstein_mux_packed(pack(copy_bits), pack(beta_bits)))
+    pairs = pair_coefficients(pack(beta_bits))
+    assert pairs.shape == (n + 1, 5)
+    out = np.unpackbits(bernstein_mux_packed(pack(copy_bits), pairs))
     np.testing.assert_array_equal(out[:L].astype(bool), count_and_gather(copy_bits, beta_bits))
     assert not out[L:].any()
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 6])
+def test_pair_form_holds_the_even_streams_then_the_pair_differences(count):
+    beta = np.random.default_rng(count).integers(0, 256, (count, 3, 4), dtype=np.uint8)
+    half = count // 2
+    want = [beta[2 * k] for k in range(half)] + \
+           [beta[2 * k + 1] ^ beta[2 * k] for k in range(half)] + list(beta[2 * half:])
+    np.testing.assert_array_equal(pair_coefficients(beta), want)
 
 
 @pytest.mark.parametrize("n,L", [(3, 37), (6, 64), (15, 20)])
@@ -121,7 +136,7 @@ def test_packed_kernel_batch_axes_and_zero_padding(n, L):
     copy_bits = (rng.random((n, 2, 3, L)) < 0.8).astype(np.uint8)
     beta_bits = rng.integers(0, 2, (n + 1, 2, 3, L), dtype=np.uint8)
     out = bernstein_mux_packed(np.packbits(copy_bits, axis=-1),
-                               np.packbits(beta_bits, axis=-1))
+                               pair_coefficients(np.packbits(beta_bits, axis=-1)))
     assert out.shape == (2, 3, -(-L // 8))
     bits = np.unpackbits(out, axis=-1)
     np.testing.assert_array_equal(bits[..., :L], count_and_gather(copy_bits, beta_bits))

@@ -112,44 +112,66 @@ def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q):
     np.testing.assert_array_equal(X, oracle_run(res, inputs))
 
 
+_TABLES = ("_shared", "_input_table", "_feedback_table", "_x0")
+
+
 @pytest.mark.parametrize("policy,L", [("none", 64), ("per-node", 200)])
 def test_past_the_table_cap_matches_gate_oracle(policy, L):
     # past the cap, every step derives its streams with comparators: under
     # none, P' = 65535 phases of 13 shared 8-byte streams; under per-node,
-    # 2^16 input words of 4 nodes' 25-byte streams
+    # 2^16 input (and feedback) words of 4 nodes' 25-byte streams
     cfg = TdrConfig(H=4, alpha=0.3, gamma=2.0, L=L, n=9, q=16, master_seed=5,
                     reseed_policy=policy, backend="stochastic")
     res = Reservoir(cfg)
-    assert (res._shared if policy == "none" else res._input_table) is None
+    built = {name for name in _TABLES if getattr(res, name) is not None}
+    assert built == (set() if policy == "none" else {"_shared"})
     inputs = quantize(np.random.default_rng(5).uniform(-1.0, 1.0, 6), cfg.q)
     np.testing.assert_array_equal(res.run(inputs), oracle_run(res, inputs))
 
 
-@pytest.mark.parametrize("policy,q,L", [("none", 8, 1000), ("none", 10, 1001),
-                                        ("none", 12, 1000), ("per-node", 8, 1000),
-                                        ("per-node", 10, 1001)])
-def test_table_matches_per_step_streams(policy, q, L, monkeypatch):
-    # under none, the shared rows: 1000 nodes wrap P' = 51, 93 and 819 phases;
-    # under per-node, the input halves: 2^q rows of 20 nodes, 320 KB and 2.6 MB
-    cfg = TdrConfig(H=50 if policy == "none" else 20, alpha=0.3, gamma=2.0, L=L, q=q,
-                    master_seed=q, reseed_policy=policy, backend="stochastic")
-    inputs = quantize(np.random.default_rng(q).uniform(-1.0, 1.0, (2, 10)), q)
+@pytest.mark.parametrize("policy,q,L,H,n,steps,cap,tables", [
+    # under none, 1000 nodes wrap P' = 51 phases; 60 steps wrap X0's
+    # lcm(50, 51) = 2550 rows at step 51
+    pytest.param("none", 8, 1000, 50, 5, 30, None, _TABLES, id="none-8-1000"),
+    # P' = 3 and H = 6: X0 has H rows; n = 4 leaves beta_4 unpaired
+    pytest.param("none", 8, 85, 6, 4, 10, None, _TABLES, id="none-8-85"),
+    # P' = 93 and 819: the shared table alone fits under the cap
+    pytest.param("none", 10, 1001, 50, 5, 10, None, _TABLES[:1], id="none-10-1001"),
+    pytest.param("none", 12, 1000, 50, 5, 10, None, _TABLES[:1], id="none-12-1000"),
+    # H = 130 > 2^7 nodes over P' = 127 phases: a cap under X0's lcm(130, 127)
+    # = 16510 bytes and over the feedback table's 128*127 keeps the latter
+    pytest.param("none", 7, 8, 130, 5, 4, 16300, ("_shared", "_feedback_table"),
+                 id="none-7-8"),
+    # under per-node, 2^q input and feedback rows of H nodes: 320 KB each at
+    # q = 8, 2.6 MB at q = 10 and 3.2 MB at q = 9, the largest under the cap
+    pytest.param("per-node", 8, 1000, 20, 5, 10, None, _TABLES[:3], id="per-node-8-1000"),
+    pytest.param("per-node", 10, 1001, 20, 4, 10, None, _TABLES[:3], id="per-node-10-1001"),
+    pytest.param("per-node", 9, 1000, 50, 5, 10, None, _TABLES[:3], id="per-node-9-1000"),
+])
+def test_table_matches_per_step_streams(policy, q, L, H, n, steps, cap, tables, monkeypatch):
+    cfg = TdrConfig(H=H, alpha=0.3, gamma=2.0, L=L, n=n, q=q, master_seed=q,
+                    reseed_policy=policy, backend="stochastic")
+    inputs = quantize(np.random.default_rng(q).uniform(-1.0, 1.0, (2, steps)), q)
+    if cap is not None:
+        monkeypatch.setattr(reservoir, "_TABLE_MAX_BYTES", cap)
     with_table = Reservoir(cfg)
+    assert {name for name in _TABLES if getattr(with_table, name) is not None} == set(tables)
     monkeypatch.setattr(reservoir, "_TABLE_MAX_BYTES", 0)
     per_step = Reservoir(cfg)
-    name = "_shared_streams" if policy == "none" else "_input_half"
-    derive = getattr(Reservoir, name)
-    calls = []
+    assert all(getattr(per_step, name) is None for name in _TABLES[1:])
+    compare, comparisons = reservoir.b2s, []
 
-    def counted(self, *args):
-        calls.append(self)
-        return derive(self, *args)
+    def counted(*args):
+        comparisons.append(args)
+        return compare(*args)
 
-    monkeypatch.setattr(Reservoir, name, counted)
+    monkeypatch.setattr(reservoir, "b2s", counted)
     X = with_table.run(inputs)
-    assert calls == []  # the table serves every step
+    # a step served by the input and feedback tables runs no comparator
+    assert (comparisons == []) == ({"_input_table", "_feedback_table"} <= set(tables))
+    comparisons.clear()
     np.testing.assert_array_equal(per_step.run(inputs), X)
-    assert calls == [per_step] * inputs.size
+    assert len(comparisons) >= 2 * inputs.size
 
 
 @pytest.mark.parametrize("q,L,H", [(8, 1000, 50), (8, 255, 4), (8, 85, 6), (10, 1001, 4),

@@ -326,6 +326,21 @@ def test_mux_distributes_over_or_on_packed_streams(L):
         assert not ((A | C | D)[:, -1] & (0xFF >> L % 8)).any()
 
 
+@pytest.mark.parametrize("L", [37, 1000])
+def test_input_half_is_x0_xor_u_and_a(L):
+    # the free-running step reads U & A per input word and X0 = (A & ~W) | C
+    # per node and phase: with A and C disjoint and zero in the padding, the
+    # input half mux(XNOR(U, W), C, A) is their XOR
+    rng = np.random.default_rng(L)
+    u, w, t, sm, sb = (pack(x) for x in rng.random((5, 6, L)) < 0.5)
+    A, C = sm & sb, t & ~sb
+    assert not (A & C).any()
+    if L % 8:
+        assert not ((A | C)[:, -1] & (0xFF >> L % 8)).any()
+    np.testing.assert_array_equal(stoch_mux_average(stoch_mult(u, w), C, A),
+                                  ((A & ~w) | C) ^ (u & A))
+
+
 def test_mux_empirical_half_mix_q16():
     q, L = 16, 100_000
     a = np.ones(L, dtype=bool)    # ztilde = +1
