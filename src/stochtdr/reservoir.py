@@ -70,11 +70,12 @@ Each has a row for every q-bit word v and every source, the H nodes under
   on.
 
 At q = 8, H = 50, L = 1000 that is 1.6 MB each for FD and G or UA, and
-0.3 MB for X0.  Each table is built only within one fixed byte cap, the
-per-word ones only beside the shared table, and X0 only with UA; past the
-cap each step derives the missing streams from its words with comparators,
-as the gate chain above reads.  The per-word tables are built by one
-scatter and a running OR over v rather than by comparing every word.
+0.3 MB for X0.  Each table is built only within one fixed byte cap, and
+a policy's per-word tables (with X0 under ``none``) only all together and
+beside the shared table; past the cap each step derives the missing
+streams from its words with comparators, as the gate chain above reads.
+The per-word tables are built by one scatter and a running OR over v
+rather than by comparing every word.
 """
 
 from __future__ import annotations
@@ -262,7 +263,9 @@ def _word_table(words: np.ndarray, mask: np.ndarray, q: int) -> np.ndarray:
     Bit r of source s turns on at v = words[s, r] and stays on, so the
     table sets each bit at the row of its word and ORs every row into the
     later ones.  The 8 bits of a byte hold 8 consecutive words of a
-    maximal LFSR, all distinct at q >= 3, so no two share a row.  0.8 ms
+    maximal LFSR, all distinct when its period 2^q - 1 is at least 8, so no
+    two share a row; the stochastic backend's role count already needs
+    q >= 7.  0.8 ms
     against 2.1 ms for comparators in chunks of 16 words at q=8, S=51,
     L=1000 (2-core Xeon).
     """
@@ -375,18 +378,18 @@ class Reservoir:
                 self._shared = self._shared_streams(
                     {role: phase_words(role, P + H - 1)
                      for role in range(len(self._taps)) if role not in _NODE_ROLES})
-                A, C, D = self._shared[:3, :P]
-                if (1 << q) * P * width <= _TABLE_MAX_BYTES:
+                # row r of X0 serves node r mod H at phase r mod P'; X0, UA and FD
+                # are built together or not at all
+                rows = math.lcm(H, P)
+                if max((1 << q) * P, rows) * width <= _TABLE_MAX_BYTES:
+                    A, C, D = self._shared[:3, :P]
+                    r, s = np.arange(rows) % H, np.arange(rows) % P
+                    # A & ~W = A ^ (W & A)
+                    WA = _word_table(phase_words(ROLE_WEIGHT, P), A, q)
+                    self._x0 = (A[s] ^ WA[self._w_offsets[r, 0], s]) | C[s]
+                    del WA  # freed before UA is built: 1.6 MB less peak RSS at q=8
+                    self._input_table = _word_table(phase_words(ROLE_INPUT, P), A, q)
                     self._feedback_table = _word_table(phase_words(ROLE_FEEDBACK, P), D, q)
-                    # row r of X0 serves node r mod H at phase r mod P'
-                    rows = math.lcm(H, P)
-                    if rows * width <= _TABLE_MAX_BYTES:
-                        r, s = np.arange(rows) % H, np.arange(rows) % P
-                        # A & ~W = A ^ (W & A)
-                        WA = _word_table(phase_words(ROLE_WEIGHT, P), A, q)
-                        self._x0 = (A[s] ^ WA[self._w_offsets[r, 0], s]) | C[s]
-                        del WA  # freed before UA is built: 1.6 MB less peak RSS at q=8
-                        self._input_table = _word_table(phase_words(ROLE_INPUT, P), A, q)
 
     def _shared_streams(self, words) -> np.ndarray:
         """The masks A = SM & SB, C = T & ~SB and D = SB & ~SM, then the
@@ -459,23 +462,23 @@ class Reservoir:
             rows = self._shared_streams(words)
         else:
             rows = table[:, o:o + H]
-            # each node's row in the per-word tables, which exist only beside the shared one
-            src = self._sources[o:o + H]
-            if words is None and self._x0 is None:  # free-running, input half past the cap
+            if words is None and self._input_table is None:  # free-running, tables past the cap
                 words = self._draw_words(t, _NODE_ROLES)
         A, C, D, beta = rows[0], rows[1], rows[2], rows[3:]
-        # the input half mux(U*W, C, A), and the feedback stream masked by D
-        if self._input_table is None:
-            G = self._input_half(u_off, words, A, C)
-        elif self._x0 is None:  # per-node: row u holds it whole
-            G = self._input_table[u_off]
-        else:  # none: X0 of the step's nodes at their phases, XOR U & A of word u
-            r = t * H % len(self._x0)
-            G = self._x0[r:r + H] ^ self._input_table[u_off, src]
-        FD = (pack(b2s(fb[:, None], words[ROLE_FEEDBACK])) & D if self._feedback_table is None
-              else self._feedback_table[fb, src])
+        if self._input_table is None:  # past the cap: the input half mux(U*W, C, A) and F & D
+            mixed = (self._input_half(u_off, words, A, C)
+                     | (pack(b2s(fb[:, None], words[ROLE_FEEDBACK])) & D))
+        else:
+            # each node's source row: its node under per-node, its phase under none
+            src = self._sources[o:o + H]
+            if self.cfg.reseed_policy == "per-node":  # row u holds the input half whole
+                G = self._input_table[u_off]
+            else:  # X0 of the step's nodes, XOR U & A of word u at their phases
+                r = t * H % len(self._x0)
+                G = self._x0[r:r + H] ^ self._input_table[u_off, src]
+            mixed = G | self._feedback_table[fb, src]
         # XNOR, the alpha-MUX and the 0.5-MUX: SB ? (SM ? U*W : F) : T
-        copies = bp.make_independent_copies(G | FD, self._copy_delays, self.cfg.L)
+        copies = bp.make_independent_copies(mixed, self._copy_delays, self.cfg.L)
         return s2b(bp.bernstein_mux_packed(copies, beta), self.cfg.L, self.cfg.q)
 
     def run(self, inputs) -> np.ndarray:

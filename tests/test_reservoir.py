@@ -129,36 +129,38 @@ def test_past_the_table_cap_matches_gate_oracle(policy, L):
     np.testing.assert_array_equal(res.run(inputs), oracle_run(res, inputs))
 
 
-@pytest.mark.parametrize("policy,q,L,H,n,steps,cap,tables", [
-    # under none, 1000 nodes wrap P' = 51 phases; 60 steps wrap X0's
+@pytest.mark.parametrize("policy,q,L,H,n,steps,tables,per_step", [
+    # per_step: comparator calls per step with the tables built and with the
+    # cap at 0.  Past the per-word tables a step compares U, W and F (under
+    # per-node only U and F, W is fixed), and past the shared table under
+    # none also T, SM, SB and the n + 1 coefficient streams.
+    # Under none, 1000 nodes wrap P' = 51 phases; 60 steps wrap X0's
     # lcm(50, 51) = 2550 rows at step 51
-    pytest.param("none", 8, 1000, 50, 5, 30, None, _TABLES, id="none-8-1000"),
+    pytest.param("none", 8, 1000, 50, 5, 60, _TABLES, (0, 12), id="none-8-1000"),
     # P' = 3 and H = 6: X0 has H rows; n = 4 leaves beta_4 unpaired
-    pytest.param("none", 8, 85, 6, 4, 10, None, _TABLES, id="none-8-85"),
+    pytest.param("none", 8, 85, 6, 4, 10, _TABLES, (0, 11), id="none-8-85"),
     # P' = 93 and 819: the shared table alone fits under the cap
-    pytest.param("none", 10, 1001, 50, 5, 10, None, _TABLES[:1], id="none-10-1001"),
-    pytest.param("none", 12, 1000, 50, 5, 10, None, _TABLES[:1], id="none-12-1000"),
-    # H = 130 > 2^7 nodes over P' = 127 phases: a cap under X0's lcm(130, 127)
-    # = 16510 bytes and over the feedback table's 128*127 keeps the latter
-    pytest.param("none", 7, 8, 130, 5, 4, 16300, ("_shared", "_feedback_table"),
-                 id="none-7-8"),
+    pytest.param("none", 10, 1001, 50, 5, 10, _TABLES[:1], (3, 12), id="none-10-1001"),
+    pytest.param("none", 12, 1000, 50, 5, 10, _TABLES[:1], (3, 12), id="none-12-1000"),
+    # H = 130 > 2^7 nodes over P' = 127 phases: a step's source rows wrap
+    # twice, and X0 has lcm(130, 127) = 16510 rows
+    pytest.param("none", 7, 8, 130, 5, 4, _TABLES, (0, 12), id="none-7-8"),
     # under per-node, 2^q input and feedback rows of H nodes: 320 KB each at
     # q = 8, 2.6 MB at q = 10 and 3.2 MB at q = 9, the largest under the cap
-    pytest.param("per-node", 8, 1000, 20, 5, 10, None, _TABLES[:3], id="per-node-8-1000"),
-    pytest.param("per-node", 10, 1001, 20, 4, 10, None, _TABLES[:3], id="per-node-10-1001"),
-    pytest.param("per-node", 9, 1000, 50, 5, 10, None, _TABLES[:3], id="per-node-9-1000"),
+    pytest.param("per-node", 8, 1000, 20, 5, 10, _TABLES[:3], (0, 2), id="per-node-8-1000"),
+    pytest.param("per-node", 10, 1001, 20, 4, 10, _TABLES[:3], (0, 2), id="per-node-10-1001"),
+    pytest.param("per-node", 9, 1000, 50, 5, 10, _TABLES[:3], (0, 2), id="per-node-9-1000"),
 ])
-def test_table_matches_per_step_streams(policy, q, L, H, n, steps, cap, tables, monkeypatch):
+def test_table_matches_per_step_streams(policy, q, L, H, n, steps, tables, per_step,
+                                        monkeypatch):
     cfg = TdrConfig(H=H, alpha=0.3, gamma=2.0, L=L, n=n, q=q, master_seed=q,
                     reseed_policy=policy, backend="stochastic")
     inputs = quantize(np.random.default_rng(q).uniform(-1.0, 1.0, (2, steps)), q)
-    if cap is not None:
-        monkeypatch.setattr(reservoir, "_TABLE_MAX_BYTES", cap)
     with_table = Reservoir(cfg)
     assert {name for name in _TABLES if getattr(with_table, name) is not None} == set(tables)
     monkeypatch.setattr(reservoir, "_TABLE_MAX_BYTES", 0)
-    per_step = Reservoir(cfg)
-    assert all(getattr(per_step, name) is None for name in _TABLES[1:])
+    per_step_streams = Reservoir(cfg)
+    assert all(getattr(per_step_streams, name) is None for name in _TABLES[1:])
     compare, comparisons = reservoir.b2s, []
 
     def counted(*args):
@@ -167,11 +169,10 @@ def test_table_matches_per_step_streams(policy, q, L, H, n, steps, cap, tables, 
 
     monkeypatch.setattr(reservoir, "b2s", counted)
     X = with_table.run(inputs)
-    # a step served by the input and feedback tables runs no comparator
-    assert (comparisons == []) == ({"_input_table", "_feedback_table"} <= set(tables))
+    assert len(comparisons) == per_step[0] * inputs.size
     comparisons.clear()
-    np.testing.assert_array_equal(per_step.run(inputs), X)
-    assert len(comparisons) >= 2 * inputs.size
+    np.testing.assert_array_equal(per_step_streams.run(inputs), X)
+    assert len(comparisons) == per_step[1] * inputs.size
 
 
 @pytest.mark.parametrize("q,L,H", [(8, 1000, 50), (8, 255, 4), (8, 85, 6), (10, 1001, 4),
