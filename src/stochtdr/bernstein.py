@@ -256,9 +256,13 @@ def bernstein_mux_packed(copies, pairs):
                          f"got {len(pairs)}")
     planes: list[np.ndarray] = []
     for j, carry in enumerate(copies):
+        # the count reaches j + 1: the top plane carries out only at a new power of two
+        grows = (j + 1).bit_length() > len(planes)
         for i, p in enumerate(planes):
-            planes[i], carry = p ^ carry, p & carry
-        if (j + 1).bit_length() > len(planes):
+            planes[i] = p ^ carry
+            if grows or i + 1 < len(planes):
+                carry = p & carry
+        if grows:
             planes.append(carry)
     half = (n + 1) // 2
     level = [*(pairs[:half] ^ (planes[0] & pairs[half:2 * half])), *pairs[2 * half:]]

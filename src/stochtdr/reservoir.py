@@ -22,18 +22,13 @@ comparator-based B2S of the operands, XNOR for the input weighting, one MUX
 (select probability alpha) mixing input against feedback, the paper's second
 MUX (select 0.5) averaging in the bias operand, which is the zero word, an
 adder+MUX Bernstein node for the activation, and
-an up/down-counter S2B whose q-bit word enters the delay line.  Each gate
-is one array kernel of ``streams`` or ``bernstein``, called on the streams
-of all H nodes at once, every step or, for the tables below, at build
-time: :func:`streams.b2s`,
-:func:`streams.stoch_mult`, :func:`streams.stoch_mux_average`,
-:func:`bernstein.make_independent_copies`,
-:func:`bernstein.bernstein_mux_packed` and :func:`streams.s2b`; the LFSR
-words come from :func:`streams.lfsr_words` (per-node seeds) or, for the
-free-running LFSRs of the ``none`` policy, from :func:`streams.lfsr_windows`
-at step t's position on each cycle.  The step only composes them.
-Every stream is packed right after its comparator, so the gate chain runs
-on (H, ceil(L/8)) bytes.
+an up/down-counter S2B whose q-bit word enters the delay line.  The step
+runs each on the streams of all H nodes at once: comparators
+(:func:`streams.b2s`) on the words of :func:`streams.lfsr_windows`, every
+stream packed right after its comparator, so the gate chain runs on
+(H, ceil(L/8)) bytes; the XNOR and both MUXes as the masked form below;
+then :func:`bernstein.make_independent_copies`,
+:func:`bernstein.bernstein_mux_packed` and :func:`streams.s2b`.
 The two ideal backends evaluate the same composition in exact arithmetic,
 so the stochastic state matrix converges to the ``ideal-bernstein`` one as
 the stream length L grows.  Select thresholds are quantized at width q in the
@@ -43,39 +38,36 @@ The mix is SB ? (SM ? U*W : F) : T.  With the disjoint masks A = SM & SB,
 C = T & ~SB and D = SB & ~SM, all zero in the padding, it equals
 mux(U*W, C, A) | (F & D): an input half, the mix with a zero feedback
 stream, OR the feedback stream masked by D.  The input half is in turn
-X0 ^ (U & A) with X0 = (A & ~W) | C.  Every node compares the words of
-T, SM, SB and the n + 1 coefficient streams against one threshold, so
-both policies keep A, C, D and the coefficient streams, these in the pair
-form of :func:`bernstein.pair_coefficients`, as one shared table of n + 4
-stacked rows of packed streams, and step t reads H rows of it from
-t*H mod P on as a view.  Under ``per-node`` every word is fixed at build
-time: the table holds the H nodes' rows and P = 1.  Under ``none``, node g
-of the run reads each role's words from cycle position pos + g*L, and on a
-cycle of 2^q - 1 words that depends only on the phase g mod P', with
-P' = (2^q - 1) / gcd(L, 2^q - 1): the table holds phases 0 .. P' + H - 2
-and P = P'.
+X0 ^ (U & A) with X0 = (A & ~W) | C.
 
-The streams whose threshold is a node's own word, U, W and F, come from
-per-word tables, so a step whose tables are all built runs no comparator.
-Each has a row for every q-bit word v and every source, the H nodes under
-``per-node`` or the P' phases under ``none``:
+The reseed policy decides only which LFSR words a node reads.  A source is
+one L-word row of every role, starting at its own position on the role's
+cycle: under ``per-node`` source i is node i, restarted from its seeds
+(:func:`reseed_for_node`), so there are S = H sources; under ``none``
+source s is phase s of the free-running cycles, s*L words past each role's
+position, so S = :func:`freerun_phases`.  Node i of macro step t reads
+source (t*H + i) mod S, and the build tabulates, from the sources' words:
 
-* the feedback table FD[v, s] = pack(b2s(v, F words of s)) & D_s, read at
-  each node's feedback word, 2^q * S * ceil(L/8) bytes for S sources;
-* under ``per-node``, the input table G[u] of the whole input half of
-  every node, X0 folded in, 2^q * H * ceil(L/8) bytes;
-* under ``none``, the input table UA[v, s] = pack(b2s(v, U words of s)) &
-  A_s (2^q * P' * ceil(L/8) bytes) and X0 of node i at phase s, which
-  repeats with g mod lcm(H, P'): lcm(H, P') rows, from t*H mod lcm(H, P')
-  on.
+* the shared table of A, C, D and the coefficient streams, these in the
+  pair form of :func:`bernstein.pair_coefficients`, the streams whose
+  threshold every node shares: n + 4 stacked rows for sources
+  0 .. S + H - gcd(H, S) - 1 (mod S), of which step t reads H from t*H mod S
+  on as a view;
+* X0, a function of node and source that repeats with t*H + i mod
+  lcm(H, S): row r is node r mod H at source r mod S;
+* the per-word input and feedback tables UA[v, s] = pack(b2s(v, U words of
+  s)) & A_s and FD[v, s] = pack(b2s(v, F words of s)) & D_s, read at the
+  held input word and at each node's feedback word, 2^q * S * ceil(L/8)
+  bytes each, built by one scatter and a running OR over v rather than by
+  comparing every word.
 
-At q = 8, H = 50, L = 1000 that is 1.6 MB each for FD and G or UA, and
-0.3 MB for X0.  Each table is built only within one fixed byte cap, and
-a policy's per-word tables (with X0 under ``none``) only all together and
-beside the shared table; past the cap each step derives the missing
-streams from its words with comparators, as the gate chain above reads.
-The per-word tables are built by one scatter and a running OR over v
-rather than by comparing every word.
+When H divides S, as always under ``per-node``, X0 has one row per source
+and folds into UA, so step t reads UA[u] at sources t*H mod S on as a view.
+At q = 8, H = 50, L = 1000 each per-word table takes 1.6 MB, and X0 under
+``none`` (S = 51) 0.3 MB.  Each table is built when it fits within one
+fixed byte cap, in the order above, X0 and the per-word tables only beside
+the shared table.  Past the cap each step derives the missing streams from
+its sources' words with comparators, as the gate chain above reads.
 """
 
 from __future__ import annotations
@@ -92,7 +84,6 @@ from .streams import (
     b2s,
     lfsr_cycle,
     lfsr_windows,
-    lfsr_words,
     maximal_taps,
     offset_to_real,
     pack,
@@ -100,8 +91,6 @@ from .streams import (
     quantize_probability,
     real_to_offset,
     s2b,
-    stoch_mult,
-    stoch_mux_average,
     supported_widths,
     word_dtype,
 )
@@ -121,11 +110,9 @@ ROLE_SELECT_MIX = 4
 ROLE_SELECT_BIAS = 5
 ROLE_COEFF_BASE = 6  # coefficient k uses role ROLE_COEFF_BASE + k
 
-# the roles whose comparator threshold differs per node or per step
-_NODE_ROLES = (ROLE_INPUT, ROLE_WEIGHT, ROLE_FEEDBACK)
 # the largest precomputed stream table a reservoir builds, each of the
-# shared-stream table of none, the per-word input and feedback tables and X0;
-# past it every step derives those streams with comparators
+# shared-stream table, X0 and the per-word input and feedback tables; past
+# it every step derives the missing streams from its sources' words
 _TABLE_MAX_BYTES = 4 << 20
 
 _MASK64 = (1 << 64) - 1
@@ -296,17 +283,14 @@ def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
 
 class Reservoir:
     """A configured reservoir instance with precomputed stream machinery:
-    the shared-stream table of A, C, D and the coefficient streams, the
-    per-word feedback and input tables (and X0 under ``none``), and under
-    ``per-node`` the fixed node streams, each table within
-    ``_TABLE_MAX_BYTES``.
+    under ``stochastic``, the start of every source's LFSR words and, each
+    within ``_TABLE_MAX_BYTES``, the shared-stream table, X0 and the
+    per-word input and feedback tables of those sources.
 
     Instances hold no mutable run state: :meth:`run` owns the delay line,
-    and :meth:`step` reads the shared rows of its macro step, the input
-    table at the held input word, the feedback table at each node's
-    feedback word and, past the cap under ``none``, the free-running LFSRs
-    at the step's position on their cycles, so distinct instances (and
-    sweep workers) share nothing.
+    and :meth:`step` reads the tables, or past the cap the words, of its
+    macro step's sources, so distinct instances (and sweep workers) share
+    nothing.
     """
 
     def __init__(self, cfg: TdrConfig):
@@ -339,85 +323,65 @@ class Reservoir:
                             quantize_probability(0.5, q))
         self._copy_delays = bp.spread_delays(n, L)
         self._taps = [maximal_taps(q, role) for role in range(ROLE_COEFF_BASE + n + 1)]
-        self._w_stream = self._node_words = self._input_table = self._feedback_table = None
-        self._x0 = self._sources = None
+        self._starts = self._source_starts()
+        S = self._starts.shape[1]
+        # the source of each shared-table row; step t's nodes read the rows
+        # from t*H mod S on, a multiple of gcd(H, S)
+        self._sources = np.arange(S + H - math.gcd(H, S)) % S
+        self._shared = self._x0 = self._input_table = self._feedback_table = None
+        if (n + 4) * len(self._sources) * width > _TABLE_MAX_BYTES:
+            return
+        self._shared = self._shared_streams(self._sources)
+        A, C, D = self._shared[:3, :S]
+        src, rows = np.arange(S), math.lcm(H, S)
+        if rows * width <= _TABLE_MAX_BYTES:
+            # S rows at a time, one per source, as the shared table compares them
+            self._x0 = np.concatenate([self._input_base(np.arange(k, k + S) % H, src, A, C)
+                                       for k in range(0, rows, S)])
+        if (1 << q) * S * width <= _TABLE_MAX_BYTES:
+            self._input_table = _word_table(self._words(ROLE_INPUT, src), A, q)
+            if S % H == 0:  # one X0 row per source: fold it into the input table
+                self._input_table ^= self._x0
+                self._x0 = None
+            self._feedback_table = _word_table(self._words(ROLE_FEEDBACK, src), D, q)
 
+    def _source_starts(self) -> np.ndarray:
+        """The cycle position of each source's first word, (roles, S).
+
+        The reseed policy is this choice alone: under ``per-node`` source i
+        is node i, its LFSRs restarted from its own seeds, so S = H; under
+        ``none`` source s is phase s of the free-running cycles, s*L words
+        past each role's position, so S = :func:`freerun_phases`.
+        """
+        cfg = self.cfg
         if cfg.reseed_policy == "per-node":
-            nodes = np.arange(H, dtype=np.uint64)
-            words = [lfsr_words(q, taps, reseed_for_node(cfg.master_seed, nodes, role, q), L)
-                     for role, taps in enumerate(self._taps)]
-            # constant operands freeze into fixed streams under re-seeding
-            self._w_stream = pack(b2s(self._w_offsets, words[ROLE_WEIGHT]))
-            self._node_words = {ROLE_INPUT: words[ROLE_INPUT],
-                                ROLE_FEEDBACK: words[ROLE_FEEDBACK]}
-            self._shared = self._shared_streams(words)
-            # step t's nodes read rows t*H mod P on; a node's own row in the
-            # per-word tables is its node, or under none its phase
-            self._period, self._sources = 1, np.arange(H)
-            if (1 << q) * H * width <= _TABLE_MAX_BYTES:
-                A, C, D = self._shared[:3]
-                # row u: the input half X0 ^ (U & A) of input word u, X0 = (A & ~W) | C
-                self._input_table = _word_table(words[ROLE_INPUT], A, q)
-                self._input_table ^= (A & ~self._w_stream) | C
-                self._feedback_table = _word_table(words[ROLE_FEEDBACK], D, q)
+            nodes, phases = np.arange(self.H, dtype=np.uint64), 0
         else:
-            self._freerun_pos = [
-                lfsr_cycle(q, taps)[1][reseed_for_node(cfg.master_seed, _TAG_FREERUN, role, q)]
-                for role, taps in enumerate(self._taps)]
+            nodes, phases = _TAG_FREERUN, np.arange(freerun_phases(cfg.L, cfg.q)) * cfg.L
+        return np.stack([
+            (lfsr_cycle(cfg.q, taps)[1][reseed_for_node(cfg.master_seed, nodes, role, cfg.q)]
+             + phases) % ((1 << cfg.q) - 1)
+            for role, taps in enumerate(self._taps)])
 
-            def phase_words(role, rows):
-                """rows*L words from the role's position: its cycle from there, repeated;
-                row j holds the words of phase j mod P'"""
-                cycle = lfsr_cycle(q, self._taps[role])[0]
-                return np.resize(np.roll(cycle, -self._freerun_pos[role]), (rows, L))
+    def _words(self, role: int, src: np.ndarray) -> np.ndarray:
+        """The (len(src), L) comparator words of ``role`` at sources ``src``."""
+        return lfsr_windows(self.cfg.q, self._taps[role], self.cfg.L)[self._starts[role, src]]
 
-            self._period = P = freerun_phases(L, q)
-            self._shared = None
-            if (n + 4) * (P + H - 1) * width <= _TABLE_MAX_BYTES:
-                self._sources = np.arange(P + H - 1) % P
-                self._shared = self._shared_streams(
-                    {role: phase_words(role, P + H - 1)
-                     for role in range(len(self._taps)) if role not in _NODE_ROLES})
-                # row r of X0 serves node r mod H at phase r mod P'; X0, UA and FD
-                # are built together or not at all
-                rows = math.lcm(H, P)
-                if max((1 << q) * P, rows) * width <= _TABLE_MAX_BYTES:
-                    A, C, D = self._shared[:3, :P]
-                    r, s = np.arange(rows) % H, np.arange(rows) % P
-                    # A & ~W = A ^ (W & A)
-                    WA = _word_table(phase_words(ROLE_WEIGHT, P), A, q)
-                    self._x0 = (A[s] ^ WA[self._w_offsets[r, 0], s]) | C[s]
-                    del WA  # freed before UA is built: 1.6 MB less peak RSS at q=8
-                    self._input_table = _word_table(phase_words(ROLE_INPUT, P), A, q)
-                    self._feedback_table = _word_table(phase_words(ROLE_FEEDBACK, P), D, q)
-
-    def _shared_streams(self, words) -> np.ndarray:
+    def _shared_streams(self, src: np.ndarray) -> np.ndarray:
         """The masks A = SM & SB, C = T & ~SB and D = SB & ~SM, then the
         coefficient streams in pair form, packed and stacked on a leading
-        axis, from each role's words: the streams whose threshold every
-        node shares."""
-        T, SM, SB = (pack(b2s(thr, words[role])) for thr, role in
+        axis, at sources ``src``: the streams whose threshold every node
+        shares."""
+        T, SM, SB = (pack(b2s(thr, self._words(role, src))) for thr, role in
                      zip(self._thresholds, (ROLE_BIAS, ROLE_SELECT_MIX, ROLE_SELECT_BIAS)))
-        coeffs = [pack(b2s(beta, words[ROLE_COEFF_BASE + k]))
+        coeffs = [pack(b2s(beta, self._words(ROLE_COEFF_BASE + k, src)))
                   for k, beta in enumerate(self.beta_words)]
         return np.stack([SM & SB, T & ~SB, SB & ~SM, *bp.pair_coefficients(coeffs)])
 
-    def _input_half(self, u_off, words, A, C) -> np.ndarray:
-        """Packed mux(U*W, C, A) of every node, the mix with a zero feedback
-        stream, for input word ``u_off`` and the step's ``words``;
-        ``per-node`` reads its fixed W."""
-        W = (pack(b2s(self._w_offsets, words[ROLE_WEIGHT])) if self._w_stream is None
-             else self._w_stream)
-        U = pack(b2s(u_off, words[ROLE_INPUT]))
-        return stoch_mux_average(stoch_mult(U, W), C, A)
-
-    def _draw_words(self, t: int, roles) -> dict[int, np.ndarray]:
-        """The (H, L) words of macro step t of each role in ``roles``, nodes in
-        order: a view of the H*L words from the role's cycle position plus t*H*L."""
-        H, L, q = self.H, self.cfg.L, self.cfg.q
-        return {role: lfsr_windows(q, self._taps[role], H * L)[
-                    (self._freerun_pos[role] + t * H * L) % ((1 << q) - 1)].reshape(H, L)
-                for role in roles}
+    def _input_base(self, nodes, src: np.ndarray, A: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """X0 = (A & ~W) | C, the input half at a zero input stream, of
+        ``nodes`` at sources ``src`` from those sources' A and C."""
+        return (A & ~pack(b2s(self._w_offsets[nodes], self._words(ROLE_WEIGHT, src)))) | C
 
     # -- stepping -------------------------------------------------------------
 
@@ -427,8 +391,8 @@ class Reservoir:
 
         A pure function of its arguments.  ``t`` is the macro step's index
         in the run (b*m + p for step p of row b of a ``(B, m)`` block); only
-        ``stochastic`` under the ``none`` reseed policy reads it, to place
-        the step's words on each free-running LFSR's cycle.  ``u`` comes as
+        ``stochastic`` reads it: node i reads source (t*H + i) mod S, which
+        under ``per-node`` is node i at every step.  ``u`` comes as
         :meth:`run` prepared it, and the step checks no values.  On
         ``stochastic``, ``u``, the feedback and the outputs are offset words
         in ``word_dtype(q)``.  The ideal backends take the signed value, a
@@ -454,30 +418,24 @@ class Reservoir:
 
     def _step_stochastic(self, u_off: np.integer, fb: np.ndarray, t: int) -> np.ndarray:
         """Node output words of macro step t from the input word and the feedback words."""
-        H, table, words = self.H, self._shared, self._node_words
-        # H rows from t*H mod P on; the shared table holds P + H - 1 rows
-        o = t * H % self._period
-        if table is None:  # free-running past the cap: the step derives its shared rows
-            words = self._draw_words(t, range(len(self._taps)))
-            rows = self._shared_streams(words)
-        else:
-            rows = table[:, o:o + H]
-            if words is None and self._input_table is None:  # free-running, tables past the cap
-                words = self._draw_words(t, _NODE_ROLES)
+        H, S, UA, FD = self.H, self._starts.shape[1], self._input_table, self._feedback_table
+        # node i reads source (t*H + i) mod S: the source rows from o on
+        o = t * H % S
+        src = self._sources[o:o + H]
+        rows = self._shared_streams(src) if self._shared is None else self._shared[:, o:o + H]
         A, C, D, beta = rows[0], rows[1], rows[2], rows[3:]
-        if self._input_table is None:  # past the cap: the input half mux(U*W, C, A) and F & D
-            mixed = (self._input_half(u_off, words, A, C)
-                     | (pack(b2s(fb[:, None], words[ROLE_FEEDBACK])) & D))
-        else:
-            # each node's source row: its node under per-node, its phase under none
-            src = self._sources[o:o + H]
-            if self.cfg.reseed_policy == "per-node":  # row u holds the input half whole
-                G = self._input_table[u_off]
-            else:  # X0 of the step's nodes, XOR U & A of word u at their phases
-                r = t * H % len(self._x0)
-                G = self._x0[r:r + H] ^ self._input_table[u_off, src]
-            mixed = G | self._feedback_table[fb, src]
+        if UA is not None and S % H == 0:  # X0 folded into UA: sources o .. o + H - 1
+            G = UA[u_off, o:o + H]
+        else:  # the input half X0 ^ (U & A)
+            r = t * H % math.lcm(H, S)
+            X0 = (self._input_base(slice(None), src, A, C) if self._x0 is None
+                  else self._x0[r:r + H])
+            G = X0 ^ (UA[u_off, src] if UA is not None
+                      else pack(b2s(u_off, self._words(ROLE_INPUT, src))) & A)
+        F = (FD[fb, src] if FD is not None
+             else pack(b2s(fb[:, None], self._words(ROLE_FEEDBACK, src))) & D)
         # XNOR, the alpha-MUX and the 0.5-MUX: SB ? (SM ? U*W : F) : T
+        mixed = G | F
         copies = bp.make_independent_copies(mixed, self._copy_delays, self.cfg.L)
         return s2b(bp.bernstein_mux_packed(copies, beta), self.cfg.L, self.cfg.q)
 

@@ -100,6 +100,9 @@ def oracle_run(res: Reservoir, inputs) -> np.ndarray:
     pytest.param(4, 255, 5, 8, id="L=255"),
     pytest.param(4, 85, 5, 8, id="L=85"),
     pytest.param(4, 51, 5, 8, id="L=51"),
+    # H = 3 divides P' = 3, so under none X0 folds into the input table as
+    # under per-node
+    pytest.param(3, 85, 5, 8, id="L=85-H=3"),
 ])
 def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q):
     steps = 6
@@ -118,38 +121,49 @@ _TABLES = ("_shared", "_input_table", "_feedback_table", "_x0")
 @pytest.mark.parametrize("policy,L", [("none", 64), ("per-node", 200)])
 def test_past_the_table_cap_matches_gate_oracle(policy, L):
     # past the cap, every step derives its streams with comparators: under
-    # none, P' = 65535 phases of 13 shared 8-byte streams; under per-node,
-    # 2^16 input (and feedback) words of 4 nodes' 25-byte streams
+    # none, P' = 65535 sources of 13 shared 8-byte streams, and X0 needs the
+    # shared table; under per-node, 2^16 input (and feedback) words of 4
+    # sources' 25-byte streams, while X0 of its 4 rows is built
     cfg = TdrConfig(H=4, alpha=0.3, gamma=2.0, L=L, n=9, q=16, master_seed=5,
                     reseed_policy=policy, backend="stochastic")
     res = Reservoir(cfg)
     built = {name for name in _TABLES if getattr(res, name) is not None}
-    assert built == (set() if policy == "none" else {"_shared"})
+    assert built == (set() if policy == "none" else {"_shared", "_x0"})
     inputs = quantize(np.random.default_rng(5).uniform(-1.0, 1.0, 6), cfg.q)
     np.testing.assert_array_equal(res.run(inputs), oracle_run(res, inputs))
 
 
+_FOLDED = ("_shared", "_input_table", "_feedback_table")  # X0 folded into the input table
+
+
 @pytest.mark.parametrize("policy,q,L,H,n,steps,tables,per_step", [
     # per_step: comparator calls per step with the tables built and with the
-    # cap at 0.  Past the per-word tables a step compares U, W and F (under
-    # per-node only U and F, W is fixed), and past the shared table under
-    # none also T, SM, SB and the n + 1 coefficient streams.
-    # Under none, 1000 nodes wrap P' = 51 phases; 60 steps wrap X0's
+    # cap at 0.  Past the per-word tables a step compares U and F, past X0
+    # also W, and past the shared table also T, SM, SB and the n + 1
+    # coefficient streams, under either policy.
+    # Under none, 1000 nodes wrap P' = 51 sources; 60 steps wrap X0's
     # lcm(50, 51) = 2550 rows at step 51
     pytest.param("none", 8, 1000, 50, 5, 60, _TABLES, (0, 12), id="none-8-1000"),
     # P' = 3 and H = 6: X0 has H rows; n = 4 leaves beta_4 unpaired
     pytest.param("none", 8, 85, 6, 4, 10, _TABLES, (0, 11), id="none-8-85"),
-    # P' = 93 and 819: the shared table alone fits under the cap
-    pytest.param("none", 10, 1001, 50, 5, 10, _TABLES[:1], (3, 12), id="none-10-1001"),
+    # H = 3 divides P' = 3: X0 has one row per source and folds into UA
+    pytest.param("none", 8, 85, 3, 5, 10, _FOLDED, (0, 12), id="none-8-85-H3"),
+    # P' = 93 and 819: the per-word tables are past the cap, and X0 fits
+    # at lcm(50, 93) = 4650 rows (586 KB) but not at lcm(50, 819) = 40950
+    pytest.param("none", 10, 1001, 50, 5, 10, ("_shared", "_x0"), (2, 12),
+                 id="none-10-1001"),
     pytest.param("none", 12, 1000, 50, 5, 10, _TABLES[:1], (3, 12), id="none-12-1000"),
-    # H = 130 > 2^7 nodes over P' = 127 phases: a step's source rows wrap
+    # H = 130 > 2^7 nodes over P' = 127 sources: a step's source rows wrap
     # twice, and X0 has lcm(130, 127) = 16510 rows
     pytest.param("none", 7, 8, 130, 5, 4, _TABLES, (0, 12), id="none-7-8"),
-    # under per-node, 2^q input and feedback rows of H nodes: 320 KB each at
-    # q = 8, 2.6 MB at q = 10 and 3.2 MB at q = 9, the largest under the cap
-    pytest.param("per-node", 8, 1000, 20, 5, 10, _TABLES[:3], (0, 2), id="per-node-8-1000"),
-    pytest.param("per-node", 10, 1001, 20, 4, 10, _TABLES[:3], (0, 2), id="per-node-10-1001"),
-    pytest.param("per-node", 9, 1000, 50, 5, 10, _TABLES[:3], (0, 2), id="per-node-9-1000"),
+    # under per-node, 2^q input and feedback rows of H sources: 320 KB each at
+    # q = 8, 2.6 MB at q = 10 and 3.2 MB at q = 9, the largest under the cap;
+    # at q = 10, H = 50 they take 6.4 MB each, and X0 spares the step W
+    pytest.param("per-node", 8, 1000, 20, 5, 10, _FOLDED, (0, 12), id="per-node-8-1000"),
+    pytest.param("per-node", 10, 1001, 20, 4, 10, _FOLDED, (0, 11), id="per-node-10-1001"),
+    pytest.param("per-node", 9, 1000, 50, 5, 10, _FOLDED, (0, 12), id="per-node-9-1000"),
+    pytest.param("per-node", 10, 1000, 50, 5, 10, ("_shared", "_x0"), (2, 12),
+                 id="per-node-10-1000"),
 ])
 def test_table_matches_per_step_streams(policy, q, L, H, n, steps, tables, per_step,
                                         monkeypatch):
