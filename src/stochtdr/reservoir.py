@@ -45,8 +45,9 @@ one L-word row of every role, starting at its own position on the role's
 cycle: under ``per-node`` source i is node i, restarted from its seeds
 (:func:`reseed_for_node`), so there are S = H sources; under ``none``
 source s is phase s of the free-running cycles, s*L words past each role's
-position, so S = :func:`freerun_phases`.  Node i of macro step t reads
-source (t*H + i) mod S, and the build tabulates, from the sources' words:
+position, so S = :func:`freerun_phases` and the sources from any one on
+are one run of each cycle.  Node i of macro step t reads source
+(t*H + i) mod S, and the build tabulates, from the sources' words:
 
 * the shared table of A, C, D and the coefficient streams, these in the
   pair form of :func:`bernstein.pair_coefficients`, the streams whose
@@ -64,10 +65,14 @@ source (t*H + i) mod S, and the build tabulates, from the sources' words:
 When H divides S, as always under ``per-node``, X0 has one row per source
 and folds into UA, so step t reads UA[u] at sources t*H mod S on as a view.
 At q = 8, H = 50, L = 1000 each per-word table takes 1.6 MB, and X0 under
-``none`` (S = 51) 0.3 MB.  Each table is built when it fits within one
-fixed byte cap, in the order above, X0 and the per-word tables only beside
-the shared table.  Past the cap each step derives the missing streams from
-its sources' words with comparators, as the gate chain above reads.
+``none`` (S = 51) 0.3 MB.  Each table is built, in the order above and X0
+and the per-word tables only beside the shared table, when it fits within
+one fixed byte cap or has at most H rows a stream.  The latter holds for
+the shared table and X0 when S divides H: every step then reads the same
+H sources, and the build also keeps their U and F words.  Past the cap
+each step derives the missing streams with comparators, as the gate chain
+above reads, from its sources' words: kept, or under ``none`` a view of
+one run of each cycle.
 """
 
 from __future__ import annotations
@@ -111,8 +116,9 @@ ROLE_SELECT_BIAS = 5
 ROLE_COEFF_BASE = 6  # coefficient k uses role ROLE_COEFF_BASE + k
 
 # the largest precomputed stream table a reservoir builds, each of the
-# shared-stream table, X0 and the per-word input and feedback tables; past
-# it every step derives the missing streams from its sources' words
+# shared-stream table, X0 and the per-word input and feedback tables, unless
+# it has at most H rows a stream; past it every step derives the missing
+# streams from its sources' words
 _TABLE_MAX_BYTES = 4 << 20
 
 _MASK64 = (1 << 64) - 1
@@ -283,9 +289,10 @@ def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
 
 class Reservoir:
     """A configured reservoir instance with precomputed stream machinery:
-    under ``stochastic``, the start of every source's LFSR words and, each
-    within ``_TABLE_MAX_BYTES``, the shared-stream table, X0 and the
-    per-word input and feedback tables of those sources.
+    under ``stochastic``, the seed rows the sources' LFSR words start from
+    and, each within ``_TABLE_MAX_BYTES`` or of at most H rows a stream, the
+    shared-stream table, X0 and the per-word input and feedback tables of
+    those sources.
 
     Instances hold no mutable run state: :meth:`run` owns the delay line,
     and :meth:`step` reads the tables, or past the cap the words, of its
@@ -323,65 +330,94 @@ class Reservoir:
                             quantize_probability(0.5, q))
         self._copy_delays = bp.spread_delays(n, L)
         self._taps = [maximal_taps(q, role) for role in range(ROLE_COEFF_BASE + n + 1)]
-        self._starts = self._source_starts()
-        S = self._starts.shape[1]
+        self._seeds, S = self._source_seeds()
+        self._source_count = S
+        self._shared = self._x0 = self._input_table = self._feedback_table = self._sources = None
+        self._kept_words = {}
+
+        def fits(rows, streams=1):
+            # at most H rows a stream hold no more than one step derives
+            return rows <= H or streams * rows * width <= _TABLE_MAX_BYTES
+
+        rows = S + H - math.gcd(H, S)
+        if not fits(rows, n + 4):
+            return
         # the source of each shared-table row; step t's nodes read the rows
         # from t*H mod S on, a multiple of gcd(H, S)
-        self._sources = np.arange(S + H - math.gcd(H, S)) % S
-        self._shared = self._x0 = self._input_table = self._feedback_table = None
-        if (n + 4) * len(self._sources) * width > _TABLE_MAX_BYTES:
-            return
-        self._shared = self._shared_streams(self._sources)
+        self._sources = np.arange(rows) % S
+        self._shared = self._shared_streams(lambda role: self._words(role, self._sources))
         A, C, D = self._shared[:3, :S]
         src, rows = np.arange(S), math.lcm(H, S)
-        if rows * width <= _TABLE_MAX_BYTES:
+        if fits(rows):
             # S rows at a time, one per source, as the shared table compares them
-            self._x0 = np.concatenate([self._input_base(np.arange(k, k + S) % H, src, A, C)
-                                       for k in range(0, rows, S)])
-        if (1 << q) * S * width <= _TABLE_MAX_BYTES:
+            W = self._words(ROLE_WEIGHT, src)
+            self._x0 = np.concatenate([
+                self._input_base(self._w_offsets[np.arange(k, k + S) % H], W, A, C)
+                for k in range(0, rows, S)])
+        if fits((1 << q) * S):
             self._input_table = _word_table(self._words(ROLE_INPUT, src), A, q)
             if S % H == 0:  # one X0 row per source: fold it into the input table
                 self._input_table ^= self._x0
                 self._x0 = None
             self._feedback_table = _word_table(self._words(ROLE_FEEDBACK, src), D, q)
+        elif len(self._sources) <= H:  # every step reads these H sources: keep U and F
+            self._kept_words = {role: self._words(role, self._sources)
+                                for role in (ROLE_INPUT, ROLE_FEEDBACK)}
 
-    def _source_starts(self) -> np.ndarray:
-        """The cycle position of each source's first word, (roles, S).
+    def _source_seeds(self) -> tuple[np.ndarray, int]:
+        """The cycle positions of each role's K seed rows, (roles, K), and
+        the source count S.  Source s starts (s div K)*L words past seed row
+        s mod K.
 
-        The reseed policy is this choice alone: under ``per-node`` source i
-        is node i, its LFSRs restarted from its own seeds, so S = H; under
-        ``none`` source s is phase s of the free-running cycles, s*L words
-        past each role's position, so S = :func:`freerun_phases`.
+        The reseed policy is this choice alone: under ``per-node`` K = S = H,
+        source i is node i, its LFSRs restarted from its own seeds; under
+        ``none`` K = 1, source s is phase s of the free-running cycles, s*L
+        words past each role's position, and S = :func:`freerun_phases`, so
+        S*L words are whole periods.
         """
         cfg = self.cfg
         if cfg.reseed_policy == "per-node":
-            nodes, phases = np.arange(self.H, dtype=np.uint64), 0
+            nodes, S = np.arange(self.H, dtype=np.uint64), self.H
         else:
-            nodes, phases = _TAG_FREERUN, np.arange(freerun_phases(cfg.L, cfg.q)) * cfg.L
-        return np.stack([
-            (lfsr_cycle(cfg.q, taps)[1][reseed_for_node(cfg.master_seed, nodes, role, cfg.q)]
-             + phases) % ((1 << cfg.q) - 1)
-            for role, taps in enumerate(self._taps)])
+            nodes, S = _TAG_FREERUN, freerun_phases(cfg.L, cfg.q)
+        seeds = [lfsr_cycle(cfg.q, taps)[1][reseed_for_node(cfg.master_seed, nodes, role, cfg.q)]
+                 for role, taps in enumerate(self._taps)]
+        return np.reshape(seeds, (len(seeds), -1)), S
 
     def _words(self, role: int, src: np.ndarray) -> np.ndarray:
         """The (len(src), L) comparator words of ``role`` at sources ``src``."""
-        return lfsr_windows(self.cfg.q, self._taps[role], self.cfg.L)[self._starts[role, src]]
+        q, L, seeds = self.cfg.q, self.cfg.L, self._seeds[role]
+        starts = (seeds[src % len(seeds)] + src // len(seeds) * L) % ((1 << q) - 1)
+        return lfsr_windows(q, self._taps[role], L)[starts]
 
-    def _shared_streams(self, src: np.ndarray) -> np.ndarray:
+    def _step_words(self, role: int, o: int) -> np.ndarray:
+        """The (H, L) words of ``role`` at a step's sources o .. o + H - 1
+        (mod S): the kept rows, or else a view of one run of the cycle from
+        the one seed row, since S*L words are whole periods.  More seed rows
+        mean S = H sources, whose tables and words the build always keeps."""
+        H, q, L = self.H, self.cfg.q, self.cfg.L
+        if role in self._kept_words:
+            return self._kept_words[role][o:o + H]
+        start = (int(self._seeds[role, 0]) + o * L) % ((1 << q) - 1)
+        return lfsr_windows(q, self._taps[role], H * L)[start].reshape(H, L)
+
+    def _shared_streams(self, words) -> np.ndarray:
         """The masks A = SM & SB, C = T & ~SB and D = SB & ~SM, then the
         coefficient streams in pair form, packed and stacked on a leading
-        axis, at sources ``src``: the streams whose threshold every node
-        shares."""
-        T, SM, SB = (pack(b2s(thr, self._words(role, src))) for thr, role in
+        axis, from ``words(role)``, the sources' words of each role: the
+        streams whose threshold every node shares."""
+        T, SM, SB = (pack(b2s(thr, words(role))) for thr, role in
                      zip(self._thresholds, (ROLE_BIAS, ROLE_SELECT_MIX, ROLE_SELECT_BIAS)))
-        coeffs = [pack(b2s(beta, self._words(ROLE_COEFF_BASE + k, src)))
+        coeffs = [pack(b2s(beta, words(ROLE_COEFF_BASE + k)))
                   for k, beta in enumerate(self.beta_words)]
         return np.stack([SM & SB, T & ~SB, SB & ~SM, *bp.pair_coefficients(coeffs)])
 
-    def _input_base(self, nodes, src: np.ndarray, A: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """X0 = (A & ~W) | C, the input half at a zero input stream, of
-        ``nodes`` at sources ``src`` from those sources' A and C."""
-        return (A & ~pack(b2s(self._w_offsets[nodes], self._words(ROLE_WEIGHT, src)))) | C
+    @staticmethod
+    def _input_base(w_offsets, W: np.ndarray, A: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """X0 = (A & ~W) | C, the input half at a zero input stream, of the
+        nodes of weight words ``w_offsets`` from their sources' W words, A
+        and C."""
+        return (A & ~pack(b2s(w_offsets, W))) | C
 
     # -- stepping -------------------------------------------------------------
 
@@ -418,22 +454,24 @@ class Reservoir:
 
     def _step_stochastic(self, u_off: np.integer, fb: np.ndarray, t: int) -> np.ndarray:
         """Node output words of macro step t from the input word and the feedback words."""
-        H, S, UA, FD = self.H, self._starts.shape[1], self._input_table, self._feedback_table
+        H, S, UA, FD = self.H, self._source_count, self._input_table, self._feedback_table
         # node i reads source (t*H + i) mod S: the source rows from o on
         o = t * H % S
-        src = self._sources[o:o + H]
-        rows = self._shared_streams(src) if self._shared is None else self._shared[:, o:o + H]
+        rows = (self._shared_streams(lambda role: self._step_words(role, o))
+                if self._shared is None else self._shared[:, o:o + H])
         A, C, D, beta = rows[0], rows[1], rows[2], rows[3:]
         if UA is not None and S % H == 0:  # X0 folded into UA: sources o .. o + H - 1
             G = UA[u_off, o:o + H]
         else:  # the input half X0 ^ (U & A)
-            r = t * H % math.lcm(H, S)
-            X0 = (self._input_base(slice(None), src, A, C) if self._x0 is None
-                  else self._x0[r:r + H])
-            G = X0 ^ (UA[u_off, src] if UA is not None
-                      else pack(b2s(u_off, self._words(ROLE_INPUT, src))) & A)
-        F = (FD[fb, src] if FD is not None
-             else pack(b2s(fb[:, None], self._words(ROLE_FEEDBACK, src))) & D)
+            if self._x0 is None:
+                X0 = self._input_base(self._w_offsets, self._step_words(ROLE_WEIGHT, o), A, C)
+            else:  # row r serves node r mod H at source r mod S
+                r = t * H % len(self._x0)
+                X0 = self._x0[r:r + H]
+            G = X0 ^ (UA[u_off, self._sources[o:o + H]] if UA is not None
+                      else pack(b2s(u_off, self._step_words(ROLE_INPUT, o))) & A)
+        F = (FD[fb, self._sources[o:o + H]] if FD is not None
+             else pack(b2s(fb[:, None], self._step_words(ROLE_FEEDBACK, o))) & D)
         # XNOR, the alpha-MUX and the 0.5-MUX: SB ? (SM ? U*W : F) : T
         mixed = G | F
         copies = bp.make_independent_copies(mixed, self._copy_delays, self.cfg.L)

@@ -32,6 +32,7 @@ from stochtdr.reservoir import (
     Reservoir,
     TdrConfig,
     derive_seed,
+    freerun_phases,
     reseed_for_node,
 )
 from stochtdr.streams import (
@@ -140,14 +141,16 @@ _FOLDED = ("_shared", "_input_table", "_feedback_table")  # X0 folded into the i
     # per_step: comparator calls per step with the tables built and with the
     # cap at 0.  Past the per-word tables a step compares U and F, past X0
     # also W, and past the shared table also T, SM, SB and the n + 1
-    # coefficient streams, under either policy.
+    # coefficient streams, under either policy.  When S divides H every
+    # step reads the same H sources, so the shared table, X0 and the words
+    # of U and F are kept whatever the cap: 2 comparisons at cap 0.
     # Under none, 1000 nodes wrap P' = 51 sources; 60 steps wrap X0's
     # lcm(50, 51) = 2550 rows at step 51
     pytest.param("none", 8, 1000, 50, 5, 60, _TABLES, (0, 12), id="none-8-1000"),
     # P' = 3 and H = 6: X0 has H rows; n = 4 leaves beta_4 unpaired
-    pytest.param("none", 8, 85, 6, 4, 10, _TABLES, (0, 11), id="none-8-85"),
+    pytest.param("none", 8, 85, 6, 4, 10, _TABLES, (0, 2), id="none-8-85"),
     # H = 3 divides P' = 3: X0 has one row per source and folds into UA
-    pytest.param("none", 8, 85, 3, 5, 10, _FOLDED, (0, 12), id="none-8-85-H3"),
+    pytest.param("none", 8, 85, 3, 5, 10, _FOLDED, (0, 2), id="none-8-85-H3"),
     # P' = 93 and 819: the per-word tables are past the cap, and X0 fits
     # at lcm(50, 93) = 4650 rows (586 KB) but not at lcm(50, 819) = 40950
     pytest.param("none", 10, 1001, 50, 5, 10, ("_shared", "_x0"), (2, 12),
@@ -159,10 +162,10 @@ _FOLDED = ("_shared", "_input_table", "_feedback_table")  # X0 folded into the i
     # under per-node, 2^q input and feedback rows of H sources: 320 KB each at
     # q = 8, 2.6 MB at q = 10 and 3.2 MB at q = 9, the largest under the cap;
     # at q = 10, H = 50 they take 6.4 MB each, and X0 spares the step W
-    pytest.param("per-node", 8, 1000, 20, 5, 10, _FOLDED, (0, 12), id="per-node-8-1000"),
-    pytest.param("per-node", 10, 1001, 20, 4, 10, _FOLDED, (0, 11), id="per-node-10-1001"),
-    pytest.param("per-node", 9, 1000, 50, 5, 10, _FOLDED, (0, 12), id="per-node-9-1000"),
-    pytest.param("per-node", 10, 1000, 50, 5, 10, ("_shared", "_x0"), (2, 12),
+    pytest.param("per-node", 8, 1000, 20, 5, 10, _FOLDED, (0, 2), id="per-node-8-1000"),
+    pytest.param("per-node", 10, 1001, 20, 4, 10, _FOLDED, (0, 2), id="per-node-10-1001"),
+    pytest.param("per-node", 9, 1000, 50, 5, 10, _FOLDED, (0, 2), id="per-node-9-1000"),
+    pytest.param("per-node", 10, 1000, 50, 5, 10, ("_shared", "_x0"), (2, 2),
                  id="per-node-10-1000"),
 ])
 def test_table_matches_per_step_streams(policy, q, L, H, n, steps, tables, per_step,
@@ -174,7 +177,9 @@ def test_table_matches_per_step_streams(policy, q, L, H, n, steps, tables, per_s
     assert {name for name in _TABLES if getattr(with_table, name) is not None} == set(tables)
     monkeypatch.setattr(reservoir, "_TABLE_MAX_BYTES", 0)
     per_step_streams = Reservoir(cfg)
-    assert all(getattr(per_step_streams, name) is None for name in _TABLES[1:])
+    sources = H if policy == "per-node" else freerun_phases(L, q)
+    kept = {"_shared", "_x0"} if H % sources == 0 else set()
+    assert {name for name in _TABLES if getattr(per_step_streams, name) is not None} == kept
     compare, comparisons = reservoir.b2s, []
 
     def counted(*args):
