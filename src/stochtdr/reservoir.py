@@ -34,11 +34,9 @@ so the stochastic state matrix converges to the ``ideal-bernstein`` one as
 the stream length L grows.  Select thresholds are quantized at width q in the
 stochastic backend; the ideal backends use the exact alpha and 0.5.
 
-The mix is SB ? (SM ? U*W : F) : T.  With the disjoint masks A = SM & SB,
-C = T & ~SB and D = SB & ~SM, all zero in the padding, it equals
-mux(U*W, C, A) | (F & D): an input half, the mix with a zero feedback
-stream, OR the feedback stream masked by D.  The input half is in turn
-X0 ^ (U & A) with X0 = (A & ~W) | C.
+The mix SB ? (SM ? U*W : F) : T is the input half X0 ^ (U & A) OR the
+feedback stream F & D, with the masks A, C, D of :func:`streams.mix_masks`
+and X0 of :func:`streams.mix_input_base`, whose docstrings derive the law.
 
 The reseed policy decides only which LFSR words a node reads.  A source is
 one L-word row of every role, starting at its own position on the role's
@@ -56,11 +54,10 @@ are one run of each cycle.  Node i of macro step t reads source
   on as a view;
 * X0, a function of node and source that repeats with t*H + i mod
   lcm(H, S): row r is node r mod H at source r mod S;
-* the per-word input and feedback tables UA[v, s] = pack(b2s(v, U words of
-  s)) & A_s and FD[v, s] = pack(b2s(v, F words of s)) & D_s, read at the
-  held input word and at each node's feedback word, 2^q * S * ceil(L/8)
-  bytes each, built by one scatter and a running OR over v rather than by
-  comparing every word.
+* the per-word input and feedback tables UA, of U & A, and FD, of F & D,
+  for every word, read at the held input word and at each node's feedback
+  word: :func:`streams.b2s_table` of the sources' U and F words,
+  2^q * S * ceil(L/8) bytes each.
 
 When H divides S, as always under ``per-node``, X0 has one row per source
 and folds into UA, so step t reads UA[u] at sources t*H mod S on as a view.
@@ -87,9 +84,12 @@ from . import bernstein as bp
 from .streams import (
     DEFAULT_Q,
     b2s,
+    b2s_table,
     lfsr_cycle,
     lfsr_windows,
     maximal_taps,
+    mix_input_base,
+    mix_masks,
     offset_to_real,
     pack,
     quantize,
@@ -231,49 +231,6 @@ def _input_error(inputs: np.ndarray, bad: np.ndarray, what: str) -> ValueError:
     return ValueError(f"input {inputs[at]} at {where} {what}")
 
 
-def _prefix_or(table: np.ndarray) -> None:
-    """OR every row of ``table``, a power of two of them, into all later
-    rows, in place.
-
-    The rows go in blocks of about sqrt(rows): a scan inside every block,
-    then each block takes the last row of the one before, so the Python
-    loop runs about 2*sqrt(rows) slices (0.3 ms for 256 rows of 6.4 KB,
-    5 ms for 2^16 rows of 32 bytes, against 0.5 ms and 56 ms row by row
-    and 2.4 ms for ``np.bitwise_or.accumulate`` on axis 0, 2-core Xeon).
-    """
-    b = 1 << (len(table).bit_length() // 2)
-    blocks = table.reshape(-1, b, *table.shape[1:])
-    for j in range(1, b):
-        blocks[:, j] |= blocks[:, j - 1]
-    for k in range(1, len(blocks)):
-        blocks[k] |= blocks[k - 1, -1]
-
-
-def _word_table(words: np.ndarray, mask: np.ndarray, q: int) -> np.ndarray:
-    """T[v, s] = pack(b2s(v, words[s])) & mask[s] for every q-bit word v, shape
-    (2^q, S, ceil(L/8)) from the (S, L) comparator words of S sources.
-
-    Bit r of source s turns on at v = words[s, r] and stays on, so the
-    table sets each bit at the row of its word and ORs every row into the
-    later ones.  The 8 bits of a byte hold 8 consecutive words of a
-    maximal LFSR, all distinct when its period 2^q - 1 is at least 8, so no
-    two share a row; the stochastic backend's role count already needs
-    q >= 7.  0.8 ms
-    against 2.1 ms for comparators in chunks of 16 words at q=8, S=51,
-    L=1000 (2-core Xeon).
-    """
-    S, L = words.shape
-    width = (L + 7) // 8
-    table = np.zeros((1 << q, S, width), dtype=np.uint8)
-    r = np.arange(L)
-    # one flat index: three index arrays take about 4x as long
-    at = words.astype(np.intp) * (S * width) + (np.arange(S)[:, None] * width + r // 8)
-    table.reshape(-1)[at] = (0x80 >> r % 8).astype(np.uint8)
-    _prefix_or(table)
-    table &= mask
-    return table
-
-
 @functools.lru_cache(maxsize=128)
 def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
     """Bernstein coefficients of the sine activation as width-q threshold words;
@@ -352,14 +309,14 @@ class Reservoir:
             # S rows at a time, one per source, as the shared table compares them
             W = self._words(ROLE_WEIGHT, src)
             self._x0 = np.concatenate([
-                self._input_base(self._w_offsets[np.arange(k, k + S) % H], W, A, C)
+                mix_input_base(pack(b2s(self._w_offsets[np.arange(k, k + S) % H], W)), A, C)
                 for k in range(0, rows, S)])
         if fits((1 << q) * S):
-            self._input_table = _word_table(self._words(ROLE_INPUT, src), A, q)
+            self._input_table = b2s_table(self._words(ROLE_INPUT, src), A, q)
             if S % H == 0:  # one X0 row per source: fold it into the input table
                 self._input_table ^= self._x0
                 self._x0 = None
-            self._feedback_table = _word_table(self._words(ROLE_FEEDBACK, src), D, q)
+            self._feedback_table = b2s_table(self._words(ROLE_FEEDBACK, src), D, q)
         elif len(self._sources) <= H:  # every step reads these H sources: keep U and F
             self._kept_words = {role: self._words(role, self._sources)
                                 for role in (ROLE_INPUT, ROLE_FEEDBACK)}
@@ -402,7 +359,7 @@ class Reservoir:
         return lfsr_windows(q, self._taps[role], H * L)[start].reshape(H, L)
 
     def _shared_streams(self, words) -> np.ndarray:
-        """The masks A = SM & SB, C = T & ~SB and D = SB & ~SM, then the
+        """The mix masks A, C and D (:func:`streams.mix_masks`), then the
         coefficient streams in pair form, packed and stacked on a leading
         axis, from ``words(role)``, the sources' words of each role: the
         streams whose threshold every node shares."""
@@ -410,14 +367,7 @@ class Reservoir:
                      zip(self._thresholds, (ROLE_BIAS, ROLE_SELECT_MIX, ROLE_SELECT_BIAS)))
         coeffs = [pack(b2s(beta, words(ROLE_COEFF_BASE + k)))
                   for k, beta in enumerate(self.beta_words)]
-        return np.stack([SM & SB, T & ~SB, SB & ~SM, *bp.pair_coefficients(coeffs)])
-
-    @staticmethod
-    def _input_base(w_offsets, W: np.ndarray, A: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """X0 = (A & ~W) | C, the input half at a zero input stream, of the
-        nodes of weight words ``w_offsets`` from their sources' W words, A
-        and C."""
-        return (A & ~pack(b2s(w_offsets, W))) | C
+        return np.stack([*mix_masks(T, SM, SB), *bp.pair_coefficients(coeffs)])
 
     # -- stepping -------------------------------------------------------------
 
@@ -464,7 +414,8 @@ class Reservoir:
             G = UA[u_off, o:o + H]
         else:  # the input half X0 ^ (U & A)
             if self._x0 is None:
-                X0 = self._input_base(self._w_offsets, self._step_words(ROLE_WEIGHT, o), A, C)
+                W = pack(b2s(self._w_offsets, self._step_words(ROLE_WEIGHT, o)))
+                X0 = mix_input_base(W, A, C)
             else:  # row r serves node r mod H at source r mod S
                 r = t * H % len(self._x0)
                 X0 = self._x0[r:r + H]

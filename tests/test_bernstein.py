@@ -1,8 +1,8 @@
 """Bernstein polynomials: the nested evaluator against exact rational
 arithmetic, and the adder + MUX node: the packed bit-sliced kernel, on
 coefficients in pair form, against the count-and-gather reading of the
-circuit, and the packed rotated copies against ``np.roll`` of the unpacked
-stream."""
+circuit, and on copies from separate LFSRs against the polynomial; and the
+packed rotated copies against ``np.roll`` of the unpacked stream."""
 
 import hashlib
 import math
@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gate_oracle import lfsr_words
 from stochtdr import cli
 from stochtdr.bernstein import (
     MAX_DEGREE,
@@ -25,7 +26,7 @@ from stochtdr.bernstein import (
     spread_delays,
 )
 from stochtdr.reservoir import Reservoir, TdrConfig
-from stochtdr.streams import pack
+from stochtdr.streams import b2s, maximal_taps, pack, quantize_probability
 
 
 def exact_eval(beta, u: float) -> float:
@@ -120,6 +121,27 @@ def test_stochastic_bernstein_eval_matches_count_and_gather(n):
     assert not out[L:].any()
 
 
+@pytest.mark.parametrize("u", [0.2, 0.5, 0.8])
+def test_stochastic_bernstein_node_on_independent_copies(u):
+    # n = 5 copies of u, each from its own LFSR (tap masks 0..4), and the
+    # coefficient streams from masks 5..10, at q = 16 and L = 10^5 bits:
+    # the output's ones-fraction is the polynomial within 3 sigma, plus the
+    # width-16 rounding of u and beta, at most (n + 1) / 2 / (2^16 - 1)
+    q, n, L = 16, 5, 100_000
+    beta = (0.1, 0.9, 0.2, 0.8, 0.3, 0.6)  # far from what correlated copies give
+    seeds = np.random.default_rng(0).integers(1, 1 << q, 2 * n + 1)
+
+    def stream(p, mask):
+        return pack(b2s(quantize_probability(p, q),
+                        lfsr_words(q, maximal_taps(q, mask), int(seeds[mask]), L)))
+
+    copies = np.stack([stream(u, j) for j in range(n)])
+    pairs = pair_coefficients([stream(b, n + k) for k, b in enumerate(beta)])
+    ones = np.bitwise_count(bernstein_mux_packed(copies, pairs)).sum()
+    p = bernstein_eval(beta, u)
+    assert abs(ones / L - p) <= 3 * math.sqrt(p * (1 - p) / L) + (n + 1) / 2 / ((1 << q) - 1)
+
+
 @pytest.mark.parametrize("count", [1, 2, 5, 6])
 def test_pair_form_holds_the_even_streams_then_the_pair_differences(count):
     beta = np.random.default_rng(count).integers(0, 256, (count, 3, 4), dtype=np.uint8)
@@ -155,7 +177,9 @@ def rolled(bits: np.ndarray, delays) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n,L", [(1, 9), (3, 37), (5, 5), (8, 64), (5, 100), (5, 255),
-                                 (5, 1000), (5, 1001)])
+                                 (5, 1000), (5, 1001),
+                                 # up to degree 12, at L % 8 != 0
+                                 *((n, L) for n in range(9, 13) for L in (37, 1001, 4095))])
 def test_copies_are_rotations(n, L):
     bits = np.random.default_rng(L).random((2, 3, L)) < 0.5
     delays = spread_delays(n, L)
@@ -163,6 +187,8 @@ def test_copies_are_rotations(n, L):
     assert copies.shape == (n, 2, 3, -(-L // 8))
     # pack() zero-pads, so this also checks that the padding bits are zero
     np.testing.assert_array_equal(copies, rolled(bits, delays))
+    if L > 1001:  # every delay would take 4095 copies
+        return
     # any delay in [0, L) is a rotation, not only the spread ones: every
     # window start, on and off byte boundaries
     every = list(range(L))

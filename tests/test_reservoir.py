@@ -1,13 +1,10 @@
 """Reservoir tests: the stochastic backend against a gate-by-gate oracle,
 and rejection of bad inputs and configurations.
 
-The oracle rebuilds every node's streams one node at a time from the gate
-kernels of ``streams`` that the reservoir calls (LFSR words, comparator,
-XNOR, MUX), so the gate-law tests of that module also cover the
-reservoir's step.  For the packed parts it uses independent references:
-``np.roll`` copies, a count-and-gather adder plus MUX and an unpacked
-ones count, against which ``tests/test_bernstein.py`` and
-``tests/test_streams.py`` check the packed kernels.
+The oracle (``tests/gate_oracle.py``) rebuilds every node's streams one
+node at a time, from the LFSR cycle and the gate laws, without the
+reservoir's tables, masks or LFSR windows; so the tables are checked
+against the gate laws that ``tests/test_streams.py`` tests.
 """
 
 import math
@@ -16,19 +13,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gate_oracle import oracle_run
 from stochtdr import reservoir
 from stochtdr.bernstein import spread_delays
 from stochtdr.reservoir import (
     BACKENDS,
     RESEED_POLICIES,
-    ROLE_BIAS,
     ROLE_COEFF_BASE,
     ROLE_FEEDBACK,
     ROLE_INPUT,
-    ROLE_SELECT_BIAS,
-    ROLE_SELECT_MIX,
-    ROLE_WEIGHT,
-    _TAG_FREERUN,
     Reservoir,
     TdrConfig,
     derive_seed,
@@ -36,57 +29,23 @@ from stochtdr.reservoir import (
     reseed_for_node,
 )
 from stochtdr.streams import (
-    b2s,
-    lfsr_words,
-    maximal_taps,
     offset_to_real,
-    ones_count_to_offset,
     quantize,
-    quantize_probability,
     real_to_offset,
-    stoch_mult,
-    stoch_mux_average,
     word_dtype,
 )
 
 
-def oracle_run(res: Reservoir, inputs) -> np.ndarray:
-    """State matrix of ``res``, computed one node and one gate at a time."""
-    cfg = res.cfg
-    H, L, n, q = cfg.H, cfg.L, cfg.n, cfg.q
-    full = (1 << q) - 1
-    steps = len(inputs)
-    # one free-running LFSR per role hands out H*L words per step, node by node
-    freerun = {role: lfsr_words(q, maximal_taps(q, role),
-                                derive_seed(cfg.master_seed, _TAG_FREERUN, role) & full or 1,
-                                steps * H * L)
-               for role in range(ROLE_COEFF_BASE + n + 1)}
-
-    def words(role, i, p):
-        if cfg.reseed_policy == "per-node":
-            seed = reseed_for_node(cfg.master_seed, i, role, q)
-            return lfsr_words(q, maximal_taps(q, role), seed, L)
-        return freerun[role][(p * H + i) * L:(p * H + i + 1) * L]
-
-    line = [real_to_offset(0.0, q)] * res.tau
-    offsets = np.empty((steps, H), dtype=np.int64)
-    for p, u in enumerate(inputs):
-        for i in range(H):
-            slot = (p * H + i) % res.tau
-            U = b2s(real_to_offset(u, q), words(ROLE_INPUT, i, p))
-            W = b2s(real_to_offset(res.weights[i], q), words(ROLE_WEIGHT, i, p))
-            T = b2s(real_to_offset(0.0, q), words(ROLE_BIAS, i, p))  # the zero-word bias
-            F = b2s(line[slot], words(ROLE_FEEDBACK, i, p))
-            SM = b2s(quantize_probability(cfg.alpha, q), words(ROLE_SELECT_MIX, i, p))
-            SB = b2s(quantize_probability(0.5, q), words(ROLE_SELECT_BIAS, i, p))
-            mixed = stoch_mux_average(stoch_mux_average(stoch_mult(U, W), F, SM), T, SB)
-            copies = np.stack([np.roll(mixed, d) for d in spread_delays(n, L)])
-            betas = np.stack([b2s(b, words(ROLE_COEFF_BASE + k, i, p))
-                              for k, b in enumerate(res.beta_words)])
-            out = np.take_along_axis(betas, copies.sum(axis=0)[None], axis=0)[0]
-            line[slot] = ones_count_to_offset(out.sum(), L, q)
-            offsets[p, i] = line[slot]
-    return offset_to_real(offsets, q)
+def drawn_configs(count: int, seed: int) -> list:
+    """``count`` small stochastic configs (H, L, n, q), drawn from ``seed``:
+    H in 1..6, q in 7..10, n in 1..9 and L in n..100, each uniform."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for k in range(count):
+        H, q, n = (int(x) for x in rng.integers([1, 7, 1], [7, 11, 10]))
+        L = int(rng.integers(n, 101))
+        configs.append(pytest.param(H, L, n, q, id=f"draw{k}-H{H}-L{L}-n{n}-q{q}"))
+    return configs
 
 
 @pytest.mark.parametrize("policy", ["per-node", "none"])
@@ -104,8 +63,11 @@ def oracle_run(res: Reservoir, inputs) -> np.ndarray:
     # H = 3 divides P' = 3, so under none X0 folds into the input table as
     # under per-node
     pytest.param(3, 85, 5, 8, id="L=85-H=3"),
+    # a fixed draw of small configs; a failing one is a defect to mend, not
+    # to draw away
+    *drawn_configs(20, seed=21),
 ])
-def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q):
+def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q, monkeypatch):
     steps = 6
     cfg = TdrConfig(H=H, alpha=0.3, gamma=2.0, L=L, n=n, q=q, master_seed=11 * n + q,
                     reseed_policy=policy, backend="stochastic")
@@ -114,6 +76,9 @@ def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q):
     X = res.run(inputs)
     assert X.shape == (steps, H)
     np.testing.assert_array_equal(X, oracle_run(res, inputs))
+    # with the cap at 0 a step derives every stream it has no table of
+    monkeypatch.setattr(reservoir, "_TABLE_MAX_BYTES", 0)
+    np.testing.assert_array_equal(Reservoir(cfg).run(inputs), X)
 
 
 _TABLES = ("_shared", "_input_table", "_feedback_table", "_x0")

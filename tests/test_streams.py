@@ -1,4 +1,5 @@
-"""Bit-stream encoding, LFSR, and gate-law tests on the array kernels.
+"""Bit-stream encoding, LFSR, and gate-law tests on the array kernels, and
+on the LFSR words and XNOR of the test-side oracle (``gate_oracle``).
 
 Statistical checks that rely on Bernoulli behaviour run at q=16 so the
 stream length stays well below the LFSR period; q=8 whole-period streams
@@ -10,11 +11,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gate_oracle import lfsr_words, stoch_mult
 from stochtdr.streams import (
     b2s,
+    b2s_table,
     lfsr_cycle,
-    lfsr_words,
+    lfsr_windows,
     maximal_taps,
+    mix_input_base,
+    mix_masks,
     offset_to_real,
     ones_count_to_offset,
     pack,
@@ -22,7 +27,6 @@ from stochtdr.streams import (
     quantize_probability,
     real_to_offset,
     s2b,
-    stoch_mult,
     stoch_mux_average,
     supported_widths,
     _TAP_MASKS,
@@ -217,6 +221,24 @@ def test_roundtrip_exact_whole_period_q8():
     assert np.array_equal(s2b(pack(b2s(offsets[:, None], words)), 255, 8), offsets)
 
 
+@pytest.mark.parametrize("q", [7, 8, 10])
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("L", [8, 37, 1001])
+def test_b2s_table_is_the_masked_comparator_at_every_word(q, S, L):
+    # S streams of words from random positions on a maximal LFSR's cycle,
+    # so the 8 words of each byte are distinct, as the table needs
+    rng = np.random.default_rng(q * L + S)
+    words = lfsr_windows(q, maximal_taps(q), L)[rng.integers(0, (1 << q) - 1, S)]
+    every = np.arange(1 << q)[:, None, None]
+    # a zero-padded mask, and one that sets every padding bit
+    for mask in (pack(rng.random((S, L)) < 0.7), np.full((S, -(-L // 8)), 0xFF, np.uint8)):
+        table = b2s_table(words, mask, q)
+        assert table.shape == (1 << q, S, -(-L // 8)) and table.dtype == np.uint8
+        np.testing.assert_array_equal(table, pack(b2s(every, words)) & mask)
+        if L % 8:
+            assert not (table[..., -1] & (0xFF >> L % 8)).any()
+
+
 # ---------------------------------------------------------------------------
 # gates
 
@@ -319,7 +341,7 @@ def test_mux_distributes_over_or_on_packed_streams(L):
     np.testing.assert_array_equal(mix(zero, f, zero), f & sb & ~sm)
     # both policies' step: the disjoint masks, zero in the padding, fold the
     # two MUXes into one MUX and an AND
-    A, C, D = sm & sb, t & ~sb, sb & ~sm
+    A, C, D = mix_masks(t, sm, sb)
     np.testing.assert_array_equal(mix(uw, f, t), stoch_mux_average(uw, C, A) | (f & D))
     assert not ((A & C) | (A & D) | (C & D)).any()
     if L % 8:
@@ -333,12 +355,12 @@ def test_input_half_is_x0_xor_u_and_a(L):
     # input half mux(XNOR(U, W), C, A) is their XOR
     rng = np.random.default_rng(L)
     u, w, t, sm, sb = (pack(x) for x in rng.random((5, 6, L)) < 0.5)
-    A, C = sm & sb, t & ~sb
+    A, C, _ = mix_masks(t, sm, sb)
     assert not (A & C).any()
     if L % 8:
         assert not ((A | C)[:, -1] & (0xFF >> L % 8)).any()
     np.testing.assert_array_equal(stoch_mux_average(stoch_mult(u, w), C, A),
-                                  ((A & ~w) | C) ^ (u & A))
+                                  mix_input_base(w, A, C) ^ (u & A))
 
 
 def test_mux_empirical_half_mix_q16():
