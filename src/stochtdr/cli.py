@@ -29,7 +29,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -390,6 +389,9 @@ def _run_points(cfg: ExperimentConfig, worker, points: list[dict]) -> list[list]
     if workers == 1:
         batches = [work(p) for p in enumerate(points)]
     else:
+        # imported only here: it loads multiprocessing, which a one-worker run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(work, enumerate(points)))
     return [row for batch in batches for row in batch]

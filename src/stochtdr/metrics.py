@@ -8,23 +8,26 @@ generalization rank perturbs one base probe with small noise (a low rank
 means similar inputs collapse to similar states).  Both take a built
 :class:`Reservoir`, and each run of :func:`metric_study` probes one draw
 both ways, as Legenstein & Maass (Neural Networks 2007) define the two
-metrics on one circuit.  ``run`` keeps no state between calls (macro step
-t restarts at 0), so the second probe block sees what a fresh build would.
+metrics on one circuit.
 
-The probes go to :meth:`Reservoir.run` as one ``(H, m)`` block.  The ideal
-backends advance all H probes together, one ``(H, H)`` step per macro step,
-instead of paying the per-step Python overhead H times.  The ``stochastic``
-backend runs the rows in turn under both reseed policies.  A step that its
-per-word input and feedback tables serve runs no comparator, so a batched
-one would gather (B, H, ceil(L/8)) bytes from each table; past the table
-cap a batched step would hold each comparator output as (B, H, L) booleans,
-B times a row's, which is 164 MB at B = H = 200, L = 4096.  A batched
-``none`` step measured slower before any of the stream tables, when it drew
-the words of all 12 roles every step: 2.6-3.0 s against 1.6-1.8 s for rows
-in turn, bit-identical (B = H = m = 50, L = 1000, q = 8, 2-core Xeon); it
-has not been measured on the tables.  Under that policy row b of the block
-reads the free-running LFSRs from macro step b*m on, where row b - 1 left
-them, as a hardware part would between bursts.
+:func:`metric_study` hands both probe sets of a draw to :meth:`Reservoir.run`
+as one ``(2, H, m)`` stack; :func:`kernel_quality` and
+:func:`generalization_rank` each hand theirs over as one ``(H, m)`` block.
+The ideal backends advance every row of the stack together, one ``(2H, H)``
+step per macro step, instead of paying the per-step Python overhead for each
+probe, or for each probe set.  The ``stochastic`` backend runs the rows in
+turn under both reseed policies, and each block of the stack restarts at
+macro step t = 0, so the second probe set sees what a fresh build would.  A
+step that its per-word input and feedback tables serve runs no comparator, so
+a batched one would gather (B, H, ceil(L/8)) bytes from each table; past the
+table cap a batched step would hold each comparator output as (B, H, L)
+booleans, B times a row's, which is 164 MB at B = H = 200, L = 4096.  A
+batched ``none`` step measured slower before any of the stream tables, when
+it drew the words of all 12 roles every step: 2.6-3.0 s against 1.6-1.8 s
+for rows in turn, bit-identical (B = H = m = 50, L = 1000, q = 8, 2-core
+Xeon); it has not been measured on the tables.  Under that policy row b of a
+block reads the free-running LFSRs from macro step b*m on, where row b - 1
+left them, as a hardware part would between bursts.
 """
 
 from __future__ import annotations
@@ -72,13 +75,31 @@ def numerical_rank(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
+def _kq_probes(res: Reservoir, m: int, seed: int) -> np.ndarray:
+    """H independent random probes of m steps on the width-q grid."""
+    rng = np.random.default_rng(derive_seed(seed, _TAG_KQ))
+    return quantize(rng.uniform(-1.0, 1.0, (res.H, m)), res.cfg.q)
+
+
+def _gr_probes(res: Reservoir, m: int, seed: int, noise_amplitude: float) -> np.ndarray:
+    """H probes of m steps: one random base plus independent noise on each."""
+    rng = np.random.default_rng(derive_seed(seed, _TAG_GR))
+    base = rng.uniform(-1.0, 1.0, m)
+    noise = rng.uniform(-noise_amplitude, noise_amplitude, (res.H, m))
+    return quantize(np.clip(base[None, :] + noise, -1.0, 1.0), res.cfg.q)
+
+
+def _final_states(res: Reservoir, probes: np.ndarray) -> np.ndarray:
+    """Each probe row's final state, probes by nodes; a copy, so that the
+    run's history is freed at once."""
+    return res.run(probes)[..., -1, :].copy()
+
+
 def kernel_quality(res: Reservoir, m: int, seed: int = 0,
                    rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the final-state matrix under H independent random probes."""
     check_probes(m)
-    rng = np.random.default_rng(derive_seed(seed, _TAG_KQ))
-    probes = quantize(rng.uniform(-1.0, 1.0, (res.H, m)), res.cfg.q)
-    return numerical_rank(res.run(probes)[:, -1, :].T, rel_tol)
+    return numerical_rank(_final_states(res, _kq_probes(res, m, seed)).T, rel_tol)
 
 
 def generalization_rank(res: Reservoir, m: int, seed: int = 0,
@@ -86,25 +107,28 @@ def generalization_rank(res: Reservoir, m: int, seed: int = 0,
                         rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of the final-state matrix when all probes share one noisy base."""
     check_probes(m, noise_amplitude)
-    rng = np.random.default_rng(derive_seed(seed, _TAG_GR))
-    base = rng.uniform(-1.0, 1.0, m)
-    noise = rng.uniform(-noise_amplitude, noise_amplitude, (res.H, m))
-    probes = quantize(np.clip(base[None, :] + noise, -1.0, 1.0), res.cfg.q)
-    return numerical_rank(res.run(probes)[:, -1, :].T, rel_tol)
+    probes = _gr_probes(res, m, seed, noise_amplitude)
+    return numerical_rank(_final_states(res, probes).T, rel_tol)
 
 
 def metric_study(cfg: TdrConfig, m: int, runs: int = 10, seed: int = 0,
                  noise_amplitude: float = DEFAULT_NOISE_AMPLITUDE,
                  rel_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
     """KQ and GR over several runs, each on a fresh reservoir draw with fresh
-    probes: the two int64 arrays (kq, gr) of per-run ranks in [0, H]."""
+    probes: the two int64 arrays (kq, gr) of per-run ranks in [0, H].
+
+    Each draw runs both probe sets as one stack; everything is checked
+    before the first run."""
     if runs < 1:
         raise ValueError("need at least one run")
+    check_probes(m, noise_amplitude)
+    check_rank_tol(rel_tol)
     kq = np.empty(runs, dtype=np.int64)
     gr = np.empty(runs, dtype=np.int64)
     for r in range(runs):
         res = Reservoir(replace(cfg, master_seed=derive_seed(cfg.master_seed, _TAG_RUN, r)))
         probe_seed = derive_seed(seed, _TAG_RUN, r)
-        kq[r] = kernel_quality(res, m, probe_seed, rel_tol)
-        gr[r] = generalization_rank(res, m, probe_seed, noise_amplitude, rel_tol)
+        probes = np.stack([_kq_probes(res, m, probe_seed),
+                           _gr_probes(res, m, probe_seed, noise_amplitude)])
+        kq[r], gr[r] = (numerical_rank(X.T, rel_tol) for X in _final_states(res, probes))
     return kq, gr

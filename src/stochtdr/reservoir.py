@@ -225,9 +225,10 @@ def check_run_length(m: int) -> None:
 
 
 def _input_error(inputs: np.ndarray, bad: np.ndarray, what: str) -> ValueError:
-    """The error naming the first flagged input, its step and, in a block, its row."""
+    """The error naming the first flagged input, its step and, in a block or
+    a stack, its row and block."""
     at = tuple(np.argwhere(bad)[0])
-    where = f"row {at[0]}, step {at[1]}" if len(at) == 2 else f"step {at[0]}"
+    where = ", ".join(f"{axis} {i}" for axis, i in zip(("block", "row", "step")[-len(at):], at))
     return ValueError(f"input {inputs[at]} at {where} {what}")
 
 
@@ -376,15 +377,15 @@ class Reservoir:
         and the feedback ``fb``, the values written ``tau`` slots back.
 
         A pure function of its arguments.  ``t`` is the macro step's index
-        in the run (b*m + p for step p of row b of a ``(B, m)`` block); only
-        ``stochastic`` reads it: node i reads source (t*H + i) mod S, which
-        under ``per-node`` is node i at every step.  ``u`` comes as
-        :meth:`run` prepared it, and the step checks no values.  On
-        ``stochastic``, ``u``, the feedback and the outputs are offset words
-        in ``word_dtype(q)``.  The ideal backends take the signed value, a
-        plain float as well as a numpy scalar, and may step B sequences at
-        once: ``u`` then holds one sample per row of a ``(B, H)`` feedback
-        block.
+        in the run (b*m + p for step p of row b of a ``(B, m)`` block, or of
+        each block of a stack); only ``stochastic`` reads it: node i reads
+        source (t*H + i) mod S, which under ``per-node`` is node i at every
+        step.  ``u`` comes as :meth:`run` prepared it, and the step checks no
+        values.  On ``stochastic``, ``u``, the feedback and the outputs are
+        offset words in ``word_dtype(q)``.  The ideal backends take the
+        signed value, a plain float as well as a numpy scalar, and may step B
+        sequences at once: ``u`` then holds one sample per row of a
+        ``(B, H)`` feedback block.
         """
         if self.cfg.backend == "stochastic":
             if np.ndim(u) or np.ndim(fb) != 1:
@@ -434,8 +435,9 @@ class Reservoir:
 
         The whole input is checked once, before the first step: each value
         must be finite and within 1e-12 of the width-q grid, and the error
-        names the first bad one (in row order), its step and, in a block, its
-        row.  On ``stochastic`` the inputs become ``word_dtype(q)`` words once.
+        names the first bad one (in row order), its step and, in a block or
+        a stack, its row and block.  On ``stochastic`` the inputs become
+        ``word_dtype(q)`` words once.
 
         Each sequence's delay line is its output history: ``tau`` zero slots
         (the zero word on ``stochastic``), then the H outputs of every macro
@@ -449,10 +451,15 @@ class Reservoir:
         them in turn (see ``metrics``).  Step p of row b is macro step
         t = b*m + p, so under ``none`` row b continues the free-running
         streams where row b - 1 left them.
+
+        A ``(K, B, m)`` stack runs K blocks and returns ``(K, B, m, H)``.
+        Each block runs as it would alone, restarting at t = 0, so the stack
+        equals K separate calls; the ideal backends step every row of every
+        block together.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim not in (1, 2):
-            raise ValueError("need an input sequence or (B, m) block")
+        if inputs.ndim not in (1, 2, 3):
+            raise ValueError("need an input sequence, a (B, m) block or a (K, B, m) stack")
         check_run_length(inputs.size)
         H, tau, q, m = self.H, self.tau, self.cfg.q, inputs.shape[-1]
         bad = ~np.isfinite(inputs)
@@ -467,14 +474,18 @@ class Reservoir:
         stochastic = self.cfg.backend == "stochastic"
         zero, dtype = (real_to_offset(0.0, q), word_dtype(q)) if stochastic else (0.0, np.float64)
         held = off.astype(dtype) if stochastic else inputs
-        hist = np.full(inputs.shape[:-1] + (tau + m * H,), zero, dtype=dtype)
-        # an ideal block advances one (B, H) step per macro step, a column at
-        # a time; a 1-D input, or each row of a stochastic block, steps as one
-        # sequence
-        sequences = zip(held, hist) if stochastic and held.ndim == 2 else [(held, hist)]
-        for b, (seq, line) in enumerate(sequences):
+        width = tau + m * H
+        hist = np.full(inputs.shape[:-1] + (width,), zero, dtype=dtype)
+        # every row of a block or stack, its delay line a view of hist: the
+        # ideal backends step all rows together, one (rows, H) step per macro
+        # step, a column at a time; a 1-D input, or each stochastic row, steps
+        # as one sequence, row b of each block from macro step t = b*m
+        rows = (held.reshape(-1, m), hist.reshape(-1, width)) if held.ndim > 1 else (held, hist)
+        sequences = zip(*rows) if stochastic and held.ndim > 1 else [rows]
+        B = inputs.shape[-2] if inputs.ndim > 1 else 1
+        for r, (seq, line) in enumerate(sequences):
             for p, u in enumerate(seq.T):
                 g = p * H
-                line[..., tau + g:tau + g + H] = self.step(u, line[..., g:g + H], b * m + p)
+                line[..., tau + g:tau + g + H] = self.step(u, line[..., g:g + H], r % B * m + p)
         X = hist[..., tau:].reshape(inputs.shape + (H,))
         return offset_to_real(X, q) if stochastic else X

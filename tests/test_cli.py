@@ -2,9 +2,14 @@
 the option table behind flags, config-file keys and config.txt, and the
 CSV formats it writes."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,7 +243,7 @@ def test_the_pool_never_outgrows_the_grid_or_the_cpus(tmp_path, monkeypatch, cpu
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     argv = ["metrics", "--H", "4", "--m", "5", "--runs", "1", "--alpha-grid", "0.2,0.5,0.8",
             "--workers", "1000000", "--out", str(tmp_path)]
@@ -246,6 +251,18 @@ def test_the_pool_never_outgrows_the_grid_or_the_cpus(tmp_path, monkeypatch, cpu
     assert seen == sizes  # one process per point and per CPU at most; one CPU runs here
     # the header, then run 0, mean and std of each point
     assert len((tmp_path / "metrics.csv").read_text().splitlines()) == 1 + 3 * 3
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool's modules are imported only when a sweep starts one; every
+    # one-worker run, and every process that imports the CLI, goes without
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, stochtdr.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 BAD_INPUTS = {

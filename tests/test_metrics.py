@@ -1,5 +1,6 @@
-"""Batched probe runs: a ``(B, m)`` block against rows run one at a time,
-the KQ/GR ranks built on them, and sweep output across worker counts."""
+"""Batched probe runs: a ``(B, m)`` block against rows run one at a time, a
+``(K, B, m)`` stack against its blocks run apart, the KQ/GR ranks built on
+them, and sweep output across worker counts."""
 
 import hashlib
 
@@ -51,15 +52,30 @@ def config(backend, policy, seed=3, tau=None):
 
 # every backend and policy at tau = H (each node reads itself), the default
 # H + 1 (a ring, the plain id) and 2H + 3 (the first steps read the zero line)
-@pytest.mark.parametrize("backend,policy,tau", [
+EVERY_RUN_KIND = pytest.mark.parametrize("backend,policy,tau", [
     pytest.param(b, p, t, id=f"{b}-{p}" + ("" if t == H + 1 else f"-tau={t}"))
     for b in BACKENDS for p in RESEED_POLICIES for t in (H, H + 1, 2 * H + 3)])
+
+
+@EVERY_RUN_KIND
 def test_block_run_matches_rows_in_turn(backend, policy, tau):
     res = Reservoir(config(backend, policy, tau=tau))
     probes = quantize(np.random.default_rng(1).uniform(-1.0, 1.0, (4, M)), res.cfg.q)
     X = res.run(probes)
     assert X.shape == (4, M, H)
     np.testing.assert_array_equal(X, rows_in_turn(res, probes))
+
+
+@EVERY_RUN_KIND
+def test_stack_run_matches_its_blocks_run_apart(backend, policy, tau):
+    # each block of a stack restarts at macro step 0, so under none it reads
+    # the free-running streams that a call of its own reads
+    res = Reservoir(config(backend, policy, tau=tau))
+    stack = quantize(np.random.default_rng(7).uniform(-1.0, 1.0, (2, 4, M)), res.cfg.q)
+    X = res.run(stack)
+    assert X.shape == (2, 4, M, H)
+    for block, states in zip(stack, X):
+        np.testing.assert_array_equal(states, res.run(block))
 
 
 @pytest.mark.parametrize("policy", RESEED_POLICIES)
@@ -136,6 +152,19 @@ def test_stochastic_metrics_csv_is_pinned(tmp_path, policy, digest):
     assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("backend", ["ideal-exact", "ideal-bernstein"])
+def test_ideal_metrics_csv_is_pinned(tmp_path, backend):
+    # the digest of the same sweep as it ran when each probe set of a draw
+    # had a run of its own; the Bernstein fit moves no rank here, so both
+    # backends write the same file.  At rank tolerance 0.05 every GR is 1,
+    # so 0.01 pins both metrics at more than one value
+    assert cli.main(["metrics", "--backend", backend, "--H", "6", "--m", "6",
+                     "--rank-tol", "0.01", "--runs", "2", "--alpha-grid", "0.2,0.5",
+                     "--gamma", "1.3", "--seed", "3", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() \
+        == "aabab9749af259d5cbb82a871fbe3be0271ca870dc951c0955722535ac27dbd9"
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_step_rejects_a_non_finite_row(backend):
     # run checks the block before its first step and names the row
@@ -144,6 +173,20 @@ def test_step_rejects_a_non_finite_row(backend):
         res.run(np.array([[res.weights[0]], [np.nan], [res.weights[1]]]))
     with pytest.raises(ValueError, match="input 0.1 at row 2, step 1 not representable"):
         res.run(np.array([[res.weights[0]] * 3] * 2 + [[res.weights[1], 0.1, 0.2]]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_names_the_block_of_a_bad_stack_input(backend):
+    res = Reservoir(config(backend, "none"))
+    stack = np.full((2, 3, 4), res.weights[0])
+    stack[1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match="input nan at block 1, row 2, step 3 is not finite"):
+        res.run(stack)
+    stack[1, 2, 3], stack[1, 0, 2] = res.weights[1], 0.1
+    with pytest.raises(ValueError, match="input 0.1 at block 1, row 0, step 2 not representable"):
+        res.run(stack)
+    with pytest.raises(ValueError, match=r"\(K, B, m\) stack"):
+        res.run(stack[None])
 
 
 def test_stochastic_step_takes_one_sequence():
@@ -161,6 +204,17 @@ def test_metrics_csv_does_not_depend_on_worker_count(tmp_path):
         assert cli.main(argv + ["--workers", str(workers), "--out", str(out)]) == cli.EXIT_OK
         outputs.append((out / "metrics.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("m,noise,rel_tol", [(0, 0.05, 0.01), (5, np.nan, 0.01), (5, 0.05, 1.0)])
+def test_metric_study_checks_everything_before_its_first_run(monkeypatch, m, noise, rel_tol):
+    def run(self, inputs):
+        raise AssertionError("a probe ran before the checks")
+
+    monkeypatch.setattr(Reservoir, "run", run)
+    with pytest.raises(ValueError, match="probe length|noise amplitude|rank tolerance"):
+        metrics.metric_study(config("ideal-exact", "per-node"), m, runs=1,
+                             noise_amplitude=noise, rel_tol=rel_tol)
 
 
 @pytest.mark.parametrize("rel_tol", [np.nan, -1.0, 1.0, np.inf])

@@ -270,7 +270,7 @@ def test_run_checks_every_input_against_the_width_q_grid(q, monkeypatch):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("shape", [(7,), (2, 5)])
+@pytest.mark.parametrize("shape", [(7,), (2, 5), (2, 2, 5)])
 def test_run_takes_every_macro_step_through_step(backend, shape, monkeypatch):
     # per-step instrumentation wraps Reservoir.step, and the per-layer
     # metrics of perfbench/run.py divide by its call count
