@@ -7,6 +7,12 @@ count selects among n+1 coefficient streams through a MUX.  The count
 equals k with probability C(n,k) u^k (1-u)^(n-k), so the output stream's
 ones-probability is exactly the polynomial when the copies are independent.
 
+:func:`bernstein_eval` checks the degree and that its argument lies in
+the unit interval, then evaluates :func:`nested_form`, the unchecked nested
+form.  ``Reservoir``'s ideal step calls the core directly: its argument is
+an affine image of the mix sum that lies in [1/4, 3/4], up to rounding, by
+construction, so the two range reductions would only cost time.
+
 An arbitrary activation is first shifted and scaled so the used portion
 lies in the unit square, then fitted in the Bernstein basis under the
 box constraint beta_k in [0, 1].
@@ -61,6 +67,21 @@ def bernstein_basis(k: int, n: int, u):
 def bernstein_eval(beta, u):
     """Evaluate sum(beta_k * b_{k,n}(u)) for coefficient vector beta.
 
+    Checks the degree and that u lies in [0, 1], then evaluates
+    :func:`nested_form`; degree 0 is the constant beta_0.
+    """
+    beta = np.asarray(beta, dtype=np.float64).ravel().tolist()
+    n = len(beta) - 1
+    _check_degree(n)
+    u = np.asarray(u, dtype=np.float64)
+    _check_unit_interval(u)
+    out = np.full(u.shape, beta[0]) if n == 0 else nested_form(beta, u)
+    return out if out.ndim else float(out)
+
+
+def nested_form(beta, u: np.ndarray) -> np.ndarray:
+    """sum(beta_k * b_{k,n}(u)) for n = len(beta) - 1 >= 1, unchecked.
+
     The nested form of Schumaker & Volk (CAGD 1986): Horner in f = 1 - u
     on the weights C(n,k) beta_k, with u^k built up by one multiply per
     degree, so a call costs O(n) array operations and no powers.  For beta
@@ -69,24 +90,27 @@ def bernstein_eval(beta, u):
     to the value, unlike Horner in the power basis (Farouki & Rajan, CAGD
     1987); and the partial sum after degree k stays below C(n, k) / (k + 1),
     so no degree up to MAX_DEGREE overflows.
+
+    ``beta`` is a sequence of Python floats and ``u`` a float64 array,
+    which is not written.  Nothing is checked: :func:`bernstein_eval` checks
+    the degree and the range first, while ``Reservoir`` calls this directly
+    on an argument that lies in [1/4, 3/4], up to rounding, by construction.  Each
+    C(n,k) beta_k u^k term goes through one scratch array, so the degree
+    loop allocates nothing.
     """
-    beta = np.asarray(beta, dtype=np.float64).ravel().tolist()
     n = len(beta) - 1
-    _check_degree(n)
-    u = np.asarray(u, dtype=np.float64)
-    _check_unit_interval(u)
-    if n == 0:
-        out = np.full(u.shape, beta[0])
-    else:
-        f = 1.0 - u
-        out = beta[0] * f
-        un = u.copy()  # u^k at degree k
-        for k in range(1, n):
-            out += math.comb(n, k) * beta[k] * un
-            out *= f
-            un *= u
-        out += beta[n] * un
-    return out if out.ndim else float(out)
+    f = 1.0 - u
+    out = beta[0] * f
+    un = u.copy()  # u^k at degree k
+    term = np.empty_like(un)
+    for k in range(1, n):
+        np.multiply(un, math.comb(n, k) * beta[k], out=term)
+        out += term
+        out *= f
+        un *= u
+    un *= beta[n]
+    out += un
+    return out
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,18 @@ so the stochastic state matrix converges to the ``ideal-bernstein`` one as
 the stream length L grows.  Select thresholds are quantized at width q in the
 stochastic backend; the ideal backends use the exact alpha and 0.5.
 
+The ideal step computes the mix sum
+S = alpha * (w_i * u) + (1 - alpha) * x_fb into one array and scales it in
+place, once, by a power of two: s = S / 2 on ``ideal-exact``, and on
+``ideal-bernstein`` sbar = S / 4 + 1/2, the unit-square argument
+(s + 1) / 2.  Scaling by 1/2 or 1/4 is exact for every normal value, so
+sbar has the bits of (S / 2 + 1) / 2; where S / 4 would round
+(|S| < 2^-1020) both forms round to 1/2.  Folding the scale into alpha and
+1 - alpha instead rounds at a subnormal alpha.  Inputs, weights and
+feedback lie in [-1, 1], so sbar lies in [1/4, 3/4] up to rounding, well
+inside the unit interval, and the step evaluates the unchecked
+:func:`bernstein.nested_form`.
+
 The mix SB ? (SM ? U*W : F) : T is the input half X0 ^ (U & A) OR the
 feedback stream F & D, with the masks A, C, D of :func:`streams.mix_masks`
 and X0 of :func:`streams.mix_input_base`, whose docstrings derive the law.
@@ -396,12 +408,27 @@ class Reservoir:
     def _step_ideal(self, u, fb: np.ndarray) -> np.ndarray:
         """Node outputs from the held input(s) and the feedback values."""
         cfg = self.cfg
-        s = 0.5 * (cfg.alpha * np.multiply.outer(u, self.weights) + (1.0 - cfg.alpha) * fb)
+        # the mix sum alpha*(w*u) + (1-alpha)*fb, scaled in place by one exact power of two
+        s = np.multiply.outer(u, self.weights)
+        s *= cfg.alpha
+        s += (1.0 - cfg.alpha) * fb
         if cfg.backend == "ideal-exact":
+            s *= 0.5
             # the unit-square sine mapped back, so +-1 are its extrema on the
             # used interval; gamma = 0 is the linear limit (identity)
-            return np.sin(cfg.gamma * s) / self._f_max if cfg.gamma else s
-        return 2.0 * bp.bernstein_eval(self._beta, (s + 1.0) / 2.0) - 1.0
+            if cfg.gamma:
+                s *= cfg.gamma
+                np.sin(s, out=s)
+                s /= self._f_max
+            return s
+        # (s/2 + 1)/2 as s/4 + 1/2, in [1/4, 3/4] up to rounding as |s| <= 1:
+        # well inside [0, 1], so the nested form needs no range check
+        s *= 0.25
+        s += 0.5
+        out = bp.nested_form(self._beta, s)
+        out *= 2.0
+        out -= 1.0
+        return out
 
     def _step_stochastic(self, u_off: np.integer, fb: np.ndarray, t: int) -> np.ndarray:
         """Node output words of macro step t from the input word and the feedback words."""

@@ -22,6 +22,7 @@ from stochtdr.bernstein import (
     check_fit_size,
     fit_bernstein_coeffs,
     make_independent_copies,
+    nested_form,
     pair_coefficients,
     spread_delays,
 )
@@ -47,6 +48,19 @@ def test_eval_matches_exact_arithmetic(n, us):
     beta = np.random.default_rng(n).random(n + 1)
     got = bernstein_eval(beta, np.array(us))
     np.testing.assert_allclose(got, [exact_eval(beta, u) for u in us], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 100, MAX_DEGREE])
+def test_unchecked_core_is_the_checked_eval(n):
+    # the ideal-bernstein step calls the core directly; it must give the
+    # checked evaluator's bits and leave its argument as it was
+    beta = np.random.default_rng(n).random(n + 1)
+    u = np.array([0.0, 1e-300, 0.25, 0.3, 0.5, 0.75, 1.0 - 2.0**-53, 1.0])
+    kept = u.copy()
+    got = nested_form(beta.tolist(), u)
+    np.testing.assert_array_equal(got, bernstein_eval(beta, u))
+    np.testing.assert_array_equal(u, kept)
+    assert not np.shares_memory(got, u)
 
 
 def test_eval_keeps_the_shape_of_its_argument():

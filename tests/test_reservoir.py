@@ -15,7 +15,7 @@ import pytest
 
 from gate_oracle import oracle_run
 from stochtdr import reservoir
-from stochtdr.bernstein import spread_delays
+from stochtdr.bernstein import TransformedActivation, spread_delays
 from stochtdr.reservoir import (
     BACKENDS,
     RESEED_POLICIES,
@@ -194,6 +194,79 @@ def test_ideal_step_takes_a_plain_float(backend):
     out = res.step(0.5, fb, 0)
     assert out.shape == (3,)
     np.testing.assert_array_equal(out, res.step(np.float64(0.5), fb, 0))
+
+
+def reference_ideal_step(res, u, fb):
+    """The ideal step written out as plain expressions: the mix, the affine
+    maps into and out of the unit square, and the nested Bernstein form."""
+    cfg = res.cfg
+    s = 0.5 * (cfg.alpha * np.multiply.outer(u, res.weights) + (1.0 - cfg.alpha) * fb)
+    if cfg.backend == "ideal-exact":
+        if not cfg.gamma:
+            return s
+        return np.sin(cfg.gamma * s) / TransformedActivation(cfg.gamma).f_max
+    beta = [w / ((1 << cfg.q) - 1) for w in res.beta_words]
+    n = len(beta) - 1
+    u = (s + 1.0) / 2.0
+    f = 1.0 - u
+    out = beta[0] * f
+    un = u.copy()  # u^k at degree k
+    for k in range(1, n):
+        out += math.comb(n, k) * beta[k] * un
+        out *= f
+        un *= u
+    out += beta[n] * un
+    return 2.0 * out - 1.0
+
+
+# besides drawn values the feedback holds 0, +-1e-300, +-1, the least
+# subnormal and the least normal
+_FB_EDGES = [0.0, 1e-300, -1e-300, 1.0, -1.0, 5e-324, -2.0**-1022]
+
+
+@pytest.mark.parametrize("backend,n", [("ideal-exact", 5), *(("ideal-bernstein", n)
+                                                             for n in (1, 5, 12))])
+@pytest.mark.parametrize("gamma", [0.0, -0.7, 1.3, 2.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.37, 1.0, 1.0 - 2.0**-53, 1e-310, 3 * 2.0**-1074])
+def test_ideal_step_is_the_reference_law_bit_for_bit(backend, n, gamma, alpha):
+    # the step scales the mix sum in place; every scaling must be exact
+    H, B = 37, 6
+    res = Reservoir(TdrConfig(H=H, alpha=alpha, gamma=gamma, n=n, backend=backend))
+    rng = np.random.default_rng(11)
+    fb = rng.uniform(-1.0, 1.0, (B, H))
+    fb[:, :len(_FB_EDGES)] = _FB_EDGES
+    fb[1] = np.roll(fb[1], 9)
+    fb[2] *= 1e-300  # mix sums far below the normal range
+    fb[3] = 0.0
+    u = np.array([0.37, -1.0, 1.0, 1e-300, 0.0, float(quantize(-0.6, res.cfg.q))])
+    np.testing.assert_array_equal(res.step(u, fb, 0), reference_ideal_step(res, u, fb))
+    for b in range(B):
+        np.testing.assert_array_equal(res.step(u[b], fb[b], 0),
+                                      reference_ideal_step(res, u[b], fb[b]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_step_never_writes_into_its_arguments(backend):
+    # run hands the step a column of the held inputs and a slice of the
+    # delay line; both must read the same afterwards
+    H, tau, B = 5, 7, 3
+    L = 16 if backend == "stochastic" else None
+    res = Reservoir(TdrConfig(H=H, alpha=0.4, gamma=2.0, L=L, tau=tau, backend=backend))
+    q, rng = res.cfg.q, np.random.default_rng(2)
+    if backend == "stochastic":
+        held = rng.integers(0, 1 << q, (B, 4)).astype(word_dtype(q))
+        hist = rng.integers(0, 1 << q, (B, tau + 4 * H)).astype(word_dtype(q))
+        u, fb = held[0, 1], hist[0, H:2 * H]
+    else:
+        held = quantize(rng.uniform(-1.0, 1.0, (B, 4)), q)
+        hist = quantize(rng.uniform(-1.0, 1.0, (B, tau + 4 * H)), q)
+        u, fb = held.T[1], hist[:, H:2 * H]
+    held_before, hist_before = held.copy(), hist.copy()
+    out = res.step(u, fb, 1)
+    np.testing.assert_array_equal(held, held_before)
+    np.testing.assert_array_equal(hist, hist_before)
+    if backend != "stochastic":
+        assert not np.shares_memory(out, hist)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
