@@ -2,13 +2,17 @@
 benchmarks, and raw state-matrix simulation, all emitting tidy CSV.
 
 Every option is one ``ExperimentConfig`` field, declared with ``_opt``: its
-metadata holds the value parser, the commands whose subparser has the flag,
-the flag spelling when it is not ``--<field>``, its config-file keys, and
-the argparse extras (choices, help).  The four subparsers, the config-file
-key lookup and the ``config.txt`` lines are all generated from those fields,
-and flags and file values go through the same value parser.  A config file
-(``--config``, flat ``key = value`` lines) may set any option that has a
-file key, whichever command reads it; flags override the file.
+metadata holds the value parser, the commands that read it, the flag
+spelling when it is not ``--<field>``, its config-file keys, and the
+argparse extras (choices, help).  The four subparsers, the config-file key
+lookup and the ``config.txt`` lines are all generated from those fields,
+and flags and file values go through the same value parser.
+
+Flags are per command: a command takes only the flags of the options it
+reads, and any other exits 2 naming it.  Config-file keys are global: a
+config file (``--config``, flat ``key = value`` lines) may set any option
+that has a file key, whichever command reads it, so one file can serve all
+four commands; flags override the file.
 
 No other module knows a file format: the library returns arrays,
 ``_write_csv`` writes all six CSV files and ``_write_provenance`` writes
@@ -39,7 +43,7 @@ from .bernstein import (DEFAULT_DEGREE, DEFAULT_DELTA_S, TransformedActivation, 
                         fit_bernstein_coeffs)
 from .metrics import (DEFAULT_NOISE_AMPLITUDE, DEFAULT_RANK_TOL, check_probes, check_rank_tol,
                       metric_study)
-from .readout import check_lambda
+from .readout import check_lambda, check_training_rows
 from .reservoir import (BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, check_run_length,
                         derive_seed, freerun_phases)
 from .streams import DEFAULT_Q, quantize
@@ -132,15 +136,19 @@ _COMMANDS = {
     "bench": "run a benchmark task",
     "simulate": "write a raw state matrix",
 }
+_ALL = tuple(_COMMANDS)
+_RESERVOIR = ("metrics", "bench", "simulate")  # the commands that build reservoirs
+_SWEEP = ("metrics", "bench")  # the commands that run seeded runs on workers
 
 
-def _opt(default, parse, commands=tuple(_COMMANDS), *, flag=None, keys=None, **argparse_kw):
+def _opt(default, parse, commands, *, flag=None, keys=None, **argparse_kw):
     """An ExperimentConfig field that is also an option.
 
-    ``parse`` turns flag or file text into the value; ``commands`` have the
-    flag, spelled ``flag`` or else ``--<field>`` with dashes; ``keys`` are
-    the config-file keys, the field name unless given; ``argparse_kw``
-    (choices, help, action) goes to ``add_argument``.
+    ``parse`` turns flag or file text into the value; ``commands`` read the
+    option, and only their subparsers have its flag, spelled ``flag`` or
+    else ``--<field>`` with dashes; ``keys`` are the config-file keys, the
+    field name unless given, which every command's config file accepts;
+    ``argparse_kw`` (choices, help, action) goes to ``add_argument``.
     """
     meta = {"parse": parse, "commands": commands, "flag": flag, "keys": keys,
             "argparse": argparse_kw}
@@ -156,22 +164,22 @@ class ExperimentConfig:
     command: str
     task: str | None = _opt(None, str, ("bench",), flag="task", keys=(),
                             choices=["narma10", "sinesquare"])
-    H: int = _opt(50, _int)
-    tau: int | None = _opt(None, _int)
-    alpha: float = _opt(0.2, float)
-    gamma: float = _opt(2.0, float)
-    L: list[int | None] = _opt([1000], _L_list, action="append",
+    H: int = _opt(50, _int, _RESERVOIR)
+    tau: int | None = _opt(None, _int, _RESERVOIR)
+    alpha: float = _opt(0.2, float, _RESERVOIR)
+    gamma: float = _opt(2.0, float, _ALL)
+    L: list[int | None] = _opt([1000], _L_list, _RESERVOIR, action="append",
                                help="stream length; repeat for a sweep; 'inf' for ideal")
-    degree: int = _opt(DEFAULT_DEGREE, _int)
-    q: int = _opt(DEFAULT_Q, _int)
-    seed: int = _opt(0, _int)
-    runs: int = _opt(10, _int)
-    backend: str = _opt("ideal-exact", str, choices=BACKENDS)
-    reseed: str = _opt("per-node", str, choices=RESEED_POLICIES)
-    lam: float = _opt(DEFAULT_LAMBDA, float, flag="--lambda", keys=("lam", "lambda"))
-    washout: int = _opt(DEFAULT_WASHOUT, _int)
-    out: str = _opt("out", str, keys=())
-    workers: int = _opt(1, _int)
+    degree: int = _opt(DEFAULT_DEGREE, _int, _ALL)
+    q: int = _opt(DEFAULT_Q, _int, _RESERVOIR)
+    seed: int = _opt(0, _int, _RESERVOIR)
+    runs: int = _opt(10, _int, _SWEEP)
+    backend: str = _opt("ideal-exact", str, _RESERVOIR, choices=BACKENDS)
+    reseed: str = _opt("per-node", str, _RESERVOIR, choices=RESEED_POLICIES)
+    lam: float = _opt(DEFAULT_LAMBDA, float, ("bench",), flag="--lambda", keys=("lam", "lambda"))
+    washout: int = _opt(DEFAULT_WASHOUT, _int, ("bench",))
+    out: str = _opt("out", str, _ALL, keys=())
+    workers: int = _opt(1, _int, _SWEEP)
     m: int = _opt(50, _int, ("metrics", "simulate"))
     train: int = _opt(1000, _int, ("bench",))
     test: int = _opt(1000, _int, ("bench",))
@@ -301,6 +309,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         elif cfg.command == "bench":
             check_split(cfg.train, cfg.test, cfg.washout)
             check_lambda(cfg.lam)
+            for H in cfg.H_grid or [cfg.H]:
+                check_training_rows(cfg.train - cfg.washout, H, cfg.lam)
             if cfg.task == "narma10":
                 check_narma_length(cfg.train + cfg.test)
         elif cfg.command == "simulate" and cfg.input is None:

@@ -5,14 +5,12 @@ Both drive the reservoir with H probe sequences of length m, each from a
 zeroed delay line, and take the rank of the H x H matrix of final state
 vectors.  Kernel quality uses independent random probes (separation);
 generalization rank perturbs one base probe with small noise (a low rank
-means similar inputs collapse to similar states).  Both take a built
-:class:`Reservoir`, and each run of :func:`metric_study` probes one draw
-both ways, as Legenstein & Maass (Neural Networks 2007) define the two
-metrics on one circuit.
+means similar inputs collapse to similar states).  Each run of
+:func:`metric_study` probes one reservoir draw both ways, as Legenstein &
+Maass (Neural Networks 2007) define the two metrics on one circuit.
 
 :func:`metric_study` hands both probe sets of a draw to :meth:`Reservoir.run`
-as one ``(2, H, m)`` stack; :func:`kernel_quality` and
-:func:`generalization_rank` each hand theirs over as one ``(H, m)`` block.
+as one ``(2, H, m)`` stack, an ``(H, m)`` block per probe set.
 The ideal backends advance every row of the stack together, one ``(2H, H)``
 step per macro step, instead of paying the per-step Python overhead for each
 probe, or for each probe set.  The ``stochastic`` backend runs the rows in
@@ -54,7 +52,7 @@ def check_rank_tol(rel_tol: float) -> None:
         raise ValueError(f"rank tolerance {rel_tol} outside [0, 1)")
 
 
-def check_probes(m: int, noise_amplitude: float = 0.0) -> None:
+def check_probes(m: int, noise_amplitude: float) -> None:
     """Raise ValueError unless the probes have m >= 1 steps and a finite,
     non-negative noise amplitude."""
     if m < 1:
@@ -89,28 +87,6 @@ def _gr_probes(res: Reservoir, m: int, seed: int, noise_amplitude: float) -> np.
     return quantize(np.clip(base[None, :] + noise, -1.0, 1.0), res.cfg.q)
 
 
-def _final_states(res: Reservoir, probes: np.ndarray) -> np.ndarray:
-    """Each probe row's final state, probes by nodes; a copy, so that the
-    run's history is freed at once."""
-    return res.run(probes)[..., -1, :].copy()
-
-
-def kernel_quality(res: Reservoir, m: int, seed: int = 0,
-                   rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Rank of the final-state matrix under H independent random probes."""
-    check_probes(m)
-    return numerical_rank(_final_states(res, _kq_probes(res, m, seed)).T, rel_tol)
-
-
-def generalization_rank(res: Reservoir, m: int, seed: int = 0,
-                        noise_amplitude: float = DEFAULT_NOISE_AMPLITUDE,
-                        rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Rank of the final-state matrix when all probes share one noisy base."""
-    check_probes(m, noise_amplitude)
-    probes = _gr_probes(res, m, seed, noise_amplitude)
-    return numerical_rank(_final_states(res, probes).T, rel_tol)
-
-
 def metric_study(cfg: TdrConfig, m: int, runs: int = 10, seed: int = 0,
                  noise_amplitude: float = DEFAULT_NOISE_AMPLITUDE,
                  rel_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -130,5 +106,8 @@ def metric_study(cfg: TdrConfig, m: int, runs: int = 10, seed: int = 0,
         probe_seed = derive_seed(seed, _TAG_RUN, r)
         probes = np.stack([_kq_probes(res, m, probe_seed),
                            _gr_probes(res, m, probe_seed, noise_amplitude)])
-        kq[r], gr[r] = (numerical_rank(X.T, rel_tol) for X in _final_states(res, probes))
+        # each probe set's final states, probes by nodes; a copy, so that the
+        # run's history is freed at once
+        final = res.run(probes)[..., -1, :].copy()
+        kq[r], gr[r] = (numerical_rank(X.T, rel_tol) for X in final)
     return kq, gr

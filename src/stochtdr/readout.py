@@ -21,6 +21,15 @@ def check_lambda(lam: float) -> None:
         raise ValueError(f"regularization parameter lambda={lam} must be finite and >= 0")
 
 
+def check_training_rows(rows: int, H: int, lam: float) -> None:
+    """Raise ValueError if lam = 0 and fewer than H + 1 training rows meet
+    the H state weights and the bias weight: the Gram matrix is then
+    singular whatever the states are."""
+    if lam == 0.0 and rows < H + 1:
+        raise ValueError(f"with lambda = 0, {rows} training rows past the washout cannot fit "
+                         f"H = {H} weights and a bias; need >= {H + 1}")
+
+
 def ridge_train(X: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     """The output weights w solving (Xd^T Xd + lam*I) w = Xd^T Y by a factored
     linear solve, where Xd is X with a column of ones appended: one weight

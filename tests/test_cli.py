@@ -20,6 +20,11 @@ from stochtdr.streams import quantize
 from stochtdr.tasks import narma10_generate, sine_square_generate
 
 
+# flags that keep each run small, only of those its command reads
+SMALL_RUN = {"fit-activation": [], "simulate": ["--H", "4"],
+             "metrics": ["--H", "4", "--runs", "1"], "bench": ["--H", "4", "--runs", "1"]}
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "narma10", "--backend", "stochastic", "--L", "0"],
     ["bench", "narma10", "--backend", "stochastic", "--L", "3", "--degree", "5"],
@@ -61,6 +66,10 @@ from stochtdr.tasks import narma10_generate, sine_square_generate
     # has at most 6 masks, and q >= 7 has 16
     *[["simulate", "--backend", "stochastic", "--L", "16", "--q", str(q)] for q in range(2, 7)],
     ["metrics", "--backend", "stochastic", "--L", "16", "--degree", "10"],
+    # at lambda = 0 fewer than H + 1 training rows past the washout leave the
+    # Gram matrix singular: 4 rows for H = 4, and 6 rows for the H = 8 point
+    ["bench", "narma10", "--lambda", "0", "--train", "54"],
+    ["bench", "sinesquare", "--lambda", "0", "--H-grid", "2,8", "--train", "56"],
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     if "--config" in argv:  # the value after --config is the file's text
@@ -69,7 +78,7 @@ def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
         path.write_text(argv[i] + "\n")
         argv = argv[:i] + [str(path)] + argv[i + 1:]
     out = tmp_path / "out"
-    code = cli.main(argv + ["--H", "4", "--runs", "1", "--out", str(out)])
+    code = cli.main(argv + SMALL_RUN[argv[0]] + ["--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
@@ -141,7 +150,7 @@ RUNS = {
               "--washout", "5", "--lambda", "0.001", "--runs", "2", "--seed", "3",
               "--dump-sequences"],
     "simulate": ["simulate", "--backend", "ideal-bernstein", "--H", "4", "--m", "9",
-                 "--degree", "3", "--alpha", "0.4", "--workers", "2"],
+                 "--degree", "3", "--alpha", "0.4"],
 }
 
 
@@ -191,6 +200,45 @@ def test_flags_and_file_keys_stay_the_same():
                      "--grid", "--input", "--dump-sequences"}
     keys = {f.name for f in cli._OPTIONS} - NO_FILE_KEY | {"lambda"}
     assert set(cli._BY_FILE_KEY) == keys
+
+
+# each command's flags: those of the options it reads, 56 in all; the three
+# commands that build reservoirs share these
+_RESERVOIR_FLAGS = {"--H", "--tau", "--alpha", "--gamma", "--L", "--degree", "--q", "--seed",
+                    "--backend", "--reseed", "--out"}
+COMMAND_FLAGS = {
+    "fit-activation": {"--gamma", "--degree", "--delta-s", "--grid", "--out"},
+    "simulate": _RESERVOIR_FLAGS | {"--m", "--input"},
+    "metrics": _RESERVOIR_FLAGS | {"--m", "--runs", "--workers", "--alpha-grid", "--gamma-grid",
+                                   "--noise", "--rank-tol"},
+    "bench": _RESERVOIR_FLAGS | {"task", "--runs", "--workers", "--lambda", "--washout",
+                                 "--train", "--test", "--H-grid", "--dump-sequences"},
+}
+
+
+def test_each_command_has_the_flags_it_reads():
+    """Adding a flag to a command, or dropping one, changes the command-line interface."""
+    table = {command: {cli._flag(f) for f in cli._OPTIONS if command in f.metadata["commands"]}
+             for command in cli._COMMANDS}
+    assert table == COMMAND_FLAGS
+    assert sum(map(len, table.values())) == 56
+
+
+# a value for each flag below that the commands reading it would accept; 1 for the rest
+UNREAD_VALUES = {"--H": "4", "--workers": "2", "--lambda": "0.1"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in COMMAND_FLAGS.items()
+    for flag in sorted(set.union(*COMMAND_FLAGS.values()) - flags - {"task"})])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    # e.g. fit-activation --H 4, simulate --workers 2 and metrics --lambda 0.1
+    out = tmp_path / "out"
+    task = ["narma10"] if command == "bench" else []
+    argv = [command, *task, flag, UNREAD_VALUES.get(flag, "1"), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_an_L_sweep_is_the_same_from_repeated_flags_a_list_and_a_file(tmp_path):

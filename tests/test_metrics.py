@@ -108,10 +108,13 @@ def test_step_is_pure(backend, policy):
 @pytest.mark.parametrize("policy", RESEED_POLICIES)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_ranks_match_rows_in_turn(backend, policy):
+    # metric_study's probe stack and ranks, against each probe set's rows in turn
     cfg = config(backend, policy, seed=5)
     res, oracle = Reservoir(cfg), RowsInTurn(cfg)
-    assert (metrics.kernel_quality(res, M, seed=2), metrics.generalization_rank(res, M, seed=2)) \
-        == (metrics.kernel_quality(oracle, M, seed=2), metrics.generalization_rank(oracle, M, seed=2))
+    probes = np.stack([metrics._kq_probes(res, M, 2),
+                       metrics._gr_probes(res, M, 2, metrics.DEFAULT_NOISE_AMPLITUDE)])
+    assert [metrics.numerical_rank(X[:, -1].T) for X in res.run(probes)] \
+        == [metrics.numerical_rank(oracle.run(block)[:, -1].T) for block in probes]
 
 
 @pytest.mark.parametrize("policy", RESEED_POLICIES)
@@ -132,10 +135,13 @@ def test_metric_study_probes_one_reservoir_per_run_both_ways(monkeypatch, backen
                                               for r in range(3)]
     assert kq.dtype == gr.dtype == np.int64 and kq.shape == gr.shape == (3,)
     for r, run_cfg in enumerate(built):
+        # each probe set as a block run of its own on the draw's reservoir
         res = Reservoir(run_cfg)
         probe_seed = derive_seed(2, metrics._TAG_RUN, r)
-        assert (kq[r], gr[r]) == (metrics.kernel_quality(res, M, probe_seed),
-                                  metrics.generalization_rank(res, M, probe_seed))
+        blocks = (metrics._kq_probes(res, M, probe_seed),
+                  metrics._gr_probes(res, M, probe_seed, metrics.DEFAULT_NOISE_AMPLITUDE))
+        assert (kq[r], gr[r]) == tuple(metrics.numerical_rank(res.run(block)[:, -1].T)
+                                       for block in blocks)
 
 
 @pytest.mark.parametrize("policy,digest", [
@@ -227,5 +233,5 @@ def test_rank_tolerance_must_lie_in_the_unit_interval(rel_tol):
 @pytest.mark.parametrize("m,noise", [(0, 0.05), (5, np.nan), (5, -0.1), (5, np.inf)])
 def test_probe_length_and_noise_are_checked(m, noise):
     with pytest.raises(ValueError, match="probe length|noise amplitude"):
-        metrics.generalization_rank(Reservoir(config("ideal-exact", "per-node")), m,
-                                    noise_amplitude=noise)
+        metrics.metric_study(config("ideal-exact", "per-node"), m, runs=1,
+                             noise_amplitude=noise)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stochtdr.readout import RankDeficiencyError, predict, ridge_train
+from stochtdr.readout import RankDeficiencyError, check_training_rows, predict, ridge_train
 
 
 @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.3])
@@ -27,6 +27,21 @@ def test_rank_deficient_data_needs_regularization():
     with pytest.raises(RankDeficiencyError, match="rank 4 < 5"):
         ridge_train(X, y, 0.0)
     assert np.isfinite(ridge_train(X, y, 1e-3)).all()
+
+
+@pytest.mark.parametrize("rows", [1, 4, 5])
+def test_too_few_rows_at_lambda_0_are_caught_before_the_solve(rows):
+    # H = 4 weights and a bias need 5 rows; with fewer the solve always fails
+    X = np.random.default_rng(6).normal(size=(rows, 4))
+    if rows < 5:
+        with pytest.raises(ValueError, match=f"{rows} training rows .* need >= 5"):
+            check_training_rows(rows, 4, 0.0)
+        with pytest.raises(RankDeficiencyError):
+            ridge_train(X, X[:, 0], 0.0)
+    else:
+        check_training_rows(rows, 4, 0.0)
+        assert np.isfinite(ridge_train(X, X[:, 0], 0.0)).all()
+    check_training_rows(rows, 4, 1e-6)  # a regularized solve takes any row count
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])

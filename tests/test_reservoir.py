@@ -7,6 +7,7 @@ reservoir's tables, masks or LFSR windows; so the tables are checked
 against the gate laws that ``tests/test_streams.py`` tests.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -157,6 +158,41 @@ def test_table_matches_per_step_streams(policy, q, L, H, n, steps, tables, per_s
     comparisons.clear()
     np.testing.assert_array_equal(per_step_streams.run(inputs), X)
     assert len(comparisons) == per_step[1] * inputs.size
+
+
+# the sha256 of Reservoir.run on a (2, 6) block at H = 50, for each state of
+# the stream tables: which tables the build made, and whether it kept the
+# words of U and F
+@pytest.mark.parametrize("policy,q,L,tables,kept,digest", [
+    pytest.param("none", 8, 1000, _TABLES, False,
+                 "b16f61c7097ef3188ddb7d0261f44bd39ba91a5f2af4ef0dfcb90b71e922714c",
+                 id="none-8-1000"),
+    pytest.param("none", 10, 1001, ("_shared", "_x0"), False,
+                 "09147c8e7d1fd8f6f4c0eed7a59fa099460a325e5905577bc17d416b1b086284",
+                 id="none-10-1001"),
+    pytest.param("none", 12, 1000, ("_shared",), False,
+                 "55e1fef252f472b782f22619341cade6768170df545b331085a2fd8412f71ccf",
+                 id="none-12-1000"),
+    pytest.param("none", 16, 1000, (), False,
+                 "fd3cc0aaf86e4acf3b2f2f0911fbcb9b4254ffea36b096f07a14f787ed673a96",
+                 id="none-16-1000"),
+    pytest.param("per-node", 8, 1000, _FOLDED, False,
+                 "f8d9d0ba08ebb7aeebf061245f76c7d3faa49e7303b928bb129d78471357f055",
+                 id="per-node-8-1000"),
+    pytest.param("per-node", 12, 1000, ("_shared", "_x0"), True,
+                 "bfbf8cc87d551d0205a1d7bb4318f11699607536c86a5024c27b64b699a79544",
+                 id="per-node-12-1000"),
+])
+def test_stochastic_run_digest_is_pinned(policy, q, L, tables, kept, digest):
+    cfg = TdrConfig(H=50, alpha=0.3, gamma=2.0, L=L, q=q, master_seed=q,
+                    reseed_policy=policy, backend="stochastic")
+    res = Reservoir(cfg)
+    assert {name for name in _TABLES if getattr(res, name) is not None} == set(tables)
+    assert set(res._kept_words) == ({ROLE_INPUT, ROLE_FEEDBACK} if kept else set())
+    inputs = quantize(np.random.default_rng(q).uniform(-1.0, 1.0, (2, 6)), q)
+    X = res.run(inputs)
+    assert X.dtype == np.float64 and X.shape == (2, 6, 50)
+    assert hashlib.sha256(X.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("q,L,H", [(8, 1000, 50), (8, 255, 4), (8, 85, 6), (10, 1001, 4),
