@@ -7,12 +7,6 @@ count selects among n+1 coefficient streams through a MUX.  The count
 equals k with probability C(n,k) u^k (1-u)^(n-k), so the output stream's
 ones-probability is exactly the polynomial when the copies are independent.
 
-:func:`bernstein_eval` checks the degree and that its argument lies in
-the unit interval, then evaluates :func:`nested_form`, the unchecked nested
-form.  ``Reservoir``'s ideal step calls the core directly: its argument is
-an affine image of the mix sum that lies in [1/4, 3/4], up to rounding, by
-construction, so the two range reductions would only cost time.
-
 An arbitrary activation is first shifted and scaled so the used portion
 lies in the unit square, then fitted in the Bernstein basis under the
 box constraint beta_k in [0, 1].
@@ -39,19 +33,10 @@ DEFAULT_DEGREE = 5
 DEFAULT_DELTA_S = 2.0
 MAX_DEGREE = 1029  # the largest whose C(n, k) fit a float: C(1030, 515) > 1.8e308
 
-def _basis(k: int, n: int, u: np.ndarray) -> np.ndarray:
-    return math.comb(n, k) * u**k * (1.0 - u) ** (n - k)
-
 
 def _check_degree(n: int, least: int = 0) -> None:
     if not least <= n <= MAX_DEGREE:
         raise ValueError(f"degree must be in {least}..{MAX_DEGREE}, got {n}")
-
-
-def _check_unit_interval(u: np.ndarray) -> None:
-    # one pass each way; a NaN fails both compares
-    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
-        raise ValueError("basis argument outside [0, 1]")
 
 
 def bernstein_basis(k: int, n: int, u):
@@ -60,23 +45,10 @@ def bernstein_basis(k: int, n: int, u):
     if not 0 <= k <= n:
         raise ValueError(f"basis index k={k} outside 0..{n}")
     u = np.asarray(u, dtype=np.float64)
-    _check_unit_interval(u)
-    return _basis(k, n, u)
-
-
-def bernstein_eval(beta, u):
-    """Evaluate sum(beta_k * b_{k,n}(u)) for coefficient vector beta.
-
-    Checks the degree and that u lies in [0, 1], then evaluates
-    :func:`nested_form`; degree 0 is the constant beta_0.
-    """
-    beta = np.asarray(beta, dtype=np.float64).ravel().tolist()
-    n = len(beta) - 1
-    _check_degree(n)
-    u = np.asarray(u, dtype=np.float64)
-    _check_unit_interval(u)
-    out = np.full(u.shape, beta[0]) if n == 0 else nested_form(beta, u)
-    return out if out.ndim else float(out)
+    # one pass each way; a NaN fails both compares
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
+        raise ValueError("basis argument outside [0, 1]")
+    return math.comb(n, k) * u**k * (1.0 - u) ** (n - k)
 
 
 def nested_form(beta, u: np.ndarray) -> np.ndarray:
@@ -92,11 +64,10 @@ def nested_form(beta, u: np.ndarray) -> np.ndarray:
     so no degree up to MAX_DEGREE overflows.
 
     ``beta`` is a sequence of Python floats and ``u`` a float64 array,
-    which is not written.  Nothing is checked: :func:`bernstein_eval` checks
-    the degree and the range first, while ``Reservoir`` calls this directly
-    on an argument that lies in [1/4, 3/4], up to rounding, by construction.  Each
-    C(n,k) beta_k u^k term goes through one scratch array, so the degree
-    loop allocates nothing.
+    which is not written.  Nothing is checked: ``Reservoir``'s ideal step
+    calls this on an affine image of the mix sum, which lies in [1/4, 3/4],
+    up to rounding, by construction.  Each C(n,k) beta_k u^k term goes
+    through one scratch array, so the degree loop allocates nothing.
     """
     n = len(beta) - 1
     f = 1.0 - u
@@ -135,6 +106,11 @@ class TransformedActivation:
         if not 0.0 < self.delta_s < math.inf:
             raise ValueError(f"delta_s={self.delta_s} must be positive and finite")
         reach = abs(self.gamma) * self.delta_s / 2.0
+        # gamma * delta_s past the float range makes every sine NaN, and a
+        # reach that underflows to 0 makes f_max 0 and the scaling 0/0
+        if not 0.0 < reach < math.inf:
+            raise ValueError(f"reach |gamma|*delta_s/2 = {reach} of gamma={self.gamma}, "
+                             f"delta_s={self.delta_s} must be positive and finite")
         f_max = 1.0 if reach >= np.pi / 2.0 else float(np.sin(reach))
         object.__setattr__(self, "f_max", f_max)
 

@@ -13,17 +13,10 @@ Maass (Neural Networks 2007) define the two metrics on one circuit.
 as one ``(2, H, m)`` stack, an ``(H, m)`` block per probe set.
 The ideal backends advance every row of the stack together, one ``(2H, H)``
 step per macro step, instead of paying the per-step Python overhead for each
-probe, or for each probe set.  The ``stochastic`` backend runs the rows in
-turn under both reseed policies, and each block of the stack restarts at
-macro step t = 0, so the second probe set sees what a fresh build would.  A
-step that its per-word input and feedback tables serve runs no comparator, so
-a batched one would gather (B, H, ceil(L/8)) bytes from each table; past the
-table cap a batched step would hold each comparator output as (B, H, L)
-booleans, B times a row's, which is 164 MB at B = H = 200, L = 4096.  A
-batched ``none`` step measured slower before any of the stream tables, when
-it drew the words of all 12 roles every step: 2.6-3.0 s against 1.6-1.8 s
-for rows in turn, bit-identical (B = H = m = 50, L = 1000, q = 8, 2-core
-Xeon); it has not been measured on the tables.  Under that policy row b of a
+probe, or for each probe set.  The ``stochastic`` backend steps the rows in
+turn under both reseed policies, since a batched stochastic step is not
+built yet; each block of the stack restarts at macro step t = 0, so the
+second probe set sees what a fresh build would.  Under ``none`` row b of a
 block reads the free-running LFSRs from macro step b*m on, where row b - 1
 left them, as a hardware part would between bursts.
 """
@@ -53,12 +46,13 @@ def check_rank_tol(rel_tol: float) -> None:
 
 
 def check_probes(m: int, noise_amplitude: float) -> None:
-    """Raise ValueError unless the probes have m >= 1 steps and a finite,
-    non-negative noise amplitude."""
+    """Raise ValueError unless the probes have m >= 1 steps and a
+    non-negative noise amplitude a whose draw range 2a is finite."""
     if m < 1:
         raise ValueError("probe length must be >= 1")
-    if not 0.0 <= noise_amplitude < math.inf:
-        raise ValueError(f"noise amplitude {noise_amplitude} must be finite and >= 0")
+    if not 0.0 <= 2.0 * noise_amplitude < math.inf:
+        raise ValueError(f"noise amplitude {noise_amplitude} must be >= 0, "
+                         "and twice it finite")
 
 
 def numerical_rank(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:

@@ -193,8 +193,8 @@ class TdrConfig:
             raise ValueError("need at least one virtual node")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha={self.alpha} outside [0, 1]")
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"gamma={self.gamma} is not finite")
+        if self.gamma:  # every backend scales by it: f_max on ideal-exact, else the fit
+            bp.TransformedActivation(self.gamma)
         if self.tau is not None and self.tau < self.H:
             raise ValueError(f"delay tau={self.tau} must be >= H={self.H}")
         if self.q not in supported_widths():
@@ -475,9 +475,10 @@ class Reservoir:
 
         A ``(B, m)`` block runs B sequences and returns ``(B, m, H)``.  The
         ideal backends step the rows together; the stochastic backend runs
-        them in turn (see ``metrics``).  Step p of row b is macro step
-        t = b*m + p, so under ``none`` row b continues the free-running
-        streams where row b - 1 left them.
+        them in turn, as no batched stochastic step is built yet (see
+        ``metrics``).  Step p of row b is macro step t = b*m + p, so under
+        ``none`` row b continues the free-running streams where row b - 1
+        left them.
 
         A ``(K, B, m)`` stack runs K blocks and returns ``(K, B, m, H)``.
         Each block runs as it would alone, restarting at t = 0, so the stack

@@ -17,7 +17,6 @@ from stochtdr.bernstein import (
     MAX_DEGREE,
     TransformedActivation,
     bernstein_basis,
-    bernstein_eval,
     bernstein_mux_packed,
     check_fit_size,
     fit_bernstein_coeffs,
@@ -45,50 +44,36 @@ def exact_eval(beta, u: float) -> float:
     pytest.param(MAX_DEGREE, [0.0, 0.25, 0.5, 1.0], id="n=MAX_DEGREE"),
 ])
 def test_eval_matches_exact_arithmetic(n, us):
+    # u is not written, and the result is a new array, which the
+    # ideal-bernstein step scales in place
     beta = np.random.default_rng(n).random(n + 1)
-    got = bernstein_eval(beta, np.array(us))
-    np.testing.assert_allclose(got, [exact_eval(beta, u) for u in us], rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 20, 100, MAX_DEGREE])
-def test_unchecked_core_is_the_checked_eval(n):
-    # the ideal-bernstein step calls the core directly; it must give the
-    # checked evaluator's bits and leave its argument as it was
-    beta = np.random.default_rng(n).random(n + 1)
-    u = np.array([0.0, 1e-300, 0.25, 0.3, 0.5, 0.75, 1.0 - 2.0**-53, 1.0])
+    u = np.array(us)
     kept = u.copy()
     got = nested_form(beta.tolist(), u)
-    np.testing.assert_array_equal(got, bernstein_eval(beta, u))
+    np.testing.assert_allclose(got, [exact_eval(beta, x) for x in us], rtol=0, atol=1e-12)
     np.testing.assert_array_equal(u, kept)
     assert not np.shares_memory(got, u)
 
 
 def test_eval_keeps_the_shape_of_its_argument():
     beta = [0.2, 0.5, 0.9]
-    assert type(bernstein_eval(beta, 0.3)) is float
     u = np.linspace(0.0, 1.0, 24).reshape(2, 3, 4)
-    assert bernstein_eval(beta, u).shape == (2, 3, 4)
-    assert bernstein_eval([0.7], u).shape == (2, 3, 4)  # degree 0 is the constant
-    assert bernstein_eval([0.7], 0.3) == 0.7
-    assert bernstein_eval(beta, np.empty((0, 3))).shape == (0, 3)
+    assert nested_form(beta, u).shape == (2, 3, 4)
+    assert nested_form(beta, np.empty((0, 3))).shape == (0, 3)
     assert bernstein_basis(1, 2, np.empty(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("u", [np.nan, -1e-300, 1.0 + 1e-15, [0.3, np.nan], [0.2, np.inf]])
 def test_arguments_outside_the_unit_interval_are_rejected(u):
     with pytest.raises(ValueError, match="outside"):
-        bernstein_eval([0.2, 0.5, 0.9], u)
-    with pytest.raises(ValueError, match="outside"):
         bernstein_basis(1, 2, u)
 
 
 def test_degree_above_the_float_range_is_rejected():
     with pytest.raises(ValueError, match=str(MAX_DEGREE)):
-        bernstein_eval(np.full(MAX_DEGREE + 2, 0.5), 0.3)
-    with pytest.raises(ValueError, match=str(MAX_DEGREE)):
         bernstein_basis(0, MAX_DEGREE + 1, 0.3)
     with pytest.raises(ValueError, match="degree"):
-        bernstein_eval([], 0.3)
+        bernstein_basis(0, -1, 0.3)
 
 
 def test_ideal_bernstein_step_is_the_basis_sum():
@@ -152,7 +137,7 @@ def test_stochastic_bernstein_node_on_independent_copies(u):
     copies = np.stack([stream(u, j) for j in range(n)])
     pairs = pair_coefficients([stream(b, n + k) for k, b in enumerate(beta)])
     ones = np.bitwise_count(bernstein_mux_packed(copies, pairs)).sum()
-    p = bernstein_eval(beta, u)
+    p = exact_eval(beta, u)
     assert abs(ones / L - p) <= 3 * math.sqrt(p * (1 - p) / L) + (n + 1) / 2 / ((1 << q) - 1)
 
 
@@ -242,7 +227,10 @@ def test_fit_matches_bounded_least_squares(gamma, n):
 
 @pytest.mark.parametrize("gamma,delta_s", [(np.nan, 2.0), (np.inf, 2.0), (-np.inf, 2.0),
                                            (0.0, 2.0), (2.0, np.nan), (2.0, np.inf),
-                                           (2.0, 0.0), (2.0, -1.0)])
+                                           (2.0, 0.0), (2.0, -1.0),
+                                           # |gamma|*delta_s/2 overflows, or underflows to 0
+                                           (1e300, 1e10), (1e308, 2.0), (-1e308, 2.0),
+                                           (1e-320, 1e-10)])
 def test_activation_rejects_bad_gamma_and_delta_s(gamma, delta_s):
     with pytest.raises(ValueError, match="gamma|delta_s"):
         TransformedActivation(gamma, delta_s)

@@ -20,7 +20,8 @@ from stochtdr.streams import quantize
 from stochtdr.tasks import narma10_generate, sine_square_generate
 
 
-# flags that keep each run small, only of those its command reads
+# flags that keep each run small, only of those its command reads; a case's
+# own flags come after them, so they override these
 SMALL_RUN = {"fit-activation": [], "simulate": ["--H", "4"],
              "metrics": ["--H", "4", "--runs", "1"], "bench": ["--H", "4", "--runs", "1"]}
 
@@ -70,6 +71,23 @@ SMALL_RUN = {"fit-activation": [], "simulate": ["--H", "4"],
     # Gram matrix singular: 4 rows for H = 4, and 6 rows for the H = 8 point
     ["bench", "narma10", "--lambda", "0", "--train", "54"],
     ["bench", "sinesquare", "--lambda", "0", "--H-grid", "2,8", "--train", "56"],
+    # |gamma|*delta_s/2 overflows, or underflows to 0: every sine, or the
+    # scaling by f_max = 0, would be NaN
+    ["fit-activation", "--gamma", "1e300", "--delta-s", "1e10"],
+    ["fit-activation", "--gamma", "1e-320", "--delta-s", "1e-10"],
+    *[["simulate", "--backend", backend, "--gamma", "1e308", "--m", "3"]
+      for backend in ("ideal-exact", "ideal-bernstein")],
+    ["simulate", "--backend", "stochastic", "--L", "16", "--gamma", "1e308", "--m", "3"],
+    ["metrics", "--noise", "1e308", "--m", "3"],  # the noise draw spans 2e308
+    ["metrics", "--runs", "0"],
+    ["metrics", "--workers", "0"],
+    ["metrics", "--alpha-grid", ","],
+    ["metrics", "--alpha-grid", "0:0:1"],
+    ["metrics", "--alpha-grid", "1:2"],
+    ["simulate", "--tau", "3", "--H", "4"],
+    ["bench", "narma10", "--config", "dump_sequences = maybe"],
+    ["simulate", "--config", "H 4"],
+    ["metrics", "--config", "bogus = 1"],
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     if "--config" in argv:  # the value after --config is the file's text
@@ -78,10 +96,19 @@ def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
         path.write_text(argv[i] + "\n")
         argv = argv[:i] + [str(path)] + argv[i + 1:]
     out = tmp_path / "out"
-    code = cli.main(argv + SMALL_RUN[argv[0]] + ["--out", str(out)])
+    code = cli.main([argv[0], *SMALL_RUN[argv[0]], *argv[1:], "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_a_library_failure_mid_run_exits_3(tmp_path, monkeypatch, capsys):
+    def fit(*args, **kwargs):
+        raise RuntimeError("the fit failed")
+
+    monkeypatch.setattr(cli, "fit_bernstein_coeffs", fit)
+    assert cli.main(["fit-activation", "--out", str(tmp_path)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("runtime error: the fit failed")
 
 
 @pytest.mark.parametrize("grid", ["0:0.1:inf", "0:inf:1", "nan:1:2", "-inf:1:0"])

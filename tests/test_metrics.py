@@ -230,8 +230,21 @@ def test_rank_tolerance_must_lie_in_the_unit_interval(rel_tol):
     assert metrics.numerical_rank(np.diag([1.0, 0.5, 0.0]), 0.0) == 2
 
 
-@pytest.mark.parametrize("m,noise", [(0, 0.05), (5, np.nan), (5, -0.1), (5, np.inf)])
+# the noise draw uniform(-a, a) needs 2a finite: 1e308 is finite, 2e308 is not
+@pytest.mark.parametrize("m,noise", [(0, 0.05), (5, np.nan), (5, -0.1), (5, np.inf),
+                                     (5, 1e308)])
 def test_probe_length_and_noise_are_checked(m, noise):
     with pytest.raises(ValueError, match="probe length|noise amplitude"):
         metrics.metric_study(config("ideal-exact", "per-node"), m, runs=1,
                              noise_amplitude=noise)
+
+
+def test_a_study_needs_a_run():
+    with pytest.raises(ValueError, match="at least one run"):
+        metrics.metric_study(config("ideal-exact", "per-node"), 5, runs=0)
+
+
+def test_rank_of_the_zero_matrix_is_0_and_a_nan_entry_is_rejected():
+    assert metrics.numerical_rank(np.zeros((3, 3))) == 0
+    with pytest.raises(ValueError, match="non-finite"):
+        metrics.numerical_rank(np.array([[1.0, np.nan], [0.0, 1.0]]))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from stochtdr import tasks
+from stochtdr.reservoir import derive_seed
 from stochtdr.tasks import NarmaDivergence, check_split, narma10_generate, narma10_recurrence
 
 
@@ -21,6 +23,19 @@ def test_narma10_recurrence_raises_on_divergence():
         narma10_recurrence(np.ones(100))
     # a generated draw stays inside the bound
     assert np.abs(narma10_generate(200, seed=1).y).max() <= 10.0
+
+
+def test_narma10_generate_rejects_a_divergent_draw():
+    # seed 98 is the one seed in 0..299 whose first draw of 2000 samples diverges
+    m, seed = 2000, 98
+    draws = [np.random.default_rng(derive_seed(seed, tasks._TAG_NARMA, attempt))
+             .uniform(0.0, 0.5, m) for attempt in (0, 1)]
+    with pytest.raises(NarmaDivergence):
+        narma10_recurrence(draws[0])
+    seq = narma10_generate(m, seed)
+    assert seq.regenerations == 1
+    np.testing.assert_array_equal(seq.u, draws[1])
+    np.testing.assert_array_equal(seq.y, narma10_recurrence(draws[1]))
 
 
 def test_split_check():
