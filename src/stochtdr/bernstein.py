@@ -23,6 +23,7 @@ form of :func:`pair_coefficients`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,6 @@ import numpy as np
 from .streams import stoch_mux_average
 
 DEFAULT_DEGREE = 5
-DEFAULT_DELTA_S = 2.0
 MAX_DEGREE = 1029  # the largest whose C(n, k) fit a float: C(1030, 515) > 1.8e308
 
 
@@ -86,16 +86,15 @@ def nested_form(beta, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransformedActivation:
-    """sin(gamma * s) shifted and scaled into the unit square.
+    """sin(gamma * s) on the node's s in [-1, 1], shifted and scaled into the unit square.
 
-    fbar(sbar) = (f(delta_s * (sbar - 0.5)) + f_max) / (2 f_max) where +-f_max
-    are the extrema of the sine on [-delta_s/2, +delta_s/2]; for the sine
-    family they are closed-form: +-1 once |gamma|*delta_s/2 reaches pi/2,
-    otherwise the interval endpoints +-sin(|gamma|*delta_s/2).
+    fbar(sbar) = (sin(gamma * s) + f_max) / (2 f_max) at s = 2 (sbar - 0.5),
+    where +-f_max are the extrema of the sine on [-1, 1]: +-1 once |gamma|
+    reaches pi/2, otherwise the endpoint values +-sin(|gamma|).  A domain
+    of width D in place of 2 is the same function at gamma * D / 2.
     """
 
     gamma: float
-    delta_s: float = DEFAULT_DELTA_S
     f_max: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -103,20 +102,16 @@ class TransformedActivation:
             raise ValueError(f"gamma={self.gamma} is not finite")
         if self.gamma == 0.0:
             raise ValueError("gamma must be nonzero (flat sine has no extent to scale)")
-        if not 0.0 < self.delta_s < math.inf:
-            raise ValueError(f"delta_s={self.delta_s} must be positive and finite")
-        reach = abs(self.gamma) * self.delta_s / 2.0
-        # gamma * delta_s past the float range makes every sine NaN, and a
-        # reach that underflows to 0 makes f_max 0 and the scaling 0/0
-        if not 0.0 < reach < math.inf:
-            raise ValueError(f"reach |gamma|*delta_s/2 = {reach} of gamma={self.gamma}, "
-                             f"delta_s={self.delta_s} must be positive and finite")
-        f_max = 1.0 if reach >= np.pi / 2.0 else float(np.sin(reach))
+        # 2 gamma past the float range makes every sine NaN, and a subnormal
+        # gamma keeps only a few significant bits in sin(gamma * s) and f_max
+        if not sys.float_info.min <= abs(self.gamma) <= sys.float_info.max / 2.0:
+            raise ValueError(f"gamma={self.gamma} is subnormal, or twice it overflows")
+        f_max = 1.0 if abs(self.gamma) >= np.pi / 2.0 else float(np.sin(abs(self.gamma)))
         object.__setattr__(self, "f_max", f_max)
 
     def __call__(self, sbar):
         sbar = np.asarray(sbar, dtype=np.float64)
-        raw = np.sin(self.gamma * self.delta_s * (sbar - 0.5))
+        raw = np.sin(self.gamma * 2.0 * (sbar - 0.5))
         out = (raw + self.f_max) / (2.0 * self.f_max)
         return out if out.ndim else float(out)
 

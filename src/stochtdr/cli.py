@@ -39,8 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bernstein import (DEFAULT_DEGREE, DEFAULT_DELTA_S, TransformedActivation, check_fit_size,
-                        fit_bernstein_coeffs)
+from .bernstein import DEFAULT_DEGREE, TransformedActivation, check_fit_size, fit_bernstein_coeffs
 from .metrics import (DEFAULT_NOISE_AMPLITUDE, DEFAULT_RANK_TOL, check_probes, check_rank_tol,
                       metric_study)
 from .readout import check_lambda, check_training_rows
@@ -188,7 +187,6 @@ class ExperimentConfig:
     H_grid: list[int] | None = _opt(None, _int_grid, ("bench",))
     noise: float = _opt(DEFAULT_NOISE_AMPLITUDE, float, ("metrics",))
     rank_tol: float = _opt(DEFAULT_RANK_TOL, float, ("metrics",))
-    delta_s: float = _opt(DEFAULT_DELTA_S, float, ("fit-activation",))
     grid_size: int | None = _opt(None, _int, ("fit-activation",), flag="--grid")
     input: str | None = _opt(None, str, ("simulate",),
                              help="CSV with a 'u' column to drive the reservoir")
@@ -301,7 +299,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     # a value the run would reject is a config error, not a failure mid-run
     try:
         if cfg.command == "fit-activation":
-            TransformedActivation(cfg.gamma, cfg.delta_s)
+            TransformedActivation(cfg.gamma)
             check_fit_size(cfg.degree, cfg.grid_size)
         elif cfg.command == "metrics":
             check_probes(cfg.m, cfg.noise)
@@ -463,7 +461,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     extra: dict = {}
 
     if cfg.command == "fit-activation":
-        beta = fit_bernstein_coeffs(TransformedActivation(cfg.gamma, cfg.delta_s),
+        beta = fit_bernstein_coeffs(TransformedActivation(cfg.gamma),
                                     cfg.degree, grid_size=cfg.grid_size)
         _write_csv(out / "coefficients.csv", "k,beta",
                    ([k, f"{b:.12g}"] for k, b in enumerate(beta)))

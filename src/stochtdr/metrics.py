@@ -56,15 +56,13 @@ def check_probes(m: int, noise_amplitude: float) -> None:
 
 
 def numerical_rank(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count singular values above rel_tol times the largest; 0 for the zero matrix."""
+    """numpy's matrix rank at relative tolerance rel_tol: the singular values
+    above rel_tol times the largest; 0 for the zero matrix."""
     check_rank_tol(rel_tol)
     M = np.asarray(M, dtype=np.float64)
     if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.linalg.matrix_rank(M, rtol=rel_tol))
 
 
 def _kq_probes(res: Reservoir, m: int, seed: int) -> np.ndarray:

@@ -6,6 +6,7 @@ packed rotated copies against ``np.roll`` of the unpacked stream."""
 
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -225,12 +226,15 @@ def test_fit_matches_bounded_least_squares(gamma, n):
     assert objective(fit_bernstein_coeffs(fbar, n)) <= objective(ref.x) + 1e-8
 
 
-@pytest.mark.parametrize("gamma,delta_s", [(np.nan, 2.0), (np.inf, 2.0), (-np.inf, 2.0),
-                                           (0.0, 2.0), (2.0, np.nan), (2.0, np.inf),
-                                           (2.0, 0.0), (2.0, -1.0),
-                                           # |gamma|*delta_s/2 overflows, or underflows to 0
-                                           (1e300, 1e10), (1e308, 2.0), (-1e308, 2.0),
-                                           (1e-320, 1e-10)])
-def test_activation_rejects_bad_gamma_and_delta_s(gamma, delta_s):
-    with pytest.raises(ValueError, match="gamma|delta_s"):
-        TransformedActivation(gamma, delta_s)
+# 2 gamma overflows past 1e308, and gamma is subnormal below 2.2e-308
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0, 1e308, -1e308,
+                                   1e-320, -1e-320, 5e-324])
+def test_activation_rejects_bad_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        TransformedActivation(gamma)
+
+
+@pytest.mark.parametrize("gamma,f_max", [(sys.float_info.min, sys.float_info.min),
+                                         (-sys.float_info.max / 2, 1.0)])
+def test_activation_takes_each_end_of_the_gamma_range(gamma, f_max):
+    assert TransformedActivation(gamma).f_max == f_max

@@ -49,7 +49,7 @@ SMALL_RUN = {"fit-activation": [], "simulate": ["--H", "4"],
     ["bench", "sinesquare", "--washout", "-1"],
     ["bench", "sinesquare", "--train", "10"],  # shorter than the default washout 50 + 2
     ["metrics", "--m", "0"],
-    ["fit-activation", "--delta-s", "nan"],
+    ["fit-activation", "--gamma", "1e308"],  # 2 gamma overflows: every sine would be NaN
     ["fit-activation", "--gamma", "inf"],
     ["simulate", "--backend", "stochastic", "--L", "16", "--L", "32"],
     ["bench", "narma10", "--train", "8", "--test", "8", "--washout", "0"],  # NARMA needs 20
@@ -71,10 +71,9 @@ SMALL_RUN = {"fit-activation": [], "simulate": ["--H", "4"],
     # Gram matrix singular: 4 rows for H = 4, and 6 rows for the H = 8 point
     ["bench", "narma10", "--lambda", "0", "--train", "54"],
     ["bench", "sinesquare", "--lambda", "0", "--H-grid", "2,8", "--train", "56"],
-    # |gamma|*delta_s/2 overflows, or underflows to 0: every sine, or the
-    # scaling by f_max = 0, would be NaN
-    ["fit-activation", "--gamma", "1e300", "--delta-s", "1e10"],
-    ["fit-activation", "--gamma", "1e-320", "--delta-s", "1e-10"],
+    # a subnormal gamma: sin(gamma * s) and f_max would keep about 10 bits
+    ["fit-activation", "--gamma", "1e-320"],
+    ["simulate", "--backend", "ideal-exact", "--gamma", "1e-320", "--m", "3"],
     *[["simulate", "--backend", backend, "--gamma", "1e308", "--m", "3"]
       for backend in ("ideal-exact", "ideal-bernstein")],
     ["simulate", "--backend", "stochastic", "--L", "16", "--gamma", "1e308", "--m", "3"],
@@ -88,6 +87,8 @@ SMALL_RUN = {"fit-activation": [], "simulate": ["--H", "4"],
     ["bench", "narma10", "--config", "dump_sequences = maybe"],
     ["simulate", "--config", "H 4"],
     ["metrics", "--config", "bogus = 1"],
+    ["simulate", "--backend", "ideal-bernstein", "--gamma=-1e-320", "--m", "3"],
+    ["simulate", "--backend", "stochastic", "--L", "16", "--gamma", "5e-324", "--m", "3"],
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     if "--config" in argv:  # the value after --config is the file's text
@@ -168,8 +169,7 @@ def test_fit_activation_derives_its_grid_size(tmp_path):
 
 # one run of each command, with values away from the defaults
 RUNS = {
-    "fit-activation": ["fit-activation", "--degree", "4", "--gamma", "1.5",
-                       "--delta-s", "1.25", "--grid", "120"],
+    "fit-activation": ["fit-activation", "--degree", "4", "--gamma", "0.9375", "--grid", "120"],
     "metrics": ["metrics", "--backend", "stochastic", "--L", "8", "--L", "12", "--reseed", "none",
                 "--H", "4", "--m", "6", "--runs", "2", "--alpha-grid", "0.1:0.2:0.3",
                 "--gamma-grid", "1.0,2.5", "--noise", "0.1", "--rank-tol", "1e-5", "--q", "7"],
@@ -223,18 +223,18 @@ def test_flags_and_file_keys_stay_the_same():
     assert flags == {"task", "--H", "--tau", "--alpha", "--gamma", "--L", "--degree", "--q",
                      "--seed", "--runs", "--backend", "--reseed", "--lambda", "--washout",
                      "--out", "--workers", "--m", "--train", "--test", "--alpha-grid",
-                     "--gamma-grid", "--H-grid", "--noise", "--rank-tol", "--delta-s",
-                     "--grid", "--input", "--dump-sequences"}
+                     "--gamma-grid", "--H-grid", "--noise", "--rank-tol", "--grid",
+                     "--input", "--dump-sequences"}
     keys = {f.name for f in cli._OPTIONS} - NO_FILE_KEY | {"lambda"}
     assert set(cli._BY_FILE_KEY) == keys
 
 
-# each command's flags: those of the options it reads, 56 in all; the three
+# each command's flags: those of the options it reads, 55 in all; the three
 # commands that build reservoirs share these
 _RESERVOIR_FLAGS = {"--H", "--tau", "--alpha", "--gamma", "--L", "--degree", "--q", "--seed",
                     "--backend", "--reseed", "--out"}
 COMMAND_FLAGS = {
-    "fit-activation": {"--gamma", "--degree", "--delta-s", "--grid", "--out"},
+    "fit-activation": {"--gamma", "--degree", "--grid", "--out"},
     "simulate": _RESERVOIR_FLAGS | {"--m", "--input"},
     "metrics": _RESERVOIR_FLAGS | {"--m", "--runs", "--workers", "--alpha-grid", "--gamma-grid",
                                    "--noise", "--rank-tol"},
@@ -248,16 +248,18 @@ def test_each_command_has_the_flags_it_reads():
     table = {command: {cli._flag(f) for f in cli._OPTIONS if command in f.metadata["commands"]}
              for command in cli._COMMANDS}
     assert table == COMMAND_FLAGS
-    assert sum(map(len, table.values())) == 56
+    assert sum(map(len, table.values())) == 55
 
 
 # a value for each flag below that the commands reading it would accept; 1 for the rest
 UNREAD_VALUES = {"--H": "4", "--workers": "2", "--lambda": "0.1"}
+# flags that no command reads any more: --delta-s D was --gamma gamma*D/2
+REMOVED_FLAGS = {"--delta-s"}
 
 
 @pytest.mark.parametrize("command,flag", [
     (command, flag) for command, flags in COMMAND_FLAGS.items()
-    for flag in sorted(set.union(*COMMAND_FLAGS.values()) - flags - {"task"})])
+    for flag in sorted(set.union(*COMMAND_FLAGS.values()) - flags - {"task"} | REMOVED_FLAGS)])
 def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
     # e.g. fit-activation --H 4, simulate --workers 2 and metrics --lambda 0.1
     out = tmp_path / "out"
@@ -447,6 +449,22 @@ def test_simulate_states_csv_is_pinned(tmp_path, argv, digest):
     assert cli.main(["simulate", *argv, "--H", "4", "--m", "12", "--L", "37",
                      "--out", str(tmp_path)]) == cli.EXIT_OK
     assert hashlib.sha256((tmp_path / "states.csv").read_bytes()).hexdigest() == digest
+
+
+# fits that --gamma G --delta-s D wrote before the domain width was dropped:
+# --gamma G*D/2 writes the same coefficients.csv
+@pytest.mark.parametrize("G,D,argv,digest", [
+    (2.0, 1.25, [], "4480f261d5c220d769850bc26638a3baa817562549d71670332453b828c00d34"),
+    (3.0, 0.5, [], "f1196268e601bb530957f1204fa0e565cefe6e63a2513dbde7144d71ca98fe3a"),
+    (-1.7, 3.3, [], "277125861f239b51bb0e6d0b6f6f55062ddeb0795d605c34398a09a91bd0ee6d"),
+    (0.7, 10.0, [], "6a02b894718ed9b72460b30b69a587922a7a0ba841de42e5bd4b96adc082107f"),
+    (3.0, 0.5, ["--degree", "9", "--grid", "300"],
+     "e71351da7df6cc5eea7b97339579af342df85ee983086ce5746f1428874ba640"),
+])
+def test_fit_at_a_domain_width_is_pinned_as_a_gamma(tmp_path, G, D, argv, digest):
+    assert cli.main(["fit-activation", f"--gamma={G * D / 2!r}", *argv,
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert hashlib.sha256((tmp_path / "coefficients.csv").read_bytes()).hexdigest() == digest
 
 
 # 2^8 - 1 = 255 divides L = 255 and 510: every node and macro step of a free

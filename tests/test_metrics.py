@@ -246,5 +246,11 @@ def test_a_study_needs_a_run():
 
 def test_rank_of_the_zero_matrix_is_0_and_a_nan_entry_is_rejected():
     assert metrics.numerical_rank(np.zeros((3, 3))) == 0
+    # rank-deficient products, at every scale the float range allows
+    rng = np.random.default_rng(3)
+    for rank, shape in ((2, (5, 4)), (3, (6, 6)), (1, (4, 7))):
+        M = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        for scale in (1e-300, 1.0, 1e300):
+            assert metrics.numerical_rank(scale * M) == rank
     with pytest.raises(ValueError, match="non-finite"):
         metrics.numerical_rank(np.array([[1.0, np.nan], [0.0, 1.0]]))
