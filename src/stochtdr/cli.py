@@ -3,16 +3,16 @@ benchmarks, and raw state-matrix simulation, all emitting tidy CSV.
 
 Every option is one ``ExperimentConfig`` field, declared with ``_opt``: its
 metadata holds the value parser, the commands that read it, the flag
-spelling when it is not ``--<field>``, its config-file keys, and the
-argparse extras (choices, help).  The four subparsers, the config-file key
-lookup and the ``config.txt`` lines are all generated from those fields,
-and flags and file values go through the same value parser.
+spelling when it is not ``--<field>``, whether it has a config-file key, and
+the argparse extras (choices, help).  The four subparsers, each command's
+config-file keys and the ``config.txt`` lines are all generated from those
+fields, and flags and file values go through the same value parser.
 
-Flags are per command: a command takes only the flags of the options it
-reads, and any other exits 2 naming it.  Config-file keys are global: a
-config file (``--config``, flat ``key = value`` lines) may set any option
-that has a file key, whichever command reads it, so one file can serve all
-four commands; flags override the file.
+A command reads only the options that name it, from flags or from a config
+file (``--config``, flat ``key = value`` lines).  A key is its option's flag
+without the dashes, with ``-`` and ``_`` alike.  Any other flag or key exits
+2 naming it, and so does a key set twice; flags override the file, and
+``config.txt`` lists exactly the command's keys.
 
 No other module knows a file format: the library returns arrays,
 ``_write_csv`` writes all six CSV files and ``_write_provenance`` writes
@@ -86,10 +86,9 @@ def _bool(text: str) -> bool:
     return text.lower() in ("true", "1")
 
 
-def _L_list(text: str) -> list[int | None]:
-    """Comma list of stream lengths; 'inf' marks the ideal (infinite) limit."""
-    return [None if t.strip().lower() in ("inf", "infinity", "none") else _int(t)
-            for t in text.split(",")]
+def _L_list(text: str) -> list[int]:
+    """Comma list of stream lengths."""
+    return [_int(t) for t in text.split(",")]
 
 
 def _grid(text: str, kind) -> list:
@@ -119,7 +118,7 @@ _int_grid = functools.partial(_grid, kind=_int)
 
 
 def _fmt(v) -> str:
-    """A value as CSV or config-file text; _fmt(None) is the 'inf' of an L list."""
+    """A value as CSV or config-file text; _fmt(None) is the 'inf' L of an ideal row."""
     if v is None:
         return "inf"
     if isinstance(v, bool):
@@ -140,16 +139,15 @@ _RESERVOIR = ("metrics", "bench", "simulate")  # the commands that build reservo
 _SWEEP = ("metrics", "bench")  # the commands that run seeded runs on workers
 
 
-def _opt(default, parse, commands, *, flag=None, keys=None, **argparse_kw):
+def _opt(default, parse, commands, *, flag=None, file=True, **argparse_kw):
     """An ExperimentConfig field that is also an option.
 
     ``parse`` turns flag or file text into the value; ``commands`` read the
     option, and only their subparsers have its flag, spelled ``flag`` or
-    else ``--<field>`` with dashes; ``keys`` are the config-file keys, the
-    field name unless given, which every command's config file accepts;
-    ``argparse_kw`` (choices, help, action) goes to ``add_argument``.
+    else ``--<field>`` with dashes, and, if ``file``, only their config files
+    its key; ``argparse_kw`` (choices, help, action) goes to ``add_argument``.
     """
-    meta = {"parse": parse, "commands": commands, "flag": flag, "keys": keys,
+    meta = {"parse": parse, "commands": commands, "flag": flag, "file": file,
             "argparse": argparse_kw}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=meta)
@@ -161,23 +159,23 @@ class ExperimentConfig:
     """Fully resolved invocation: command, reservoir fields, sweep grids."""
 
     command: str
-    task: str | None = _opt(None, str, ("bench",), flag="task", keys=(),
+    task: str | None = _opt(None, str, ("bench",), flag="task", file=False,
                             choices=["narma10", "sinesquare"])
     H: int = _opt(50, _int, _RESERVOIR)
     tau: int | None = _opt(None, _int, _RESERVOIR)
     alpha: float = _opt(0.2, float, _RESERVOIR)
     gamma: float = _opt(2.0, float, _ALL)
-    L: list[int | None] = _opt([1000], _L_list, _RESERVOIR, action="append",
-                               help="stream length; repeat for a sweep; 'inf' for ideal")
+    L: list[int] = _opt([1000], _L_list, _RESERVOIR, action="append",
+                        help="stream length, stochastic backend only; repeat for a sweep")
     degree: int = _opt(DEFAULT_DEGREE, _int, _ALL)
     q: int = _opt(DEFAULT_Q, _int, _RESERVOIR)
     seed: int = _opt(0, _int, _RESERVOIR)
     runs: int = _opt(10, _int, _SWEEP)
     backend: str = _opt("ideal-exact", str, _RESERVOIR, choices=BACKENDS)
     reseed: str = _opt("per-node", str, _RESERVOIR, choices=RESEED_POLICIES)
-    lam: float = _opt(DEFAULT_LAMBDA, float, ("bench",), flag="--lambda", keys=("lam", "lambda"))
+    lam: float = _opt(DEFAULT_LAMBDA, float, ("bench",), flag="--lambda")
     washout: int = _opt(DEFAULT_WASHOUT, _int, ("bench",))
-    out: str = _opt("out", str, _ALL, keys=())
+    out: str = _opt("out", str, _ALL, file=False)
     workers: int = _opt(1, _int, _SWEEP)
     m: int = _opt(50, _int, ("metrics", "simulate"))
     train: int = _opt(1000, _int, ("bench",))
@@ -193,12 +191,12 @@ class ExperimentConfig:
     dump_sequences: bool = _opt(False, _bool, ("bench",), action="store_const", const="true")
 
     def file_items(self) -> list[tuple[str, str]]:
-        """key = value lines that reparse to this config (see parse_config)."""
+        """The command's key = value lines, which reparse to this config."""
         items = []
-        for f in _OPTIONS:
+        for key, f in _FILE_KEYS[self.command].items():
             val = getattr(self, f.name)
-            if _file_keys(f) and val is not None:
-                items.append((f.name, ",".join(map(_fmt, val)) if isinstance(val, list)
+            if val is not None:
+                items.append((key, ",".join(map(_fmt, val)) if isinstance(val, list)
                               else _fmt(val)))
         return items
 
@@ -210,12 +208,11 @@ def _flag(f) -> str:
     return f.metadata["flag"] or "--" + f.name.replace("_", "-")
 
 
-def _file_keys(f) -> tuple[str, ...]:
-    keys = f.metadata["keys"]
-    return (f.name,) if keys is None else keys
-
-
-_BY_FILE_KEY = {key: f for f in _OPTIONS for key in _file_keys(f)}
+# each command's config-file keys -> options, in field order: a key is the
+# option's flag without the dashes, '-' read as '_'
+_FILE_KEYS = {command: {_flag(f).lstrip("-").replace("-", "_"): f for f in _OPTIONS
+                        if f.metadata["file"] and command in f.metadata["commands"]}
+              for command in _COMMANDS}
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +231,9 @@ def _parse_value(f, key: str, text: str):
     return value
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat 'key = value' file with # comments; unknown keys are errors."""
-    out = {}
+def _read_config_file(path: str, command: str) -> dict:
+    """Flat 'key = value' file with # comments: the keys ``command`` reads, each once."""
+    out, first_line = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
@@ -248,9 +245,12 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        f = _BY_FILE_KEY.get(key.replace("-", "_"))
+        f = _FILE_KEYS[command].get(key.replace("-", "_"))
         if f is None:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: {command} reads no config key {key!r}")
+        if first_line.setdefault(f.name, lineno) != lineno:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is set again, "
+                              f"after line {first_line[f.name]}")
         out[f.name] = _parse_value(f, key, val)
     return out
 
@@ -276,7 +276,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     ns = _build_parser().parse_args(argv)
     cfg = ExperimentConfig(command=ns.command)
     if ns.config:
-        for name, value in _read_config_file(ns.config).items():
+        for name, value in _read_config_file(ns.config, ns.command).items():
             setattr(cfg, name, value)
     for f in _OPTIONS:
         text = getattr(ns, f.name, None)

@@ -36,7 +36,7 @@ SMALL_RUN = {"fit-activation": [], "simulate": ["--H", "4"],
     ["fit-activation", "--degree", "3", "--grid", "5"],
     ["metrics", "--L", "2.5e0"],
     ["bench", "sinesquare", "--H-grid", "2:1.5:5"],
-    ["fit-activation", "--config", "backend = bogus"],  # the fit uses no reservoir
+    ["fit-activation", "--config", "backend = bogus"],  # the fit reads no backend key
     ["bench", "sinesquare", "--lambda", "nan"],
     ["bench", "narma10", "--lambda", "-1"],
     ["metrics", "--rank-tol", "nan"],
@@ -87,6 +87,9 @@ SMALL_RUN = {"fit-activation": [], "simulate": ["--H", "4"],
     ["bench", "narma10", "--config", "dump_sequences = maybe"],
     ["simulate", "--config", "H 4"],
     ["metrics", "--config", "bogus = 1"],
+    # a key set twice, under one spelling or under the removed alias of lambda
+    ["simulate", "--config", "H = 4\nH = 6"],
+    ["bench", "narma10", "--config", "lam = 1\nlambda = 0.5"],
     ["simulate", "--backend", "ideal-bernstein", "--gamma=-1e-320", "--m", "3"],
     ["simulate", "--backend", "stochastic", "--L", "16", "--gamma", "5e-324", "--m", "3"],
 ])
@@ -193,27 +196,30 @@ def test_config_txt_parses_back_to_the_same_config(tmp_path, command):
 
 # flag/file text per value parser; q is a register width, 2..16
 SAMPLES = {cli._int: "64", float: "0.375", str: "x.csv", cli._bool: "true",
-           cli._L_list: "64,inf", cli._float_grid: "0.1:0.2:0.5", cli._int_grid: "64,80"}
+           cli._L_list: "64,128", cli._float_grid: "0.1:0.2:0.5", cli._int_grid: "64,80"}
 NO_FILE_KEY = {"out", "task"}
 
 
 @pytest.mark.parametrize("f", cli._OPTIONS, ids=lambda f: f.name)
 def test_every_option_parses_alike_from_flag_and_file(tmp_path, f):
+    keys = {key for table in cli._FILE_KEYS.values() for key, g in table.items() if g is f}
     if f.name in NO_FILE_KEY:
-        assert not cli._file_keys(f)
+        assert not keys
         return
-    assert cli._file_keys(f), f"option {f.name} has no config-file key"
+    assert len(keys) == 1, f"option {f.name} has no config-file key, or more than one"
+    key = keys.pop()
     meta = f.metadata
     choices = [c for c in meta["argparse"].get("choices", []) if c != f.default]
     text = choices[0] if choices else "12" if f.name == "q" else SAMPLES[meta["parse"]]
     flag = [cli._flag(f)] if meta["parse"] is cli._bool else [cli._flag(f), text]
     for command in meta["commands"]:
+        assert cli._FILE_KEYS[command][key] is f
         task = ["narma10"] if command == "bench" else []
         from_flag = cli.parse_config([command, *task, *flag])
         assert getattr(from_flag, f.name) != getattr(cli.ExperimentConfig(command), f.name)
-        for key in cli._file_keys(f):
-            path = tmp_path / f"{key}.txt"
-            path.write_text(f"{key} = {text}\n")
+        for spelling in {key, key.replace("_", "-")}:  # '-' and '_' are alike in a key
+            path = tmp_path / f"{spelling}.txt"
+            path.write_text(f"{spelling} = {text}\n")
             assert cli.parse_config([command, *task, "--config", str(path)]) == from_flag
 
 
@@ -225,8 +231,9 @@ def test_flags_and_file_keys_stay_the_same():
                      "--out", "--workers", "--m", "--train", "--test", "--alpha-grid",
                      "--gamma-grid", "--H-grid", "--noise", "--rank-tol", "--grid",
                      "--input", "--dump-sequences"}
-    keys = {f.name for f in cli._OPTIONS} - NO_FILE_KEY | {"lambda"}
-    assert set(cli._BY_FILE_KEY) == keys
+    # a key is its flag without the dashes, '_' for '-'; task and --out have none
+    keys = {key for table in cli._FILE_KEYS.values() for key in table}
+    assert keys == {flag.lstrip("-").replace("-", "_") for flag in flags} - NO_FILE_KEY
 
 
 # each command's flags: those of the options it reads, 55 in all; the three
@@ -243,12 +250,58 @@ COMMAND_FLAGS = {
 }
 
 
+# each command's config-file keys: those of the options it reads but task and
+# --out, 50 in all
+_RESERVOIR_KEYS = {"H", "tau", "alpha", "gamma", "L", "degree", "q", "seed", "backend", "reseed"}
+COMMAND_KEYS = {
+    "fit-activation": {"gamma", "degree", "grid"},
+    "simulate": _RESERVOIR_KEYS | {"m", "input"},
+    "metrics": _RESERVOIR_KEYS | {"m", "runs", "workers", "alpha_grid", "gamma_grid", "noise",
+                                  "rank_tol"},
+    "bench": _RESERVOIR_KEYS | {"runs", "workers", "lambda", "washout", "train", "test",
+                                "H_grid", "dump_sequences"},
+}
+
+
 def test_each_command_has_the_flags_it_reads():
     """Adding a flag to a command, or dropping one, changes the command-line interface."""
     table = {command: {cli._flag(f) for f in cli._OPTIONS if command in f.metadata["commands"]}
              for command in cli._COMMANDS}
     assert table == COMMAND_FLAGS
     assert sum(map(len, table.values())) == 55
+
+
+def test_each_command_has_the_file_keys_it_reads():
+    """Adding a key to a command, or dropping one, changes the config-file format."""
+    table = {command: set(keys) for command, keys in cli._FILE_KEYS.items()}
+    assert table == COMMAND_KEYS
+    assert sum(map(len, table.values())) == 50
+    for command, keys in COMMAND_KEYS.items():  # each key is its flag's name
+        flags = {"--" + key.replace("_", "-") for key in keys}
+        assert flags == COMMAND_FLAGS[command] - {"task", "--out"}
+
+
+# each command's config.txt keys, in order, at the defaults: no line for an
+# option that is unset (tau, grid, the sweep grids, input)
+CONFIG_TXT_KEYS = {
+    "fit-activation": ["gamma", "degree"],
+    "metrics": ["H", "alpha", "gamma", "L", "degree", "q", "seed", "runs", "backend", "reseed",
+                "workers", "m", "noise", "rank_tol"],
+    "bench": ["H", "alpha", "gamma", "L", "degree", "q", "seed", "runs", "backend", "reseed",
+              "lambda", "washout", "workers", "train", "test", "dump_sequences"],
+    "simulate": ["H", "alpha", "gamma", "L", "degree", "q", "seed", "backend", "reseed", "m"],
+}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_TXT_KEYS))
+def test_config_txt_lists_only_the_command_keys(tmp_path, command):
+    # SMALL_RUN sets values only, of keys that are written at the defaults too
+    task = ["sinesquare"] if command == "bench" else []
+    argv = [command, *task, *SMALL_RUN[command], "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = (tmp_path / "config.txt").read_text().splitlines()
+    assert lines[0] == f"# resolved configuration: stochtdr {' '.join([command, *task])}"
+    assert [line.split(" = ")[0] for line in lines[1:]] == CONFIG_TXT_KEYS[command]
 
 
 # a value for each flag below that the commands reading it would accept; 1 for the rest
@@ -268,6 +321,46 @@ def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, fla
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
     assert not out.exists()
+
+
+# a value for each key below that the commands reading it would accept; 1 for the rest
+UNREAD_KEY_VALUES = {"H": "4", "workers": "2", "lambda": "0.1", "backend": "stochastic",
+                     "reseed": "none"}
+# keys that no command reads any more: lam and grid_size are now lambda and
+# grid, their flags' names, and delta_s went with --delta-s
+REMOVED_KEYS = {"lam", "grid_size", "delta_s"}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, keys in COMMAND_KEYS.items()
+    for key in sorted(set.union(*COMMAND_KEYS.values()) - keys | REMOVED_KEYS)])
+def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, key):
+    # e.g. fit-activation with H = 4, simulate with workers = 2, metrics with lambda = 0.1
+    path = tmp_path / "config.txt"
+    path.write_text(f"# a file of another command\n{key} = {UNREAD_KEY_VALUES.get(key, '1')}\n")
+    out = tmp_path / "out"
+    task = ["narma10"] if command == "bench" else []
+    assert cli.main([command, *task, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"error: {path}:2: {command} reads no config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys):
+    path = tmp_path / "config.txt"
+    path.write_text("H = 4\nm = 3\nH = 6\n")
+    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert f"{path}:3: config key 'H' is set again, after line 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("backend", ["ideal-exact", "stochastic"])
+def test_an_infinite_stream_length_exits_2(tmp_path, capsys, backend):
+    # an ideal backend reads no L, and a stochastic one needs a finite one
+    argv = ["metrics", "--backend", backend, "--L", "inf", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "malformed value 'inf' for L" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_an_L_sweep_is_the_same_from_repeated_flags_a_list_and_a_file(tmp_path):
