@@ -2,17 +2,20 @@
 benchmarks, and raw state-matrix simulation, all emitting tidy CSV.
 
 Every option is one ``ExperimentConfig`` field, declared with ``_opt``: its
-metadata holds the value parser, the commands that read it, the flag
-spelling when it is not ``--<field>``, whether it has a config-file key, and
-the argparse extras (choices, help).  The four subparsers, each command's
-config-file keys and the ``config.txt`` lines are all generated from those
-fields, and flags and file values go through the same value parser.
+metadata holds the value parser, the commands and the backends that read it,
+the option that replaces it, the flag spelling when it is not ``--<field>``,
+whether it has a config-file key, and the argparse extras (choices, help).
+The four subparsers, each command's config-file keys and the ``config.txt``
+lines are all generated from those fields, and flags and file values go
+through the same value parser.
 
-A command reads only the options that name it, from flags or from a config
-file (``--config``, flat ``key = value`` lines).  A key is its option's flag
-without the dashes, with ``-`` and ``_`` alike.  Any other flag or key exits
-2 naming it, and so does a key set twice; flags override the file, and
-``config.txt`` lists exactly the command's keys.
+Options come from flags or a config file (``--config``, flat ``key = value``
+lines; a key is its flag without the dashes, ``-`` and ``_`` alike), and
+flags override the file.  A run reads an option only if its command reads
+it, its backend does (on reservoir commands), and no option that replaces it
+is set (the sweep grids replace H, alpha and gamma, and --input m).  Any
+other flag or key exits 2 naming it, and so does a key set twice;
+``config.txt`` lists exactly the options the run reads.
 
 No other module knows a file format: the library returns arrays,
 ``_write_csv`` writes all six CSV files and ``_write_provenance`` writes
@@ -43,8 +46,8 @@ from .bernstein import DEFAULT_DEGREE, TransformedActivation, check_fit_size, fi
 from .metrics import (DEFAULT_NOISE_AMPLITUDE, DEFAULT_RANK_TOL, check_probes, check_rank_tol,
                       metric_study)
 from .readout import check_lambda, check_training_rows
-from .reservoir import (BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig, check_run_length,
-                        derive_seed, freerun_phases)
+from .reservoir import (BACKENDS, BERNSTEIN_BACKENDS, RESEED_POLICIES, Reservoir, TdrConfig,
+                        check_run_length, derive_seed, freerun_phases)
 from .streams import DEFAULT_Q, quantize
 from .tasks import (DEFAULT_LAMBDA, DEFAULT_WASHOUT, check_narma_length, check_split,
                     evaluate_classification, evaluate_regression)
@@ -92,21 +95,25 @@ def _L_list(text: str) -> list[int]:
 
 
 def _grid(text: str, kind) -> list:
-    """Grid syntax: 'start:step:stop' (inclusive) or a comma list."""
+    """Grid syntax: 'start:step:stop' (inclusive) or a comma list; one point or more."""
     if ":" not in text:
-        return [kind(t) for t in text.split(",") if t.strip()]
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("want start:step:stop")
-    start, step, stop = (float(p) for p in parts)
-    if not all(map(math.isfinite, (start, step, stop))):
-        raise ValueError("grid start, step and stop must be finite")
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    span = (stop - start) / step + 1e-9  # the grid has floor(span) + 1 points
-    if span >= MAX_GRID_POINTS:
-        raise ValueError(f"grid has about {span + 1:.3g} points, more than {MAX_GRID_POINTS}")
-    return [kind(repr(round(start + k * step, 12))) for k in range(int(np.floor(span)) + 1)]
+        grid = [kind(t) for t in text.split(",") if t.strip()]
+    else:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError("want start:step:stop")
+        start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError("grid start, step and stop must be finite")
+        if step <= 0:
+            raise ValueError("grid step must be positive")
+        span = (stop - start) / step + 1e-9  # the grid has floor(span) + 1 points
+        if span >= MAX_GRID_POINTS:
+            raise ValueError(f"grid has about {span + 1:.3g} points, more than {MAX_GRID_POINTS}")
+        grid = [kind(repr(round(start + k * step, 12))) for k in range(int(np.floor(span)) + 1)]
+    if not grid:
+        raise ValueError("the grid has no points")
+    return grid
 
 
 _float_grid = functools.partial(_grid, kind=float)
@@ -139,16 +146,18 @@ _RESERVOIR = ("metrics", "bench", "simulate")  # the commands that build reservo
 _SWEEP = ("metrics", "bench")  # the commands that run seeded runs on workers
 
 
-def _opt(default, parse, commands, *, flag=None, file=True, **argparse_kw):
+def _opt(default, parse, commands, *, backends=BACKENDS, over=None, flag=None, file=True,
+         **argparse_kw):
     """An ExperimentConfig field that is also an option.
 
     ``parse`` turns flag or file text into the value; ``commands`` read the
     option, and only their subparsers have its flag, spelled ``flag`` or
     else ``--<field>`` with dashes, and, if ``file``, only their config files
-    its key; ``argparse_kw`` (choices, help, action) goes to ``add_argument``.
+    its key; on reservoir commands only ``backends`` read it, and no run once
+    the field ``over`` is set; ``argparse_kw`` goes to ``add_argument``.
     """
-    meta = {"parse": parse, "commands": commands, "flag": flag, "file": file,
-            "argparse": argparse_kw}
+    meta = {"parse": parse, "commands": commands, "backends": backends, "over": over,
+            "flag": flag, "file": file, "argparse": argparse_kw}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=meta)
     return field(default=default, metadata=meta)
@@ -161,23 +170,24 @@ class ExperimentConfig:
     command: str
     task: str | None = _opt(None, str, ("bench",), flag="task", file=False,
                             choices=["narma10", "sinesquare"])
-    H: int = _opt(50, _int, _RESERVOIR)
+    H: int = _opt(50, _int, _RESERVOIR, over="H_grid")
     tau: int | None = _opt(None, _int, _RESERVOIR)
-    alpha: float = _opt(0.2, float, _RESERVOIR)
-    gamma: float = _opt(2.0, float, _ALL)
-    L: list[int] = _opt([1000], _L_list, _RESERVOIR, action="append",
+    alpha: float = _opt(0.2, float, _RESERVOIR, over="alpha_grid")
+    gamma: float = _opt(2.0, float, _ALL, over="gamma_grid")
+    L: list[int] = _opt([1000], _L_list, _RESERVOIR, backends=("stochastic",), action="append",
                         help="stream length, stochastic backend only; repeat for a sweep")
-    degree: int = _opt(DEFAULT_DEGREE, _int, _ALL)
+    degree: int = _opt(DEFAULT_DEGREE, _int, _ALL, backends=BERNSTEIN_BACKENDS)
     q: int = _opt(DEFAULT_Q, _int, _RESERVOIR)
     seed: int = _opt(0, _int, _RESERVOIR)
     runs: int = _opt(10, _int, _SWEEP)
     backend: str = _opt("ideal-exact", str, _RESERVOIR, choices=BACKENDS)
-    reseed: str = _opt("per-node", str, _RESERVOIR, choices=RESEED_POLICIES)
+    reseed: str = _opt("per-node", str, _RESERVOIR, backends=("stochastic",),
+                       choices=RESEED_POLICIES)
     lam: float = _opt(DEFAULT_LAMBDA, float, ("bench",), flag="--lambda")
     washout: int = _opt(DEFAULT_WASHOUT, _int, ("bench",))
     out: str = _opt("out", str, _ALL, file=False)
     workers: int = _opt(1, _int, _SWEEP)
-    m: int = _opt(50, _int, ("metrics", "simulate"))
+    m: int = _opt(50, _int, ("metrics", "simulate"), over="input")
     train: int = _opt(1000, _int, ("bench",))
     test: int = _opt(1000, _int, ("bench",))
     alpha_grid: list[float] | None = _opt(None, _float_grid, ("metrics",))
@@ -191,11 +201,11 @@ class ExperimentConfig:
     dump_sequences: bool = _opt(False, _bool, ("bench",), action="store_const", const="true")
 
     def file_items(self) -> list[tuple[str, str]]:
-        """The command's key = value lines, which reparse to this config."""
+        """The key = value lines of the options the run reads, which reparse to this config."""
         items = []
         for key, f in _FILE_KEYS[self.command].items():
             val = getattr(self, f.name)
-            if val is not None:
+            if val is not None and not _unread(self, f):
                 items.append((key, ",".join(map(_fmt, val)) if isinstance(val, list)
                               else _fmt(val)))
         return items
@@ -213,6 +223,16 @@ def _flag(f) -> str:
 _FILE_KEYS = {command: {_flag(f).lstrip("-").replace("-", "_"): f for f in _OPTIONS
                         if f.metadata["file"] and command in f.metadata["commands"]}
               for command in _COMMANDS}
+
+
+def _unread(cfg: ExperimentConfig, f) -> str | None:
+    """Why the run does not read option ``f`` of its command, or None if it does;
+    an unread option keeps its default, which ideal rows still write."""
+    if cfg.command in _RESERVOIR and cfg.backend not in f.metadata["backends"]:
+        return f"on the {cfg.backend} backend"
+    over = f.metadata["over"]
+    if over is not None and getattr(cfg, over) is not None:
+        return f"when {over.replace('_', '-')} is set"  # its flag's spelling
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +294,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Resolve defaults <- config file <- flags into an ExperimentConfig."""
     ns = _build_parser().parse_args(argv)
-    cfg = ExperimentConfig(command=ns.command)
-    if ns.config:
-        for name, value in _read_config_file(ns.config, ns.command).items():
-            setattr(cfg, name, value)
+    given = _read_config_file(ns.config, ns.command) if ns.config else {}
     for f in _OPTIONS:
         text = getattr(ns, f.name, None)
         if text is not None:
             if isinstance(text, list):  # a repeated flag (--L) extends one comma list
                 text = ",".join(text)
-            setattr(cfg, f.name, _parse_value(f, _flag(f).lstrip("-"), text))
+            given[f.name] = _parse_value(f, _flag(f).lstrip("-"), text)
+    cfg = ExperimentConfig(ns.command, **given)
     _validate(cfg)
+    for f in _OPTIONS:
+        if f.name in given and (why := _unread(cfg, f)):
+            raise ConfigError(f"{cfg.command} reads no {_flag(f).lstrip('-')} {why}")
     return cfg
 
 
@@ -293,9 +314,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"runs must be >= 1, got {cfg.runs}")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
-    for name in ("alpha_grid", "gamma_grid", "H_grid"):
-        if getattr(cfg, name) == []:
-            raise ConfigError(f"{name} is empty")
     # a value the run would reject is a config error, not a failure mid-run
     try:
         if cfg.command == "fit-activation":

@@ -113,6 +113,7 @@ from .streams import (
 )
 
 BACKENDS = ("ideal-exact", "ideal-bernstein", "stochastic")
+BERNSTEIN_BACKENDS = ("ideal-bernstein", "stochastic")  # the backends that read the degree n
 RESEED_POLICIES = ("none", "per-node")
 
 # One LFSR role per stochastic source inside a node; role r runs the tap mask
@@ -215,7 +216,8 @@ class TdrConfig:
             except ValueError as e:
                 raise ValueError(f"a stochastic node of degree n={self.n} runs {roles} LFSR "
                                  f"roles, one tap mask each, but {e}") from None
-        bp.check_fit_size(self.n)
+        if self.backend in BERNSTEIN_BACKENDS:
+            bp.check_fit_size(self.n)
 
     @property
     def effective_tau(self) -> int:
@@ -278,8 +280,8 @@ class Reservoir:
         # H weights drawn uniformly from [-1, 1] by the master seed, on the width-q grid
         rng = np.random.default_rng(derive_seed(cfg.master_seed, _TAG_WEIGHTS))
         self.weights = quantize(rng.uniform(-1.0, 1.0, cfg.H), cfg.q)
-        self.beta_words = (None if cfg.backend == "ideal-exact"
-                           else _fitted_betas(cfg.gamma, cfg.n, cfg.q))
+        self.beta_words = (_fitted_betas(cfg.gamma, cfg.n, cfg.q)
+                           if cfg.backend in BERNSTEIN_BACKENDS else None)
         if cfg.backend == "ideal-exact" and cfg.gamma:
             self._f_max = bp.TransformedActivation(cfg.gamma).f_max
         if cfg.backend == "ideal-bernstein":

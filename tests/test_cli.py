@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from stochtdr import cli, tasks
-from stochtdr.reservoir import Reservoir, TdrConfig, derive_seed
+from stochtdr.reservoir import BACKENDS, Reservoir, TdrConfig, derive_seed
 from stochtdr.streams import quantize
 from stochtdr.tasks import narma10_generate, sine_square_generate
 
@@ -81,6 +81,7 @@ SMALL_RUN = {"fit-activation": [], "simulate": ["--H", "4"],
     ["metrics", "--runs", "0"],
     ["metrics", "--workers", "0"],
     ["metrics", "--alpha-grid", ","],
+    ["metrics", "--alpha-grid", "5:1:3"],  # stop below start: no points
     ["metrics", "--alpha-grid", "0:0:1"],
     ["metrics", "--alpha-grid", "1:2"],
     ["simulate", "--tau", "3", "--H", "4"],
@@ -91,6 +92,8 @@ SMALL_RUN = {"fit-activation": [], "simulate": ["--H", "4"],
     ["simulate", "--config", "H = 4\nH = 6"],
     ["bench", "narma10", "--config", "lam = 1\nlambda = 0.5"],
     ["simulate", "--backend", "ideal-bernstein", "--gamma=-1e-320", "--m", "3"],
+    # ideal-exact reads no stream length, not even one that stochastic rejects
+    ["simulate", "--L", "0", "--H", "4", "--m", "3"],
     ["simulate", "--backend", "stochastic", "--L", "16", "--gamma", "5e-324", "--m", "3"],
 ])
 def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
@@ -139,6 +142,20 @@ def test_a_grid_may_have_max_grid_points():
     assert len(cli._float_grid(f"0:1:{cli.MAX_GRID_POINTS - 1}")) == cli.MAX_GRID_POINTS
     with pytest.raises(ValueError, match="more than"):
         cli._float_grid(f"0:1:{cli.MAX_GRID_POINTS}")
+
+
+@pytest.mark.parametrize("grid", [",", ",,", "5:1:3", "1:1:0"])
+def test_a_grid_has_one_point_or_more(tmp_path, capsys, grid):
+    assert cli._float_grid("1:1:1") == [1.0]
+    with pytest.raises(ValueError, match="the grid has no points"):
+        cli._float_grid(grid)
+    # named as the user spelled the option, by flag or by key
+    path = tmp_path / "config.txt"
+    path.write_text(f"alpha_grid = {grid}\n")
+    for argv, name in ((f"--alpha-grid={grid}", "alpha-grid"), (f"--config={path}", "alpha_grid")):
+        assert cli.main(["metrics", argv, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert f"malformed value {grid!r} for {name}: the grid has no points" in (
+            capsys.readouterr().err)
 
 
 def test_a_config_file_with_a_utf8_byte_order_mark_is_read(tmp_path):
@@ -194,9 +211,12 @@ def test_config_txt_parses_back_to_the_same_config(tmp_path, command):
     assert again == cli.parse_config(argv)
 
 
-# flag/file text per value parser; q is a register width, 2..16
+# flag/file text per value parser, and per option where that would not do: q
+# is a register width, 2..16, and a stochastic node of degree n runs 7 + n
+# LFSR roles, at most 16 at q = 8; simulate takes one stream length
 SAMPLES = {cli._int: "64", float: "0.375", str: "x.csv", cli._bool: "true",
-           cli._L_list: "64,128", cli._float_grid: "0.1:0.2:0.5", cli._int_grid: "64,80"}
+           cli._L_list: "64", cli._float_grid: "0.1:0.2:0.5", cli._int_grid: "64,80"}
+SPECIAL_SAMPLES = {"q": "12", "degree": "7"}
 NO_FILE_KEY = {"out", "task"}
 
 
@@ -210,11 +230,14 @@ def test_every_option_parses_alike_from_flag_and_file(tmp_path, f):
     key = keys.pop()
     meta = f.metadata
     choices = [c for c in meta["argparse"].get("choices", []) if c != f.default]
-    text = choices[0] if choices else "12" if f.name == "q" else SAMPLES[meta["parse"]]
+    text = choices[0] if choices else SPECIAL_SAMPLES.get(f.name) or SAMPLES[meta["parse"]]
     flag = [cli._flag(f)] if meta["parse"] is cli._bool else [cli._flag(f), text]
     for command in meta["commands"]:
         assert cli._FILE_KEYS[command][key] is f
         task = ["narma10"] if command == "bench" else []
+        # the default ideal-exact backend reads no L, degree or reseed
+        if command != "fit-activation" and "ideal-exact" not in meta["backends"]:
+            task += ["--backend", "stochastic"]
         from_flag = cli.parse_config([command, *task, *flag])
         assert getattr(from_flag, f.name) != getattr(cli.ExperimentConfig(command), f.name)
         for spelling in {key, key.replace("_", "-")}:  # '-' and '_' are alike in a key
@@ -281,8 +304,29 @@ def test_each_command_has_the_file_keys_it_reads():
         assert flags == COMMAND_FLAGS[command] - {"task", "--out"}
 
 
-# each command's config.txt keys, in order, at the defaults: no line for an
-# option that is unset (tau, grid, the sweep grids, input)
+# the keys of the reservoir commands that each backend does not read: L and
+# reseed set up bit streams, and degree the Bernstein fit
+UNREAD_BY_BACKEND = {"ideal-exact": {"L", "degree", "reseed"}, "ideal-bernstein": {"L", "reseed"},
+                     "stochastic": set()}
+_RESERVOIR_COMMANDS = ("simulate", "metrics", "bench")
+BACKEND_KEYS = {(command, backend): COMMAND_KEYS[command] - unread
+                for command in _RESERVOIR_COMMANDS for backend, unread in UNREAD_BY_BACKEND.items()}
+
+
+def test_each_backend_has_the_file_keys_it_reads():
+    """A run on a backend reads its command's keys but those of UNREAD_BY_BACKEND."""
+    def read(command, backend):
+        cfg = cli.ExperimentConfig(command, backend=backend)
+        return {key for key, f in cli._FILE_KEYS[command].items() if not cli._unread(cfg, f)}
+
+    table = {(c, b): read(c, b) for c in _RESERVOIR_COMMANDS for b in BACKENDS}
+    assert table == BACKEND_KEYS
+    assert sum(map(len, table.values())) == 126  # of 141 (command, backend, key) triples
+
+
+# each command's config.txt keys, in order, at the defaults on the stochastic
+# backend: no line for an option that is unset (tau, grid, the sweep grids,
+# input), nor, on the ideal backends, for the keys of UNREAD_BY_BACKEND
 CONFIG_TXT_KEYS = {
     "fit-activation": ["gamma", "degree"],
     "metrics": ["H", "alpha", "gamma", "L", "degree", "q", "seed", "runs", "backend", "reseed",
@@ -293,15 +337,21 @@ CONFIG_TXT_KEYS = {
 }
 
 
-@pytest.mark.parametrize("command", list(CONFIG_TXT_KEYS))
-def test_config_txt_lists_only_the_command_keys(tmp_path, command):
-    # SMALL_RUN sets values only, of keys that are written at the defaults too
+@pytest.mark.parametrize("command,backend", [
+    ("fit-activation", None), *((c, b) for c in _RESERVOIR_COMMANDS for b in BACKENDS)])
+def test_config_txt_lists_only_the_command_keys(tmp_path, command, backend):
+    # SMALL_RUN, the backend and a short stream set values only, of keys
+    # that are written at the defaults too
     task = ["sinesquare"] if command == "bench" else []
-    argv = [command, *task, *SMALL_RUN[command], "--out", str(tmp_path)]
+    on = [] if backend is None else ["--backend", backend]
+    on += ["--L", "16"] if backend == "stochastic" else []
+    argv = [command, *task, *on, *SMALL_RUN[command], "--out", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_OK
     lines = (tmp_path / "config.txt").read_text().splitlines()
     assert lines[0] == f"# resolved configuration: stochtdr {' '.join([command, *task])}"
-    assert [line.split(" = ")[0] for line in lines[1:]] == CONFIG_TXT_KEYS[command]
+    unread = UNREAD_BY_BACKEND.get(backend, set())
+    assert [line.split(" = ")[0] for line in lines[1:]] == [
+        key for key in CONFIG_TXT_KEYS[command] if key not in unread]
 
 
 # a value for each flag below that the commands reading it would accept; 1 for the rest
@@ -342,6 +392,58 @@ def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, key)
     task = ["narma10"] if command == "bench" else []
     assert cli.main([command, *task, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert f"error: {path}:2: {command} reads no config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a value for each key below that the backends reading it would accept
+UNREAD_BACKEND_VALUES = {"L": "64", "degree": "3", "reseed": "none"}
+
+
+@pytest.mark.parametrize("by", ["flag", "key"])
+@pytest.mark.parametrize("command,backend,key", [
+    (command, backend, key) for command in _RESERVOIR_COMMANDS
+    for backend, unread in UNREAD_BY_BACKEND.items() for key in sorted(unread)])
+def test_an_option_the_backend_does_not_read_exits_2(tmp_path, capsys, by, command, backend, key):
+    # e.g. simulate --L 64 on ideal-exact, which would run without streams
+    argv = [command, *(["narma10"] if command == "bench" else []), "--backend", backend]
+    value = UNREAD_BACKEND_VALUES[key]
+    if by == "flag":
+        argv += ["--" + key, value]
+    else:
+        (tmp_path / "config.txt").write_text(f"{key} = {value}\n")
+        argv += ["--config", str(tmp_path / "config.txt")]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"error: {command} reads no {key} on the {backend} backend" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the options that another option replaces, each with a value, and the
+# replacing one with a value
+REPLACED = [("bench", "H", "4", "H-grid", "4,5"), ("metrics", "alpha", "0.3", "alpha-grid", "0.2"),
+            ("metrics", "gamma", "1.5", "gamma-grid", "1,2"), ("simulate", "m", "7", "input", None)]
+
+
+@pytest.mark.parametrize("by", ["flag", "key"])
+@pytest.mark.parametrize("command,name,value,over,over_value", REPLACED,
+                         ids=[f"{name}-{over}" for _, name, _, over, _ in REPLACED])
+def test_an_option_that_another_replaces_exits_2(tmp_path, capsys, by, command, name, value,
+                                                   over, over_value):
+    # e.g. bench --H 7 --H-grid 4 would run H = 4 and record H = 7
+    if over_value is None:  # a 3-step input file
+        over_value = str(tmp_path / "u.csv")
+        Path(over_value).write_text("u\n0.5\n0\n-0.5\n")
+    task = ["sinesquare"] if command == "bench" else []
+    cli.parse_config([command, *task, "--" + over, over_value])  # alone, it is read
+    argv = [command, *task]
+    if by == "flag":
+        argv += ["--" + name, value, "--" + over, over_value]
+    else:
+        (tmp_path / "config.txt").write_text(f"{name} = {value}\n{over} = {over_value}\n")
+        argv += ["--config", str(tmp_path / "config.txt")]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"error: {command} reads no {name} when {over} is set" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -533,13 +635,13 @@ def test_dumped_sequence_is_the_draw_of_run_0(tmp_path, monkeypatch, task, gener
      "d6887ffd788176779fdee951349a802fe33bbdc4b7ec2fa09af436075e5564ec"),
     (["--backend", "ideal-bernstein"],
      "63a3bffdc819d769ef07308041a802320833a9a493341fb2fbd02b633ba01679"),
-    (["--backend", "stochastic", "--reseed", "per-node"],
+    (["--backend", "stochastic", "--L", "37", "--reseed", "per-node"],
      "c47aa7f013372705b52b540d918a7ed998fca946efaa0bb95c2f0b278fc48491"),
-    (["--backend", "stochastic", "--reseed", "none"],
+    (["--backend", "stochastic", "--L", "37", "--reseed", "none"],
      "f9dd030cc9cab0805717da1e069295c584144f1bb67970513bfcba8a29ea4b0a"),
 ], ids=["ideal-exact", "ideal-bernstein", "stochastic-per-node", "stochastic-none"])
 def test_simulate_states_csv_is_pinned(tmp_path, argv, digest):
-    assert cli.main(["simulate", *argv, "--H", "4", "--m", "12", "--L", "37",
+    assert cli.main(["simulate", *argv, "--H", "4", "--m", "12",
                      "--out", str(tmp_path)]) == cli.EXIT_OK
     assert hashlib.sha256((tmp_path / "states.csv").read_bytes()).hexdigest() == digest
 

@@ -19,6 +19,7 @@ from stochtdr import reservoir
 from stochtdr.bernstein import TransformedActivation, spread_delays
 from stochtdr.reservoir import (
     BACKENDS,
+    BERNSTEIN_BACKENDS,
     RESEED_POLICIES,
     ROLE_COEFF_BASE,
     ROLE_FEEDBACK,
@@ -407,6 +408,17 @@ def test_stochastic_rejects_streams_shorter_than_degree():
     assert sorted(spread_delays(5, 5)) == [0, 1, 2, 3, 4]
     # the ideal backends have no streams to check
     TdrConfig(H=3, alpha=0.5, gamma=2.0, n=5, backend="ideal-bernstein").validate()
+
+
+def test_only_the_bernstein_backends_check_the_degree():
+    assert BERNSTEIN_BACKENDS == ("ideal-bernstein", "stochastic")
+    cfg = TdrConfig(H=3, alpha=0.5, gamma=2.0, n=0)
+    cfg.validate()  # ideal-exact reads no degree: n = 0 runs the default's states
+    u = quantize(np.linspace(-1.0, 1.0, 6), cfg.q)
+    np.testing.assert_array_equal(Reservoir(cfg).run(u), Reservoir(replace(cfg, n=5)).run(u))
+    for backend, L in (("ideal-bernstein", None), ("stochastic", 64)):
+        with pytest.raises(ValueError, match="degree"):
+            replace(cfg, backend=backend, L=L).validate()
 
 
 @pytest.mark.parametrize("q,n", [*((q, 1) for q in range(2, 7)), (8, 10)])

@@ -1,11 +1,16 @@
-"""Task generators and the evaluation protocol's split check."""
+"""Task generators and the evaluation protocol: its split check, and each
+evaluation against the protocol composed by hand."""
 
 import numpy as np
 import pytest
 
 from stochtdr import tasks
-from stochtdr.reservoir import derive_seed
-from stochtdr.tasks import NarmaDivergence, check_split, narma10_generate, narma10_recurrence
+from stochtdr.readout import classification_accuracy, nmse, predict, ridge_train
+from stochtdr.reservoir import BACKENDS, Reservoir, TdrConfig, derive_seed
+from stochtdr.streams import quantize
+from stochtdr.tasks import (NarmaDivergence, check_split, evaluate_classification,
+                            evaluate_regression, narma10_generate, narma10_recurrence,
+                            sine_square_generate)
 
 
 def test_narma10_recurrence_matches_hand_computed_values():
@@ -43,3 +48,59 @@ def test_split_check():
     for args in [(7, 7, -1), (6, 7, 5), (7, 6, 5)]:
         with pytest.raises(ValueError):
             check_split(*args)
+
+
+# a small reservoir on each backend, and the protocol's 120/80 split, washout 10
+PROTOCOL = {"m_train": 120, "m_test": 80, "lam": 1e-4, "washout": 10, "seed": 3}
+
+
+def small_reservoir(backend):
+    return TdrConfig(H=8, alpha=0.2, gamma=2.0, L=64 if backend == "stochastic" else None,
+                     backend=backend)
+
+
+def hand_protocol(cfg, drive, y):
+    """Continuous run, contiguous split, washout dropped from each split:
+    the train rows fit the readout, and its predictions on the test rows."""
+    mt, w, lam = PROTOCOL["m_train"], PROTOCOL["washout"], PROTOCOL["lam"]
+    X = Reservoir(cfg).run(drive)
+    yhat = predict(ridge_train(X[w:mt], y[w:mt], lam), X[mt + w:])
+    return y[mt + w:], yhat, np.mean(y[w:mt])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_evaluate_regression_is_the_protocol_composed_by_hand(backend):
+    cfg = small_reservoir(backend)
+    res = evaluate_regression(cfg, **PROTOCOL)
+    data = narma10_generate(PROTOCOL["m_train"] + PROTOCOL["m_test"], PROTOCOL["seed"])
+    np.testing.assert_array_equal(res.sequence.u, data.u)
+    # the NARMA input in [0, 0.5] drives the reservoir rescaled to [-1, 1]
+    y_test, yhat, y_mean = hand_protocol(cfg, quantize(4 * data.u - 1, cfg.q), data.y)
+    assert (res.metric, res.value) == ("nmse", nmse(y_test, yhat, y_mean))
+    assert res.metadata == {"regenerations": data.regenerations}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_evaluate_classification_is_the_protocol_composed_by_hand(backend):
+    cfg = small_reservoir(backend)
+    res = evaluate_classification(cfg, **PROTOCOL)
+    data = sine_square_generate(PROTOCOL["m_train"] + PROTOCOL["m_test"], PROTOCOL["seed"])
+    np.testing.assert_array_equal(res.sequence.u, data.u)
+    y_test, yhat, _ = hand_protocol(cfg, quantize(data.u, cfg.q), data.y.astype(np.float64))
+    assert (res.metric, res.value) == ("accuracy", classification_accuracy(y_test, yhat))
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_regression, evaluate_classification])
+def test_no_test_target_reaches_the_trainer(monkeypatch, evaluate):
+    seen, train = [], tasks.ridge_train
+
+    def recording(X, Y, lam):
+        seen.append(np.array(Y, copy=True))
+        return train(X, Y, lam)
+
+    monkeypatch.setattr(tasks, "ridge_train", recording)
+    res = evaluate(small_reservoir("ideal-exact"), **PROTOCOL)
+    mt, w = PROTOCOL["m_train"], PROTOCOL["washout"]
+    # one fit, on the train targets past the washout and on nothing else
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], res.sequence.y[w:mt])
