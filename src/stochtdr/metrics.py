@@ -15,7 +15,9 @@ The ideal backends advance every row of the stack together, one ``(2H, H)``
 step per macro step, instead of paying the per-step Python overhead for each
 probe, or for each probe set.  The ``stochastic`` backend steps the rows in
 turn under both reseed policies, since a batched stochastic step is not
-built yet; each block of the stack restarts at macro step t = 0, so the
+built yet; under ``per-node``, within the table cap, each step of a row is
+one gather from the reservoir's transfer surface, which the draw's first
+step derives.  Each block of the stack restarts at macro step t = 0, so the
 second probe set sees what a fresh build would.  Under ``none`` row b of a
 block reads the free-running LFSRs from macro step b*m on, where row b - 1
 left them, as a hardware part would between bursts.

@@ -82,6 +82,31 @@ H sources, and the build also keeps their U and F words.  Past the cap
 each step derives the missing streams with comparators, as the gate chain
 above reads, from its sources' words: kept, or under ``none`` a view of
 one run of each cycle.
+
+Under ``per-node`` node i reads source i at every step, so it is a fixed
+function S_i(u, v) of the input word u and its feedback word v.  When the
+surface S[u, v, i] of output words, 2^(2q) * H words, fits the byte cap
+(up to H = 64 at q = 8), the build makes the shared table and X0 but not
+the per-word tables, and the first step derives the surface from them and
+the sources' U and F words; every step is then the gather S[u, fb, i].
+The derivation, for node i:
+
+* the mixed bit at position s is X0 (the bit at u = v = 0) but for a step
+  at one word: on A it is XNOR([U_s <= u], W_s), a step at u = U_s, up
+  where W_s is set and down where it is not; on D it is [F_s <= v], a
+  step up at v = F_s;
+* the adder's count at position r sums the copies' bits at r - d_j
+  (mod L), d = :func:`bernstein.spread_delays`: a constant plus the u-steps
+  and the v-steps crossed, at most n steps; the output bit is beta_c[r] at
+  count c, which the Bernstein MUX reads at a constant count c;
+* so each position's output bit is constant on a grid of its steps, and
+  adds the 2-D differences at the grid's corners, ties taken in sorted
+  order so that they telescope.  Prefix sums over u and v of all corners
+  give every ones count N_i(u, v), and S2B's table maps it to the word.
+
+At q = 8, L = 1000, H = 50 the surface takes 3.3 MB and about 10 ms to
+derive, the time of some 250 table-served gate-chain steps (46 us each,
+against 3 to 4 us for the gather; 2-core x86_64 VM).
 """
 
 from __future__ import annotations
@@ -97,6 +122,7 @@ from .streams import (
     DEFAULT_Q,
     b2s,
     b2s_table,
+    count_offsets,
     lfsr_cycle,
     lfsr_windows,
     maximal_taps,
@@ -128,10 +154,10 @@ ROLE_SELECT_MIX = 4
 ROLE_SELECT_BIAS = 5
 ROLE_COEFF_BASE = 6  # coefficient k uses role ROLE_COEFF_BASE + k
 
-# the largest precomputed stream table a reservoir builds, each of the
-# shared-stream table, X0 and the per-word input and feedback tables, unless
-# it has at most H rows a stream; past it every step derives the missing
-# streams from its sources' words
+# the largest precomputed table a reservoir builds, each of the per-node
+# surface, the shared-stream table, X0 and the per-word input and feedback
+# tables, unless it has at most H rows a stream; past it every step derives
+# the missing streams from its sources' words
 _TABLE_MAX_BYTES = 4 << 20
 
 _MASK64 = (1 << 64) - 1
@@ -246,6 +272,16 @@ def _input_error(inputs: np.ndarray, bad: np.ndarray, what: str) -> ValueError:
     return ValueError(f"input {inputs[at]} at {where} {what}")
 
 
+def _sorted(keys: list[np.ndarray]) -> list[np.ndarray]:
+    """Sort equal-shape arrays elementwise, in place, by odd-even
+    transposition: keys[0] ends with the least of each element.  About
+    n^2/2 min-max pairs, a tenth of np.sort on a short last axis at n = 5."""
+    for p in range(len(keys)):
+        for j in range(p % 2, len(keys) - 1, 2):
+            keys[j], keys[j + 1] = np.minimum(keys[j], keys[j + 1]), np.maximum(keys[j], keys[j + 1])
+    return keys
+
+
 @functools.lru_cache(maxsize=128)
 def _fitted_betas(gamma: float, n: int, q: int) -> tuple[int, ...]:
     """Bernstein coefficients of the sine activation as width-q threshold words;
@@ -263,13 +299,14 @@ class Reservoir:
     """A configured reservoir instance with precomputed stream machinery:
     under ``stochastic``, the seed rows the sources' LFSR words start from
     and, each within ``_TABLE_MAX_BYTES`` or of at most H rows a stream, the
-    shared-stream table, X0 and the per-word input and feedback tables of
-    those sources.
+    shared-stream table, X0 and, unless the per-node surface fits, the
+    per-word input and feedback tables of those sources.  A surface that
+    fits is derived on the first step and cached on the instance.
 
-    Instances hold no mutable run state: :meth:`run` owns the delay line,
-    and :meth:`step` reads the tables, or past the cap the words, of its
-    macro step's sources, so distinct instances (and sweep workers) share
-    nothing.
+    Instances hold no run state: :meth:`run` owns the delay line, and
+    :meth:`step` reads the surface, the tables, or past the cap the words,
+    of its macro step's sources, so distinct instances (and sweep workers)
+    share nothing.
     """
 
     def __init__(self, cfg: TdrConfig):
@@ -301,11 +338,15 @@ class Reservoir:
         self._thresholds = (int(real_to_offset(0.0, q)), quantize_probability(cfg.alpha, q),
                             quantize_probability(0.5, q))
         self._copy_delays = bp.spread_delays(n, L)
+        self._nodes = np.arange(H)
         self._taps = [maximal_taps(q, role) for role in range(ROLE_COEFF_BASE + n + 1)]
         self._seeds, S = self._source_seeds()
         self._source_count = S
         self._shared = self._x0 = self._input_table = self._feedback_table = self._sources = None
         self._kept_words = {}
+        self._surface = None
+        surface_bytes = (H << 2 * q) * np.dtype(word_dtype(q)).itemsize
+        self._surface_fits = cfg.reseed_policy == "per-node" and surface_bytes <= _TABLE_MAX_BYTES
 
         def fits(rows, streams=1):
             # at most H rows a stream hold no more than one step derives
@@ -326,6 +367,8 @@ class Reservoir:
             self._x0 = np.concatenate([
                 mix_input_base(pack(b2s(self._w_offsets[np.arange(k, k + S) % H], W)), A, C)
                 for k in range(0, rows, S)])
+        if self._surface_fits:  # the first step derives the surface from these and U and F
+            return
         if fits((1 << q) * S):
             self._input_table = b2s_table(self._words(ROLE_INPUT, src), A, q)
             if S % H == 0:  # one X0 row per source: fold it into the input table
@@ -384,6 +427,116 @@ class Reservoir:
                   for k, beta in enumerate(self.beta_words)]
         return np.stack([*mix_masks(T, SM, SB), *bp.pair_coefficients(coeffs)])
 
+    def transfer_surface(self) -> np.ndarray:
+        """The per-node surface S, (2^q, 2^q, H) and read-only: S[u, v, i]
+        is node i's output word at input word u and feedback word v, as
+        :meth:`step` returns it at every t.  Derived on the first call or
+        step and cached; raises ValueError on the ideal backends, under
+        ``none`` and past the table cap.
+        """
+        cfg = self.cfg
+        if cfg.backend != "stochastic":
+            raise ValueError(f"the {cfg.backend} backend steps values, not words: it has no "
+                             "transfer surface")
+        if cfg.reseed_policy != "per-node":
+            raise ValueError("under reseed policy 'none' a node reads other streams at every "
+                             "step: only 'per-node' has a transfer surface")
+        if not self._surface_fits:
+            raise ValueError(f"the transfer surface of {cfg.H} nodes at q={cfg.q} is past the "
+                             f"{_TABLE_MAX_BYTES}-byte table cap")
+        if self._surface is None:
+            self._surface = self._derive_surface()
+            self._surface.flags.writeable = False
+        return self._surface
+
+    def _derive_surface(self) -> np.ndarray:
+        """The surface, from the corners of :meth:`_surface_corners`.
+
+        Summed over v, the corners at u = 0 give the ones counts N(0, v) and
+        the others the steps N(u, v) - N(u - 1, v).  A step is at most n times
+        the ceil(L / (2^q - 1)) positions of one input word, so the steps
+        wrap in a narrow unsigned grid, and row u of the grid turns into
+        row u of the surface once the counts have taken it.
+        """
+        L, q, H, n = self.cfg.L, self.cfg.q, self.H, self.cfg.n
+        at, diff = self._surface_corners()
+        first = at < H << q
+        counts = np.zeros((1 << q, H), dtype=np.min_scalar_type(-L))
+        np.add.at(counts.reshape(-1), at[first], diff[first].astype(counts.dtype))
+        counts = counts.cumsum(axis=0, dtype=counts.dtype)
+
+        words = count_offsets(L, q)
+        most = -(-L // ((1 << q) - 1)) * n
+        size = max(np.min_scalar_type(-most).itemsize, words.itemsize)
+        grid = np.zeros((1 << q, 1 << q, H), dtype=f"u{size}")
+        np.add.at(grid.reshape(-1), at[~first], diff[~first].astype(grid.dtype))
+        for v in range(1, 1 << q):  # row by row: 1 ms at q = 8, H = 50, np.cumsum 9 ms
+            grid[:, v] += grid[:, v - 1]
+        steps = grid.view(f"i{size}")
+        surface = grid.view(words.dtype) if size == words.itemsize else np.empty_like(grid, words.dtype)
+        for u in range(1 << q):
+            if u:
+                counts += steps[u]
+            np.take(words, counts, out=surface[u])
+        return surface
+
+    def _surface_corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 2-D differences of every position's output bit over (u, v):
+        flat indices into the (2^q, 2^q, H) grid and their values."""
+        L, q, H, n = self.cfg.L, self.cfg.q, self.H, self.cfg.n
+
+        def bits(packed):
+            return np.unpackbits(packed, axis=-1, count=L).view(bool)
+
+        # a tap's step as a sort key, past every word where the tap has none:
+        # 2 U_s + X0_s on A, odd for a step down, and F_s on D
+        never = 2 << q
+        itype = np.min_scalar_type(-2 * never)  # signed; holds the keys and n + 1 bits
+
+        def taps(x):  # copy j reads position r - d_j
+            return [np.roll(x, d, axis=1).reshape(-1) for d in self._copy_delays]
+
+        A, D = bits(self._shared[[0, 2]])
+        X0 = bits(self._x0)
+        U, F = (self._words(role, self._nodes).astype(itype) for role in (ROLE_INPUT, ROLE_FEEDBACK))
+        ut = _sorted(taps(np.where(A, 2 * U + X0, never).astype(itype)))
+        vt = _sorted(taps(np.where(D, F, never).astype(itype)))
+        count = sum(np.roll(X0, d, axis=1).reshape(-1).astype(itype) for d in self._copy_delays)
+        # bit c of G is beta_c, the Bernstein MUX's output at a constant count c
+        copies, G = np.zeros((n,) + self._x0.shape, dtype=np.uint8), np.zeros(H * L, itype)
+        for c in range(n + 1):
+            copies[:c] = 0xFF
+            G |= bits(bp.bernstein_mux_packed(copies, self._shared[3:])).reshape(-1).astype(itype) << c
+        node = np.repeat(self._nodes.astype(np.int32), L)
+        at, diff = [], []
+        # u-segment k: the positions with k u-steps or more, after the first k
+        for k in range(n + 1):
+            if k:
+                sel = np.flatnonzero(ut[k - 1] < never)
+                if not sel.size:
+                    break
+                ut, vt = [x[sel] for x in ut], [x[sel] for x in vt]
+                G, count, node, before = G[sel], count[sel], node[sel], now[sel]
+                count += 1 - 2 * (ut[k - 1] & 1)
+                base = (ut[k - 1] >> 1) * np.int32(H << q) + node
+            else:
+                before, base = 0, node
+            now = G >> count
+            step_prev = 0
+            for l in range(n + 1):  # the corner at the l-th smallest v-step, or v = 0
+                # the output bit's change from u-segment k - 1 to k, after l v-steps
+                step = (now >> l & 1) - (before >> l & 1)
+                d = step - step_prev
+                step_prev = step
+                if l:
+                    keep = np.flatnonzero((vt[l - 1] < never) & (d != 0))
+                    at.append(base[keep] + vt[l - 1][keep] * np.int32(H))
+                else:
+                    keep = np.flatnonzero(d)
+                    at.append(base[keep])
+                diff.append(d[keep].astype(np.int8))
+        return np.concatenate(at), np.concatenate(diff)
+
     # -- stepping -------------------------------------------------------------
 
     def step(self, u, fb: np.ndarray, t: int) -> np.ndarray:
@@ -396,7 +549,10 @@ class Reservoir:
         source (t*H + i) mod S, which under ``per-node`` is node i at every
         step.  ``u`` comes as :meth:`run` prepared it, and the step checks no
         values.  On ``stochastic``, ``u``, the feedback and the outputs are
-        offset words in ``word_dtype(q)``.  The ideal backends take the
+        offset words in ``word_dtype(q)``, the outputs a new ``(H,)`` array:
+        under ``per-node`` within the table cap the gather
+        ``S[u, fb, i]`` of :meth:`transfer_surface`, derived on the first
+        step, and otherwise the gate chain.  The ideal backends take the
         signed value, a plain float as well as a numpy scalar, and may step B
         sequences at once: ``u`` then holds one sample per row of a
         ``(B, H)`` feedback block.
@@ -434,6 +590,8 @@ class Reservoir:
 
     def _step_stochastic(self, u_off: np.integer, fb: np.ndarray, t: int) -> np.ndarray:
         """Node output words of macro step t from the input word and the feedback words."""
+        if self._surface_fits:
+            return self.transfer_surface()[u_off, fb, self._nodes]
         H, S, UA, FD = self.H, self._source_count, self._input_table, self._feedback_table
         # node i reads source (t*H + i) mod S: the source rows from o on
         o = t * H % S

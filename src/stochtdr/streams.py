@@ -297,9 +297,10 @@ def pack(bits):
 
 
 @functools.lru_cache(maxsize=64)
-def _count_offsets(L: int, q: int) -> np.ndarray:
-    """The offset word of every ones count 0..L of an L-bit stream; cached, read-only."""
-    table = ones_count_to_offset(np.arange(L + 1), L, q)
+def count_offsets(L: int, q: int) -> np.ndarray:
+    """The ``word_dtype(q)`` offset word of every ones count 0..L of an
+    L-bit stream; cached, read-only."""
+    table = ones_count_to_offset(np.arange(L + 1), L, q).astype(word_dtype(q))
     table.flags.writeable = False
     return table
 
@@ -310,6 +311,7 @@ def s2b(words, L: int, q: int):
     Each stream of ``L`` bits, packed along the last axis of ``words``,
     ends the count at c = #ones - #zeros; the result is the offset word of
     the representable value nearest to ztilde = c / L (ties toward zero),
-    read from a table indexed by the ones count.
+    read from a table indexed by the ones count, in ``word_dtype(q)``.  The
+    count sums in the narrowest type that holds L.
     """
-    return _count_offsets(L, q)[np.bitwise_count(words).sum(axis=-1, dtype=np.int64)]
+    return count_offsets(L, q)[np.bitwise_count(words).sum(axis=-1, dtype=np.min_scalar_type(L))]

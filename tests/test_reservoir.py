@@ -126,10 +126,12 @@ _FOLDED = ("_shared", "_input_table", "_feedback_table")  # X0 folded into the i
     # H = 130 > 2^7 nodes over P' = 127 sources: a step's source rows wrap
     # twice, and X0 has lcm(130, 127) = 16510 rows
     pytest.param("none", 7, 8, 130, 5, 4, _TABLES, (0, 12), id="none-7-8"),
-    # under per-node, 2^q input and feedback rows of H sources: 320 KB each at
-    # q = 8, 2.6 MB at q = 10 and 3.2 MB at q = 9, the largest under the cap;
-    # at q = 10, H = 50 they take 6.4 MB each, and X0 spares the step W
-    pytest.param("per-node", 8, 1000, 20, 5, 10, _FOLDED, (0, 2), id="per-node-8-1000"),
+    # under per-node at q = 8 the surface (1.3 MB) serves every step, so the
+    # build skips the per-word tables; past it, 2^q input and feedback rows of
+    # H sources: 2.6 MB each at q = 10 and 3.2 MB at q = 9, the largest under
+    # the cap; at q = 10, H = 50 they take 6.4 MB each, and X0 spares the step W
+    pytest.param("per-node", 8, 1000, 20, 5, 10, ("_shared", "_x0"), (0, 2),
+                 id="per-node-8-1000"),
     pytest.param("per-node", 10, 1001, 20, 4, 10, _FOLDED, (0, 2), id="per-node-10-1001"),
     pytest.param("per-node", 9, 1000, 50, 5, 10, _FOLDED, (0, 2), id="per-node-9-1000"),
     pytest.param("per-node", 10, 1000, 50, 5, 10, ("_shared", "_x0"), (2, 2),
@@ -177,7 +179,8 @@ def test_table_matches_per_step_streams(policy, q, L, H, n, steps, tables, per_s
     pytest.param("none", 16, 1000, (), False,
                  "fd3cc0aaf86e4acf3b2f2f0911fbcb9b4254ffea36b096f07a14f787ed673a96",
                  id="none-16-1000"),
-    pytest.param("per-node", 8, 1000, _FOLDED, False,
+    # the surface serves every step; it is derived from the shared table and X0
+    pytest.param("per-node", 8, 1000, ("_shared", "_x0"), False,
                  "f8d9d0ba08ebb7aeebf061245f76c7d3faa49e7303b928bb129d78471357f055",
                  id="per-node-8-1000"),
     pytest.param("per-node", 12, 1000, ("_shared", "_x0"), True,
@@ -478,3 +481,105 @@ def test_ideal_bernstein_converges_to_ideal_exact():
              for n in (2, 5, 12)]
     assert means[0] > means[1] > means[2]
     assert means[2] < 0.01
+
+
+def per_node(H, L, q, n=5, seed=0):
+    return TdrConfig(H=H, alpha=0.3, gamma=2.0, L=L, n=n, q=q, master_seed=seed,
+                     reseed_policy="per-node", backend="stochastic")
+
+
+def gate_chain(cfg, monkeypatch):
+    """A reservoir of ``cfg`` built with the table cap at 0, so that every
+    step runs the gate chain on comparator streams."""
+    with monkeypatch.context() as m:
+        m.setattr(reservoir, "_TABLE_MAX_BYTES", 0)
+        return Reservoir(cfg)
+
+
+@pytest.mark.parametrize("q,H,path", [
+    (8, 4, "surface"), (8, 65, "per-word tables"), (8, 4, "gate chain"),
+    (10, 1, "surface"), (10, 3, "per-word tables"), (10, 3, "gate chain")])
+def test_stochastic_step_returns_words(q, H, path, monkeypatch):
+    # past H = 64 at q = 8, or H = 2 at q = 10, the surface is past the cap
+    cfg = per_node(H, 64, q)
+    res = gate_chain(cfg, monkeypatch) if path == "gate chain" else Reservoir(cfg)
+    assert res._surface_fits == (path == "surface")
+    assert (res._input_table is not None) == (path == "per-word tables")
+    rng = np.random.default_rng(q)
+    fb = rng.integers(0, 1 << q, H).astype(word_dtype(q))
+    out = res.step(word_dtype(q)(rng.integers(0, 1 << q)), fb, 0)
+    assert out.dtype == word_dtype(q) and out.shape == (H,)
+
+
+@pytest.mark.parametrize("H,L,q,n", [(50, 1000, 8, 5), (3, 37, 7, 3), (1, 64, 10, 2)])
+def test_transfer_surface_is_the_step_at_every_t(H, L, q, n, monkeypatch):
+    res, gate = Reservoir(per_node(H, L, q, n)), gate_chain(per_node(H, L, q, n), monkeypatch)
+    S = res.transfer_surface()
+    assert S.shape == (1 << q, 1 << q, H) and S.dtype == word_dtype(q)
+    assert not S.flags.writeable and res.transfer_surface() is S
+    rng = np.random.default_rng(H)
+    for t in (0, 1, 17):
+        for _ in range(500 if t == 0 else 20):
+            u = word_dtype(q)(rng.integers(0, 1 << q))
+            fb = rng.integers(0, 1 << q, H).astype(word_dtype(q))
+            expected = gate.step(u, fb, t)
+            np.testing.assert_array_equal(res.step(u, fb, t), expected)
+            np.testing.assert_array_equal(S[u, fb, np.arange(H)], expected)
+
+
+def test_transfer_surface_equals_the_gate_chain_on_a_grid(monkeypatch):
+    # node i reads only u and fb[i], so one step fills S[u, v, :] for every
+    # node; every v at every 6th u and at the last, for the time budget
+    H, q = 3, 7
+    cfg = per_node(H, 37, q, n=3, seed=1)
+    S, gate = Reservoir(cfg).transfer_surface(), gate_chain(cfg, monkeypatch)
+    for u in [*range(0, 1 << q, 6), (1 << q) - 1]:
+        expected = [gate.step(np.uint8(u), np.full(H, v, np.uint8), 0) for v in range(1 << q)]
+        np.testing.assert_array_equal(S[u], expected)
+
+
+@pytest.mark.parametrize("H", [1, 4])
+@pytest.mark.parametrize("L", [37, 1000])
+def test_a_gather_run_through_the_surface_is_the_run(H, L, monkeypatch):
+    q, tau, steps = 7, H + 1, 12
+    cfg = per_node(H, L, q, seed=L)
+    S = Reservoir(cfg).transfer_surface()
+    inputs = quantize(np.random.default_rng(H).uniform(-1.0, 1.0, steps), q)
+    line = np.full(tau + steps * H, real_to_offset(0.0, q), dtype=word_dtype(q))
+    for p, u in enumerate(real_to_offset(inputs, q)):
+        g = p * H
+        line[tau + g:tau + g + H] = S[u, line[g:g + H], np.arange(H)]
+    X = gate_chain(cfg, monkeypatch).run(inputs)
+    np.testing.assert_array_equal(offset_to_real(line[tau:], q).reshape(steps, H), X)
+
+
+@pytest.mark.parametrize("H,surface", [(64, True), (65, False)])
+def test_the_surface_serves_up_to_the_table_cap(H, surface, monkeypatch):
+    # at q = 8, H = 64 words a cell take exactly the 4 MiB cap
+    cfg = per_node(H, 1000, 8)
+    res = Reservoir(cfg)
+    assert res._surface_fits == surface
+    assert (res._input_table is None) == surface
+    inputs = quantize(np.random.default_rng(H).uniform(-1.0, 1.0, 4), 8)
+    X = res.run(inputs)
+    assert (res._surface is not None) == surface
+    np.testing.assert_array_equal(X, gate_chain(cfg, monkeypatch).run(inputs))
+
+
+def test_the_first_step_derives_the_surface():
+    res = Reservoir(per_node(50, 1000, 8))
+    assert res._surface is None
+    assert res._input_table is None and res._feedback_table is None
+    res.step(np.uint8(0), np.zeros(50, np.uint8), 0)
+    assert res._surface is not None
+
+
+@pytest.mark.parametrize("cfg,match", [
+    (TdrConfig(H=3, alpha=0.3, gamma=2.0), "steps values"),
+    (TdrConfig(H=3, alpha=0.3, gamma=2.0, backend="ideal-bernstein"), "steps values"),
+    (replace(per_node(3, 64, 8), reseed_policy="none"), "only 'per-node'"),
+    (per_node(3, 64, 10), "past the 4194304-byte table cap"),
+])
+def test_transfer_surface_raises_without_one(cfg, match):
+    with pytest.raises(ValueError, match=match):
+        Reservoir(cfg).transfer_surface()
