@@ -36,20 +36,31 @@ def narma10_recurrence(u: np.ndarray) -> np.ndarray:
     """Tenth-order NARMA targets for a given input vector.
 
     y[p] = 0.3 y[p-1] + 0.05 y[p-1] * sum(y[p-10..p-1]) + 1.5 u[p-1] u[p-10]
-           + 0.1, with the first 10 targets fixed at zero.  Raises
+           + 0.1, with the first 10 targets fixed at zero.  Raises ValueError,
+    naming the first bad index, if an input is not finite, and
     :class:`NarmaDivergence` once |y| exceeds ``NARMA_DIVERGENCE_BOUND`` (the
     recurrence is unstable for some input draws).
+
+    The loop runs on Python floats.  The window sum is added in one fixed
+    order, ((y0 + y1) + (y2 + y3)) + ((y4 + y5) + (y6 + y7)), then y8, then
+    y9: the order numpy's pairwise sum takes over 10 values, so the targets
+    keep the bits of a numpy loop but no longer depend on numpy's reductions.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
-    m = u.size
-    y = np.zeros(m)
+    bad = ~np.isfinite(u)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"NARMA10 input u[{i}] = {u[i]} is not finite")
+    x, m = u.tolist(), u.size
+    y = [0.0] * m
     for p in range(NARMA_ORDER, m):
-        window = y[p - NARMA_ORDER:p].sum()
-        y[p] = (0.3 * y[p - 1] + 0.05 * y[p - 1] * window
-                + 1.5 * u[p - 1] * u[p - NARMA_ORDER] + 0.1)
-        if abs(y[p]) > NARMA_DIVERGENCE_BOUND:
-            raise NarmaDivergence(f"|y[{p}]| = {abs(y[p]):.3g} > {NARMA_DIVERGENCE_BOUND}")
-    return y
+        y0, y1, y2, y3, y4, y5, y6, y7, y8, y9 = y[p - NARMA_ORDER:p]
+        window = ((y0 + y1) + (y2 + y3)) + ((y4 + y5) + (y6 + y7)) + y8 + y9
+        yp = 0.3 * y9 + 0.05 * y9 * window + 1.5 * x[p - 1] * x[p - NARMA_ORDER] + 0.1
+        if abs(yp) > NARMA_DIVERGENCE_BOUND:
+            raise NarmaDivergence(f"|y[{p}]| = {abs(yp):.3g} > {NARMA_DIVERGENCE_BOUND}")
+        y[p] = yp
+    return np.array(y)
 
 
 @dataclass

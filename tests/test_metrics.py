@@ -195,10 +195,22 @@ def test_run_names_the_block_of_a_bad_stack_input(backend):
         res.run(stack[None])
 
 
-def test_stochastic_step_takes_one_sequence():
-    res = Reservoir(config("stochastic", "per-node"))
-    with pytest.raises(ValueError, match="one sequence at a time"):
-        res.step(quantize(np.zeros(2)), np.zeros((2, res.H), dtype=np.int64), 0)
+@pytest.mark.parametrize("policy,derived", [("per-node", False), ("per-node", True),
+                                            ("none", False)],
+                         ids=["surface-not-derived", "surface-derived", "none"])
+def test_stochastic_step_takes_one_sequence(policy, derived):
+    res = Reservoir(config("stochastic", policy))
+    fb = np.zeros(res.H, dtype=word_dtype(res.cfg.q))
+    u = fb[0]
+    if derived:  # the first step derives the surface, later steps read it
+        res.step(u, fb, 0)
+    assert (res._surface is not None) == derived
+    for bad_u, bad_fb in [(np.stack([u, u]), np.stack([fb, fb])), (np.stack([u, u]), fb),
+                          (u, np.stack([fb, fb]))]:
+        with pytest.raises(ValueError, match="one sequence at a time"):
+            res.step(bad_u, bad_fb, 1)
+    # the check runs before a first step would derive the surface
+    assert (res._surface is not None) == derived
 
 
 def test_metrics_csv_does_not_depend_on_worker_count(tmp_path):

@@ -1,9 +1,12 @@
 """Task generators and the evaluation protocol: its split check, and each
 evaluation against the protocol composed by hand."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from narma_oracle import narma10_oracle
 from stochtdr import tasks
 from stochtdr.readout import classification_accuracy, nmse, predict, ridge_train
 from stochtdr.reservoir import BACKENDS, Reservoir, TdrConfig, derive_seed
@@ -41,6 +44,54 @@ def test_narma10_generate_rejects_a_divergent_draw():
     assert seq.regenerations == 1
     np.testing.assert_array_equal(seq.u, draws[1])
     np.testing.assert_array_equal(seq.y, narma10_recurrence(draws[1]))
+
+
+def outcome(recurrence, u):
+    """The targets, or the message of the divergence."""
+    try:
+        return recurrence(u)
+    except NarmaDivergence as err:
+        return str(err)
+
+
+def test_narma10_recurrence_is_pinned_to_the_numpy_loop():
+    # the float loop's fixed window order is numpy's pairwise sum, bit for bit
+    stable = 0
+    for s in range(60):
+        u = np.random.default_rng(s).uniform(0.0, 0.5, 2000)
+        got, want = outcome(narma10_recurrence, u), outcome(narma10_oracle, u)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.float64
+            stable += 1
+    assert stable >= 50
+    # seed 98's first draw diverges at the same p, with the same message
+    u = np.random.default_rng(derive_seed(98, tasks._TAG_NARMA, 0)).uniform(0.0, 0.5, 2000)
+    message = outcome(narma10_oracle, u)
+    assert message.startswith("|y[")
+    with pytest.raises(NarmaDivergence) as err:
+        narma10_recurrence(u)
+    assert str(err.value) == message
+    # the targets of two draws, as the numpy loop gave them
+    for seed, digest in [
+            (0, "4da630b797b28aca3f1e144a4499f4f2ad51389574d9d71c75e7fabcbfb341af"),
+            (7, "7100f34d288854c40043feb026947613812d8e8bc7f10b2c51437aea6a93e59f")]:
+        assert hashlib.sha256(narma10_generate(1000, seed).y.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_narma10_recurrence_rejects_non_finite_inputs(bad):
+    u = np.random.default_rng(5).uniform(0.0, 0.5, 30)
+    np.testing.assert_array_equal(narma10_recurrence(u), narma10_oracle(u))
+    u[[3, 7]] = bad
+    # the error names the first bad index, before any step
+    with pytest.raises(ValueError, match=rf"u\[3\] = {bad} is not finite"):
+        narma10_recurrence(u)
+    u[3] = 0.1
+    with pytest.raises(ValueError, match=rf"u\[7\] = {bad} is not finite"):
+        narma10_recurrence(u)
 
 
 def test_split_check():
