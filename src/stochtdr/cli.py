@@ -310,6 +310,9 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    # every seed is hashed mod 2^64, so one outside would alias one inside
+    if not 0 <= cfg.seed < 1 << 64:
+        raise ConfigError(f"seed must be in [0, 2^64), got {cfg.seed}")
     if cfg.runs < 1:
         raise ConfigError(f"runs must be >= 1, got {cfg.runs}")
     if cfg.workers < 1:

@@ -106,8 +106,10 @@ The derivation, for node i:
 
 At q = 8, L = 1000, H = 50 the surface takes 3.3 MB and about 10 ms to
 derive, the time of some 250 table-served gate-chain steps (46 us each,
-against under 3 us for a step that reads the derived surface, 1.8 us of it
-the gather; 2-core x86_64 VM).
+against about 1.8 us for a macro step of :meth:`Reservoir.run` that reads
+the derived surface, 1.2 us of it the step and 1.0 us of that the gather;
+2-core x86_64 VM, numpy 2.4).  The gather reads row u of the surface,
+flattened to 2^q * H words, with one ``take`` at v*H + i.
 """
 
 from __future__ import annotations
@@ -183,14 +185,14 @@ def derive_seed(master: int, *parts: int) -> int:
     return h
 
 
-def reseed_for_node(master_seed: int, node_index: int | np.ndarray, role: int,
+def reseed_for_node(master_seed: int, node_index: int | np.ndarray, role: int | np.ndarray,
                     q: int = DEFAULT_Q) -> int | np.ndarray:
     """Node-unique nonzero q-bit LFSR seed, identical at every macro step.
 
     Hash-mix of (master seed, node index, role), truncated to q bits and
-    mapped away from zero.  ``node_index`` may also be a uint64 array, which
-    hashes every node in one pass: the finalizer wraps mod 2^64 on it as on
-    the masked integers.
+    mapped away from zero.  ``node_index`` and ``role`` may also be uint64
+    arrays, which broadcast and hash every pair in one pass: the finalizer
+    wraps mod 2^64 on them as on the masked integers.
     """
     v = derive_seed(master_seed, node_index, role) & ((1 << q) - 1)
     return v + (v == 0)
@@ -345,7 +347,10 @@ class Reservoir:
         self._source_count = S
         self._shared = self._x0 = self._input_table = self._feedback_table = self._sources = None
         self._kept_words = {}
-        self._surface = None
+        self._word = word_dtype(q)
+        # a derived per-node surface: S itself, its flattened rows and the
+        # feedback offsets v*H that a step's gather adds the node index to
+        self._surface = self._surface_rows = self._fb_offsets = None
         surface_bytes = (H << 2 * q) * np.dtype(word_dtype(q)).itemsize
         self._surface_fits = cfg.reseed_policy == "per-node" and surface_bytes <= _TABLE_MAX_BYTES
 
@@ -396,9 +401,10 @@ class Reservoir:
             nodes, S = np.arange(self.H, dtype=np.uint64), self.H
         else:
             nodes, S = _TAG_FREERUN, freerun_phases(cfg.L, cfg.q)
-        seeds = [lfsr_cycle(cfg.q, taps)[1][reseed_for_node(cfg.master_seed, nodes, role, cfg.q)]
-                 for role, taps in enumerate(self._taps)]
-        return np.reshape(seeds, (len(seeds), -1)), S
+        # every role's seed words in one pass: a role column against the node row
+        roles = np.arange(len(self._taps), dtype=np.uint64)[:, None]
+        words = reseed_for_node(cfg.master_seed, nodes, roles, cfg.q)
+        return np.stack([lfsr_cycle(cfg.q, taps)[1][w] for taps, w in zip(self._taps, words)]), S
 
     def _words(self, role: int, src: np.ndarray) -> np.ndarray:
         """The (len(src), L) comparator words of ``role`` at sources ``src``."""
@@ -446,8 +452,11 @@ class Reservoir:
             raise ValueError(f"the transfer surface of {cfg.H} nodes at q={cfg.q} is past the "
                              f"{_TABLE_MAX_BYTES}-byte table cap")
         if self._surface is None:
-            self._surface = self._derive_surface()
-            self._surface.flags.writeable = False
+            surface = self._derive_surface()
+            surface.flags.writeable = False
+            self._surface_rows = list(surface.reshape(1 << cfg.q, -1))
+            self._fb_offsets = np.arange(1 << cfg.q, dtype=np.intp) * cfg.H
+            self._surface = surface
         return self._surface
 
     def _derive_surface(self) -> np.ndarray:
@@ -553,18 +562,31 @@ class Reservoir:
         offset words in ``word_dtype(q)``, the outputs a new ``(H,)`` array:
         under ``per-node`` within the table cap the gather
         ``S[u, fb, i]`` of :meth:`transfer_surface`, which the first step
-        derives and later steps read directly, and otherwise the gate chain.
-        The ideal backends take the
+        derives, and otherwise the gate chain.  The gather is one ``take`` on
+        row u of the surface, flattened, at the cached offsets fb*H plus the
+        node index: about 1.2 us a step, against 46 us for a table-served
+        gate chain (q = 8, L = 1000, H = 50; 2-core x86_64 VM).  A
+        ``word_dtype(q)`` scalar ``u`` and a 1-D ndarray ``fb``, as
+        :meth:`run` passes them, skip the shape check that any other input
+        takes.  The ideal backends take the
         signed value, a plain float as well as a numpy scalar, and may step B
         sequences at once: ``u`` then holds one sample per row of a
         ``(B, H)`` feedback block.
         """
         if self.cfg.backend == "stochastic":
-            if np.ndim(u) or np.ndim(fb) != 1:
-                raise ValueError("the stochastic backend steps one sequence at a time")
-            if self._surface is not None:
-                return self._surface[u, fb, self._nodes]
-            return self._step_stochastic(u, fb, t)
+            # the types run passes, else the shapes of one sequence
+            if not (type(u) is self._word and type(fb) is np.ndarray and fb.ndim == 1):
+                if np.ndim(u) or np.ndim(fb) != 1:
+                    raise ValueError("the stochastic backend steps one sequence at a time")
+                fb = np.asarray(fb)  # a feedback list, as the gate chain indexes arrays
+            rows = self._surface_rows
+            if rows is None:
+                if not self._surface_fits:
+                    return self._step_stochastic(u, fb, t)
+                self.transfer_surface()
+                rows = self._surface_rows
+            # S[u, fb, i] as row u, flattened, at v*H + i
+            return rows[u].take(self._fb_offsets.take(fb) + self._nodes)
         return self._step_ideal(u, fb)
 
     def _step_ideal(self, u, fb: np.ndarray) -> np.ndarray:
@@ -593,9 +615,8 @@ class Reservoir:
         return out
 
     def _step_stochastic(self, u_off: np.integer, fb: np.ndarray, t: int) -> np.ndarray:
-        """Node output words of macro step t from the input word and the feedback words."""
-        if self._surface_fits:
-            return self.transfer_surface()[u_off, fb, self._nodes]
+        """Node output words of macro step t from the input word and the
+        feedback words, by the gate chain."""
         H, S, UA, FD = self.H, self._source_count, self._input_table, self._feedback_table
         # node i reads source (t*H + i) mod S: the source rows from o on
         o = t * H % S
@@ -668,16 +689,23 @@ class Reservoir:
         held = off.astype(dtype) if stochastic else inputs
         width = tau + m * H
         hist = np.full(inputs.shape[:-1] + (width,), zero, dtype=dtype)
-        # every row of a block or stack, its delay line a view of hist: the
-        # ideal backends step all rows together, one (rows, H) step per macro
-        # step, a column at a time; a 1-D input, or each stochastic row, steps
-        # as one sequence, row b of each block from macro step t = b*m
-        rows = (held.reshape(-1, m), hist.reshape(-1, width)) if held.ndim > 1 else (held, hist)
-        sequences = zip(*rows) if stochastic and held.ndim > 1 else [rows]
-        B = inputs.shape[-2] if inputs.ndim > 1 else 1
-        for r, (seq, line) in enumerate(sequences):
-            for p, u in enumerate(seq.T):
+        if stochastic:
+            # each row in turn, its delay line a 1-D view of hist: row b of
+            # each block from macro step t = b*m
+            B = inputs.shape[-2] if inputs.ndim > 1 else 1
+            step = self.step
+            for r, (seq, line) in enumerate(zip(held.reshape(-1, m), hist.reshape(-1, width))):
+                t = r % B * m
+                for p, u in enumerate(seq):
+                    g = p * H
+                    line[tau + g:tau + g + H] = step(u, line[g:g + H], t + p)
+        else:
+            # every row of a block or stack together, one (rows, H) step per
+            # macro step, a column at a time; a 1-D input as one sequence
+            seqs, lines = ((held.reshape(-1, m), hist.reshape(-1, width)) if held.ndim > 1
+                           else (held, hist))
+            for p, u in enumerate(seqs.T):
                 g = p * H
-                line[..., tau + g:tau + g + H] = self.step(u, line[..., g:g + H], r % B * m + p)
+                lines[..., tau + g:tau + g + H] = self.step(u, lines[..., g:g + H], p)
         X = hist[..., tau:].reshape(inputs.shape + (H,))
         return offset_to_real(X, q) if stochastic else X

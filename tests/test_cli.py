@@ -109,6 +109,42 @@ def test_reservoir_config_errors_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# a small run of each command that reads a seed
+SEEDED_RUNS = {"simulate": ["simulate", "--H", "3", "--m", "4"],
+               "metrics": ["metrics", "--H", "3", "--m", "4", "--runs", "1"],
+               "bench": ["bench", "sinesquare", "--H", "3", "--runs", "1", "--train", "30",
+                         "--test", "20", "--washout", "5"]}
+
+
+@pytest.mark.parametrize("by", ["flag", "key"])
+@pytest.mark.parametrize("command", SEEDED_RUNS)
+@pytest.mark.parametrize("seed", [str(-1), str(1 << 64), "1e30"])
+def test_a_seed_outside_64_bits_exits_2(tmp_path, capsys, by, command, seed):
+    # seeds are hashed mod 2^64: 2^64 would run the states of 0, and -1 those of 2^64 - 1
+    out = tmp_path / "out"
+    if by == "flag":
+        argv = [*SEEDED_RUNS[command], f"--seed={seed}"]
+    else:
+        (tmp_path / "seed.txt").write_text(f"seed = {seed}\n")
+        argv = [*SEEDED_RUNS[command], "--config", str(tmp_path / "seed.txt")]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: seed must be in [0, 2^64)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", SEEDED_RUNS)
+def test_the_seed_range_ends_are_accepted(tmp_path, command):
+    outputs = []
+    for seed in (0, (1 << 64) - 1):
+        out = tmp_path / str(seed)
+        argv = [*SEEDED_RUNS[command], "--seed", str(seed), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+        outputs.append(b"".join(p.read_bytes() for p in sorted(out.glob("*.csv"))))
+    if command == "simulate":  # the ranks of metrics, or an accuracy, may coincide
+        assert outputs[0] != outputs[1]
+
+
 def test_a_library_failure_mid_run_exits_3(tmp_path, monkeypatch, capsys):
     def fit(*args, **kwargs):
         raise RuntimeError("the fit failed")

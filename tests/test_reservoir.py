@@ -31,6 +31,8 @@ from stochtdr.reservoir import (
     reseed_for_node,
 )
 from stochtdr.streams import (
+    lfsr_cycle,
+    maximal_taps,
     offset_to_real,
     quantize,
     real_to_offset,
@@ -572,6 +574,73 @@ def test_the_first_step_derives_the_surface():
     assert res._input_table is None and res._feedback_table is None
     res.step(np.uint8(0), np.zeros(50, np.uint8), 0)
     assert res._surface is not None
+
+
+def step_inputs(u, fb):
+    """The one-sequence spellings of (u, fb) that a step accepts: the word
+    scalar and the 1-D array that run passes, a Python int, a 0-d array and
+    a feedback list."""
+    return {"word": (u, fb), "int": (int(u), fb), "0-d": (np.array(u), fb),
+            "list": (u, fb.tolist())}
+
+
+@pytest.mark.parametrize("q,H", [(8, 4), (10, 2)])
+@pytest.mark.parametrize("policy,derived", [("per-node", False), ("per-node", True),
+                                            ("none", False)],
+                         ids=["surface-not-derived", "surface-derived", "none"])
+def test_every_one_sequence_input_steps_as_the_surface(q, H, policy, derived, monkeypatch):
+    # at q = 10 the words are uint16, and the surface fits up to H = 2
+    cfg = replace(per_node(H, 64, q), reseed_policy=policy)
+    gate = gate_chain(cfg, monkeypatch)
+    S = Reservoir(cfg).transfer_surface() if policy == "per-node" else None
+    rng = np.random.default_rng(q + H)
+    for _ in range(5):
+        u = word_dtype(q)(rng.integers(0, 1 << q))
+        fb = rng.integers(0, 1 << q, H).astype(word_dtype(q))
+        # the surface at (u, fb), or under none the gate chain
+        expected = gate.step(u, fb, 3) if S is None else S[u, fb, np.arange(H)]
+        if S is not None:
+            np.testing.assert_array_equal(gate.step(u, fb, 3), expected)
+        for name, (su, sfb) in step_inputs(u, fb).items():
+            res = Reservoir(cfg)
+            if derived:
+                res.step(u, fb, 0)
+            assert (res._surface is not None) == derived
+            out = res.step(su, sfb, 3)
+            assert out.dtype == word_dtype(q) and out.shape == (H,), name
+            np.testing.assert_array_equal(out, expected, err_msg=name)
+            assert (res._surface is not None) == (policy == "per-node")
+        res = Reservoir(cfg)
+        if derived:
+            res.step(u, fb, 0)
+        for bad_u, bad_fb in [(np.stack([u, u]), np.stack([fb, fb])), ([u], fb),
+                              (u, np.stack([fb, fb])), (u, [fb.tolist()])]:
+            with pytest.raises(ValueError, match="one sequence at a time"):
+                res.step(bad_u, bad_fb, 1)
+        # a rejected block derives no surface
+        assert (res._surface is not None) == derived
+
+
+@pytest.mark.parametrize("policy", RESEED_POLICIES)
+@pytest.mark.parametrize("H", [1, 50])
+@pytest.mark.parametrize("q", [7, 8, 10, 16])
+@pytest.mark.parametrize("master", [0, (1 << 64) - 1])
+def test_source_seeds_equal_the_per_role_oracle(policy, H, q, master):
+    cfg = TdrConfig(H=H, alpha=0.3, gamma=2.0, L=64, q=q, master_seed=master,
+                    reseed_policy=policy, backend="stochastic")
+    res = Reservoir(cfg)
+    seeds, S = res._source_seeds()
+    # the oracle: one reseed_for_node call a role, as the seeds were first hashed
+    if policy == "per-node":
+        nodes, count = np.arange(H, dtype=np.uint64), H
+    else:
+        nodes, count = reservoir._TAG_FREERUN, freerun_phases(64, q)
+    expected = [lfsr_cycle(q, maximal_taps(q, role))[1][reseed_for_node(master, nodes, role, q)]
+                for role in range(ROLE_COEFF_BASE + cfg.n + 1)]
+    expected = np.reshape(expected, (len(expected), -1))
+    assert S == count
+    assert seeds.shape == expected.shape and seeds.dtype == expected.dtype
+    np.testing.assert_array_equal(seeds, expected)
 
 
 @pytest.mark.parametrize("cfg,match", [
