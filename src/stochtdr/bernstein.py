@@ -18,10 +18,20 @@ rotates a packed L-bit stream into n packed copies, and
 :func:`bernstein_mux_packed` runs the adder plus MUX on them, copies and
 coefficients stacked on a new first axis, the coefficients in the pair
 form of :func:`pair_coefficients`.
+
+The adder is a carry-save counter: full adders (3 bits to 2) at each
+weight and no carry past weight n, 12 bitwise ops at n = 5 and 20 at
+n = 7.  The MUX tree folds every MUX that a coefficient stream known to
+be constant feeds, all-zero or all-one, as the comparator thresholds 0
+and 2^q - 1 give at every source: at the default fit, words (0, 0, 0,
+255, 255, 255) at n = 5, q = 8, the tree is "count >= 3", two ops in
+place of eight.  Every packed stream keeps its padding bits zero, and
+so does every folded form: none complements a plane without masking it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -232,36 +242,107 @@ def pair_coefficients(beta) -> np.ndarray:
     return np.concatenate([even, odd ^ even, beta[2 * len(odd):]])
 
 
-def bernstein_mux_packed(copies, pairs):
+def _count_planes(copies) -> list:
+    """The bit planes of the ones count across the n ``copies``, lowest
+    first: a carry-save counter.  Each weight's bits go three at a time
+    through a full adder, a ^ b ^ c plus the carry (a & b) | ((a ^ b) & c)
+    at twice the weight, and a last pair through a half adder; a carry past
+    weight n is zero, as the count never exceeds n, and is not computed."""
+    n = len(copies)
+    planes, column, weight = [], list(copies), 1
+    while column:
+        carries, keep = [], 2 * weight <= n
+        while len(column) > 1:
+            a, b = column.pop(), column.pop()
+            s = a ^ b
+            if column:
+                c = column.pop()
+                if keep:
+                    carries.append((a & b) | (s & c))
+                s ^= c
+            elif keep:
+                carries.append(a & b)
+            column.append(s)
+        planes.append(column[0])
+        column, weight = carries, 2 * weight
+    return planes
+
+
+def _fold_mux(hi, lo, select, pairs, k):
+    """mux(hi, lo, select) on MUX-tree nodes: 0 or 1 for a stream known to
+    be all-zero or all-one, else the stream.  Where lo is 1, ``pairs[k]``
+    is an all-one stream: the even entry at lo's first count.
+
+    A constant input folds the MUX into one AND or OR, or into the select
+    plane.  No form sets a padding bit: lo ^ select is the select's
+    complement where lo is all-one, and ~select is only ANDed with a stream."""
+    if type(lo) is int:
+        if type(hi) is int:  # mux(c, c) = c, mux(1, 0) = select, mux(0, 1) = ~select
+            return lo if hi == lo else select if hi else pairs[k] ^ select
+        # mux(x, 0) = x & select, mux(x, 1) = x | ~select
+        return hi | (pairs[k] ^ select) if lo else hi & select
+    if type(hi) is int:  # mux(1, x) = x | select, mux(0, x) = x & ~select
+        return lo | select if hi else lo & ~select
+    return stoch_mux_average(hi, lo, select)
+
+
+def bernstein_mux_packed(copies, pairs, constant=None):
     """Adder + MUX Bernstein node on bit-packed streams, e.g. (n, H, W) words.
 
     The first axis of ``copies`` (n input copies) and ``pairs`` (the n + 1
     coefficient streams in the form of :func:`pair_coefficients`) indexes
-    streams; any batch axes lead the word axis.  A bit-sliced ripple counter
-    adds the copies into n.bit_length() planes, and a tree of MUX gates
+    streams; any batch axes lead the word axis.  A carry-save counter adds
+    the copies into n.bit_length() count planes, and a tree of MUX gates
     selects beta[count]: count plane i picks the odd entry of each pair at
-    level i.  Level 0 is one stacked MUX over all pairs, even ^ (plane 0 &
-    delta), since the pair differences come with the coefficients.  An
-    unpaired last entry passes up, since the count never exceeds n.  All-zero
-    padding counts 0, so zero-padded beta_0 keeps the output padding zero.
+    level i.  An unpaired last entry passes up, since the count never
+    exceeds n.
+
+    ``constant``, if given, has one entry per coefficient stream: 0 for a
+    stream known to be all-zero, 1 for one known to be all-one (within the
+    stream; its padding is zero), None for any other.  The tree folds every
+    MUX that a constant feeds: two equal constants pass up, 0 below 1 is the
+    select plane, and one constant input leaves a single AND or OR.  At
+    level 0 a pair folds only when both its entries are constant; the other
+    pairs take one stacked MUX, even ^ (plane 0 & delta), over the span from
+    the first to the last of them, as every pair does without ``constant``.
+
+    The copies' and coefficients' zero padding counts 0 and selects the
+    zero padding of beta_0, so the output padding is zero; no folded form
+    complements a plane without masking it.  The result may be a view of
+    an input, e.g. a count plane, which is one of the copies at n = 1.
     """
     n, pairs = len(copies), np.asarray(pairs)
     if len(pairs) != n + 1:
         raise ValueError(f"need {n + 1} coefficient streams for {n} copies, "
                          f"got {len(pairs)}")
-    planes: list[np.ndarray] = []
-    for j, carry in enumerate(copies):
-        # the count reaches j + 1: the top plane carries out only at a new power of two
-        grows = (j + 1).bit_length() > len(planes)
-        for i, p in enumerate(planes):
-            planes[i] = p ^ carry
-            if grows or i + 1 < len(planes):
-                carry = p & carry
-        if grows:
-            planes.append(carry)
-    half = (n + 1) // 2
-    level = [*(pairs[:half] ^ (planes[0] & pairs[half:2 * half])), *pairs[2 * half:]]
-    for p in planes[1:]:
-        level = [stoch_mux_average(level[k + 1], level[k], p) if k + 1 < len(level)
-                 else level[k] for k in range(0, len(level), 2)]
-    return level[0]
+    if constant is None:
+        constant = (None,) * (n + 1)
+    elif len(constant) != n + 1:
+        raise ValueError(f"need {n + 1} constant entries for {n} copies, got {len(constant)}")
+    planes = _count_planes(copies)
+    p0, half = planes[0], (n + 1) // 2
+    constant, stacked, span = _fold_plan(tuple(constant))
+    if span:
+        a, b = span
+        muxed = pairs[a:b] ^ (p0 & pairs[half + a:half + b])
+    level = [muxed[k - a] if mux else _fold_mux(hi, lo, p0, pairs, k)
+             for k, (lo, hi, mux) in enumerate(zip(constant[::2], constant[1::2], stacked))]
+    if n % 2 == 0:
+        level.append(pairs[-1] if constant[-1] is None else constant[-1])
+    for i, p in enumerate(planes[1:]):
+        level = [_fold_mux(level[j + 1], level[j], p, pairs, j << i) if j + 1 < len(level)
+                 else level[j] for j in range(0, len(level), 2)]
+    # a constant root is every coefficient stream, beta_0 among them
+    return pairs[0] if type(level[0]) is int else level[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _fold_plan(constant: tuple) -> tuple:
+    """The checked constant entries; which level-0 pairs take the stacked
+    MUX, one flag a pair: all but those whose both entries are constant; and
+    the span (a, b) from the first of them to the last, or None."""
+    if any(c is not None and (type(c) is not int or c not in (0, 1)) for c in constant):
+        raise ValueError(f"constant entries must be 0, 1 or None, got {constant}")
+    stacked = tuple(None in (lo, hi) for lo, hi in zip(constant[0::2], constant[1::2]))
+    mux = [k for k, flag in enumerate(stacked) if flag]
+    return constant, stacked, ((mux[0], mux[-1] + 1) if mux else None)

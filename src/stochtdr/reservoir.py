@@ -28,7 +28,9 @@ runs each on the streams of all H nodes at once: comparators
 stream packed right after its comparator, so the gate chain runs on
 (H, ceil(L/8)) bytes; the XNOR and both MUXes as the masked form below;
 then :func:`bernstein.make_independent_copies`,
-:func:`bernstein.bernstein_mux_packed` and :func:`streams.s2b`.
+:func:`bernstein.bernstein_mux_packed` and :func:`streams.s2b`.  The MUX
+tree folds the coefficient streams of threshold 0 and 2^q - 1, all-zero
+and all-one at every source since an LFSR emits no word 0.
 The two ideal backends evaluate the same composition in exact arithmetic,
 so the stochastic state matrix converges to the ``ideal-bernstein`` one as
 the stream length L grows.  Select thresholds are quantized at width q in the
@@ -69,7 +71,9 @@ are one run of each cycle.  Node i of macro step t reads source
 * the per-word input and feedback tables UA, of U & A, and FD, of F & D,
   for every word, read at the held input word and at each node's feedback
   word: :func:`streams.b2s_table` of the sources' U and F words,
-  2^q * S * ceil(L/8) bytes each.
+  2^q * S * ceil(L/8) bytes each.  A step reads UA[u] at its sources with
+  one row ``take``, and FD, kept as 2^q * S flat rows, with one ``take`` at
+  v*S + s.
 
 When H divides S, as always under ``per-node``, X0 has one row per source
 and folds into UA, so step t reads UA[u] at sources t*H mod S on as a view.
@@ -105,11 +109,13 @@ The derivation, for node i:
   give every ones count N_i(u, v), and S2B's table maps it to the word.
 
 At q = 8, L = 1000, H = 50 the surface takes 3.3 MB and about 10 ms to
-derive, the time of some 250 table-served gate-chain steps (46 us each,
-against about 1.8 us for a macro step of :meth:`Reservoir.run` that reads
-the derived surface, 1.2 us of it the step and 1.0 us of that the gather;
-2-core x86_64 VM, numpy 2.4).  The gather reads row u of the surface,
-flattened to 2^q * H words, with one ``take`` at v*H + i.
+derive, the time of some 280 table-served gate-chain steps (36 us each,
+the best of 30 rounds of 200 with the cap set between the tables and the
+surface; against about 1.8 us for a macro step of :meth:`Reservoir.run`
+that reads the derived surface, 1.2 us of it the step and 1.0 us of that
+the gather; 2-core x86_64 Xeon VM, Python 3.11, numpy 2.4).  The gather
+reads row u of the surface, flattened to 2^q * H words, with one ``take``
+at v*H + i.
 """
 
 from __future__ import annotations
@@ -341,6 +347,11 @@ class Reservoir:
         self._thresholds = (int(real_to_offset(0.0, q)), quantize_probability(cfg.alpha, q),
                             quantize_probability(0.5, q))
         self._copy_delays = bp.spread_delays(n, L)
+        # an LFSR emits no word 0, so threshold 0 compares to the all-zero
+        # stream and 2^q - 1 to the all-one stream at every source
+        full = (1 << q) - 1
+        self._constant_coeffs = tuple(0 if w == 0 else 1 if w == full else None
+                               for w in self.beta_words)
         self._nodes = np.arange(H)
         self._taps = [maximal_taps(q, role) for role in range(ROLE_COEFF_BASE + n + 1)]
         self._seeds, S = self._source_seeds()
@@ -348,8 +359,9 @@ class Reservoir:
         self._shared = self._x0 = self._input_table = self._feedback_table = self._sources = None
         self._kept_words = {}
         self._word = word_dtype(q)
-        # a derived per-node surface: S itself, its flattened rows and the
-        # feedback offsets v*H that a step's gather adds the node index to
+        # a derived per-node surface: S itself and its flattened rows; and the
+        # feedback offsets v*S that a gather from the surface or the feedback
+        # table adds the node or source index to (S = H under per-node)
         self._surface = self._surface_rows = self._fb_offsets = None
         surface_bytes = (H << 2 * q) * np.dtype(word_dtype(q)).itemsize
         self._surface_fits = cfg.reseed_policy == "per-node" and surface_bytes <= _TABLE_MAX_BYTES
@@ -380,7 +392,10 @@ class Reservoir:
             if S % H == 0:  # one X0 row per source: fold it into the input table
                 self._input_table ^= self._x0
                 self._x0 = None
-            self._feedback_table = b2s_table(self._words(ROLE_FEEDBACK, src), D, q)
+            # flat rows, v*S + s at feedback word v and source s
+            FD = b2s_table(self._words(ROLE_FEEDBACK, src), D, q)
+            self._feedback_table = FD.reshape(-1, width)
+            self._fb_offsets = np.arange(1 << q, dtype=np.intp) * S
         elif len(self._sources) <= H:  # every step reads these H sources: keep U and F
             self._kept_words = {role: self._words(role, self._sources)
                                 for role in (ROLE_INPUT, ROLE_FEEDBACK)}
@@ -516,7 +531,8 @@ class Reservoir:
         copies, G = np.zeros((n,) + self._x0.shape, dtype=np.uint8), np.zeros(H * L, itype)
         for c in range(n + 1):
             copies[:c] = 0xFF
-            G |= bits(bp.bernstein_mux_packed(copies, self._shared[3:])).reshape(-1).astype(itype) << c
+            out = bp.bernstein_mux_packed(copies, self._shared[3:], self._constant_coeffs)
+            G |= bits(out).reshape(-1).astype(itype) << c
         node = np.repeat(self._nodes.astype(np.int32), L)
         at, diff = [], []
         # u-segment k: the positions with k u-steps or more, after the first k
@@ -558,27 +574,28 @@ class Reservoir:
         each block of a stack); only ``stochastic`` reads it: node i reads
         source (t*H + i) mod S, which under ``per-node`` is node i at every
         step.  ``u`` comes as :meth:`run` prepared it, and the step checks no
-        values.  On ``stochastic``, ``u``, the feedback and the outputs are
-        offset words in ``word_dtype(q)``, the outputs a new ``(H,)`` array:
-        under ``per-node`` within the table cap the gather
-        ``S[u, fb, i]`` of :meth:`transfer_surface`, which the first step
-        derives, and otherwise the gate chain.  The gather is one ``take`` on
+        values; a feedback whose last axis is not H raises ValueError.  On
+        ``stochastic``, ``u``, the feedback and the outputs are offset words
+        in ``word_dtype(q)``, the outputs a new ``(H,)`` array: under
+        ``per-node`` within the table cap the gather ``S[u, fb, i]`` of
+        :meth:`transfer_surface`, which the first step derives, and
+        otherwise the gate chain.  The gather is one ``take`` on
         row u of the surface, flattened, at the cached offsets fb*H plus the
-        node index: about 1.2 us a step, against 46 us for a table-served
-        gate chain (q = 8, L = 1000, H = 50; 2-core x86_64 VM).  A
-        ``word_dtype(q)`` scalar ``u`` and a 1-D ndarray ``fb``, as
-        :meth:`run` passes them, skip the shape check that any other input
-        takes.  The ideal backends take the
-        signed value, a plain float as well as a numpy scalar, and may step B
-        sequences at once: ``u`` then holds one sample per row of a
-        ``(B, H)`` feedback block.
+        node index: about 1.2 us a step, against 36 us for a table-served
+        gate chain (q = 8, L = 1000, H = 50; 2-core x86_64 Xeon VM).  A
+        ``word_dtype(q)`` scalar ``u`` and an ``(H,)`` ndarray ``fb``, as
+        :meth:`run` passes them, skip the shape checks that any other input
+        takes.  The ideal backends take the signed value, a plain float as
+        well as a numpy scalar, and may step B sequences at once: ``u`` then
+        holds one sample per row of a ``(B, H)`` feedback block.
         """
         if self.cfg.backend == "stochastic":
-            # the types run passes, else the shapes of one sequence
-            if not (type(u) is self._word and type(fb) is np.ndarray and fb.ndim == 1):
+            # the types and the shape run passes, else the shapes of one sequence
+            if not (type(u) is self._word and type(fb) is np.ndarray and fb.shape == (self.H,)):
                 if np.ndim(u) or np.ndim(fb) != 1:
                     raise ValueError("the stochastic backend steps one sequence at a time")
                 fb = np.asarray(fb)  # a feedback list, as the gate chain indexes arrays
+                self._check_feedback(fb.shape)
             rows = self._surface_rows
             if rows is None:
                 if not self._surface_fits:
@@ -587,7 +604,15 @@ class Reservoir:
                 rows = self._surface_rows
             # S[u, fb, i] as row u, flattened, at v*H + i
             return rows[u].take(self._fb_offsets.take(fb) + self._nodes)
+        if not (type(fb) is np.ndarray and fb.shape[-1:] == (self.H,)):
+            self._check_feedback(np.shape(fb))
         return self._step_ideal(u, fb)
+
+    def _check_feedback(self, shape: tuple) -> None:
+        """Raise ValueError unless a feedback of this shape has a last axis of H."""
+        if shape[-1:] != (self.H,):
+            raise ValueError(f"the feedback of {self.H} nodes needs a last axis of {self.H}, "
+                             f"got shape {shape}")
 
     def _step_ideal(self, u, fb: np.ndarray) -> np.ndarray:
         """Node outputs from the held input(s) and the feedback values."""
@@ -620,26 +645,28 @@ class Reservoir:
         H, S, UA, FD = self.H, self._source_count, self._input_table, self._feedback_table
         # node i reads source (t*H + i) mod S: the source rows from o on
         o = t * H % S
+        # the rows A, C, D and the coefficient streams; a step with every
+        # table reads only the latter
         rows = (self._shared_streams(lambda role: self._step_words(role, o))
                 if self._shared is None else self._shared[:, o:o + H])
-        A, C, D, beta = rows[0], rows[1], rows[2], rows[3:]
         if UA is not None and S % H == 0:  # X0 folded into UA: sources o .. o + H - 1
             G = UA[u_off, o:o + H]
         else:  # the input half X0 ^ (U & A)
             if self._x0 is None:
                 W = pack(b2s(self._w_offsets, self._step_words(ROLE_WEIGHT, o)))
-                X0 = mix_input_base(W, A, C)
+                X0 = mix_input_base(W, rows[0], rows[1])
             else:  # row r serves node r mod H at source r mod S
                 r = t * H % len(self._x0)
                 X0 = self._x0[r:r + H]
-            G = X0 ^ (UA[u_off, self._sources[o:o + H]] if UA is not None
-                      else pack(b2s(u_off, self._step_words(ROLE_INPUT, o))) & A)
-        F = (FD[fb, self._sources[o:o + H]] if FD is not None
-             else pack(b2s(fb[:, None], self._step_words(ROLE_FEEDBACK, o))) & D)
+            G = X0 ^ (UA[u_off].take(self._sources[o:o + H], axis=0) if UA is not None
+                      else pack(b2s(u_off, self._step_words(ROLE_INPUT, o))) & rows[0])
+        F = (FD.take(self._fb_offsets.take(fb) + self._sources[o:o + H], axis=0) if FD is not None
+             else pack(b2s(fb[:, None], self._step_words(ROLE_FEEDBACK, o))) & rows[2])
         # XNOR, the alpha-MUX and the 0.5-MUX: SB ? (SM ? U*W : F) : T
         mixed = G | F
         copies = bp.make_independent_copies(mixed, self._copy_delays, self.cfg.L)
-        return s2b(bp.bernstein_mux_packed(copies, beta), self.cfg.L, self.cfg.q)
+        return s2b(bp.bernstein_mux_packed(copies, rows[3:], self._constant_coeffs),
+                   self.cfg.L, self.cfg.q)
 
     def run(self, inputs) -> np.ndarray:
         """Feed a held-input sequence from the zero delay line; row p of the

@@ -1,10 +1,12 @@
 """Bernstein polynomials: the nested evaluator against exact rational
 arithmetic, and the adder + MUX node: the packed bit-sliced kernel, on
 coefficients in pair form, against the count-and-gather reading of the
-circuit, and on copies from separate LFSRs against the polynomial; and the
+circuit, and on copies from separate LFSRs against the polynomial; the
+MUX tree folded on constant coefficient streams against the unfolded one; and the
 packed rotated copies against ``np.roll`` of the unpacked stream."""
 
 import hashlib
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -163,6 +165,43 @@ def test_packed_kernel_batch_axes_and_zero_padding(n, L):
     bits = np.unpackbits(out, axis=-1)
     np.testing.assert_array_equal(bits[..., :L], count_and_gather(copy_bits, beta_bits))
     assert not bits[..., L:].any()
+
+
+def constant_patterns(n: int, rng):
+    """Constant patterns of n + 1 coefficient streams, each entry 0 (all-zero),
+    1 (all-one) or None: every pattern up to n = 6, and past it every choice
+    of the constant entries, their values drawn from ``rng``."""
+    if n <= 6:
+        return list(itertools.product((0, 1, None), repeat=n + 1))
+    return [tuple(int(v) if c else None for c, v in zip(mask, rng.integers(0, 2, n + 1)))
+            for mask in itertools.product((False, True), repeat=n + 1)]
+
+
+@pytest.mark.parametrize("L", [37, 1000, 1001])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_folded_mux_equals_the_unfolded_mux(n, L):
+    # the same call with the constant rows as plain all-zero and all-one
+    # packed arrays, byte for byte with the padding; bit r of the copies
+    # holds r % (n + 1) ones, so every count occurs, on a batch of 2
+    rng = np.random.default_rng(10 * n + L)
+    copy_bits = rng.permuted(np.arange(n)[:, None, None] < np.arange(L) % (n + 1), axis=0)
+    copies = pack(np.concatenate([copy_bits, ~copy_bits[::-1]], axis=1))
+    free = rng.random((n + 1, 2, L)) < 0.5
+    for constant in constant_patterns(n, rng):
+        bits = np.stack([f if c is None else np.full_like(f, c) for f, c in zip(free, constant)])
+        pairs = pair_coefficients(pack(bits))
+        out = bernstein_mux_packed(copies, pairs, constant)
+        np.testing.assert_array_equal(out, bernstein_mux_packed(copies, pairs),
+                                      err_msg=str(constant))
+        assert not np.unpackbits(out, axis=-1)[..., L:].any(), constant
+
+
+def test_constant_entries_must_match_the_coefficients():
+    s = pack(np.ones((3, 16), dtype=bool))
+    with pytest.raises(ValueError, match="3 constant entries"):
+        bernstein_mux_packed(s[:2], s, (0, None))
+    with pytest.raises(ValueError, match="must be 0, 1 or None"):
+        bernstein_mux_packed(s[:2], s, (0, 0.5, 1))
 
 
 def test_coefficient_count_must_be_degree_plus_one():

@@ -85,6 +85,27 @@ def test_stochastic_run_matches_gate_oracle(policy, H, L, n, q, monkeypatch):
     np.testing.assert_array_equal(Reservoir(cfg).run(inputs), X)
 
 
+@pytest.mark.parametrize("policy", ["per-node", "none"])
+@pytest.mark.parametrize("gamma", [0.0, 1.3, 3.0])
+@pytest.mark.parametrize("H,L,n,q", [(4, 37, 5, 8), (4, 37, 7, 8), (3, 51, 9, 8), (4, 100, 3, 10)])
+def test_stochastic_run_at_other_gammas_matches_gate_oracle(policy, gamma, H, L, n, q,
+                                                            monkeypatch):
+    # gamma = 2 keeps n <= 5 coefficient streams all 0 or all 1; at gamma = 0
+    # and 1.3 only the end streams are constant, at 3.0 only interior ones,
+    # so the Bernstein MUX folds other patterns
+    steps = 6
+    cfg = TdrConfig(H=H, alpha=0.3, gamma=gamma, L=L, n=n, q=q, master_seed=7 * n + q,
+                    reseed_policy=policy, backend="stochastic")
+    res = Reservoir(cfg)
+    if (gamma, n, q) == (3.0, 5, 8):
+        assert res.beta_words == (63, 0, 0, 255, 255, 192)
+    inputs = quantize(np.random.default_rng(n + q).uniform(-1.0, 1.0, steps), q)
+    X = res.run(inputs)
+    np.testing.assert_array_equal(X, oracle_run(res, inputs))
+    monkeypatch.setattr(reservoir, "_TABLE_MAX_BYTES", 0)
+    np.testing.assert_array_equal(Reservoir(cfg).run(inputs), X)
+
+
 _TABLES = ("_shared", "_input_table", "_feedback_table", "_x0")
 
 
@@ -285,6 +306,29 @@ def test_ideal_step_is_the_reference_law_bit_for_bit(backend, n, gamma, alpha):
     for b in range(B):
         np.testing.assert_array_equal(res.step(u[b], fb[b], 0),
                                       reference_ideal_step(res, u[b], fb[b]))
+
+
+@pytest.mark.parametrize("backend,policy", [("ideal-exact", "per-node"),
+                                            ("ideal-bernstein", "per-node"),
+                                            ("stochastic", "per-node"), ("stochastic", "none")])
+def test_step_rejects_feedback_of_another_width(backend, policy):
+    # a feedback of one value, or a (2, 1) block, would broadcast to every node
+    H = 4
+    res = Reservoir(TdrConfig(H=H, alpha=0.3, gamma=2.0, L=37 if backend == "stochastic" else None,
+                              reseed_policy=policy, backend=backend))
+    if backend == "stochastic":
+        u, cases = np.uint8(5), [np.array([3], np.uint8), np.zeros(H + 1, np.uint8), [3]]
+    else:
+        u, cases = 0.5, [np.zeros(1), np.zeros(H + 1), [0.0]]
+    for fb in cases:
+        with pytest.raises(ValueError, match=rf"feedback of {H} nodes .*shape \({len(fb)},\)"):
+            res.step(u, fb, 0)
+    if backend != "stochastic":
+        with pytest.raises(ValueError, match=rf"feedback of {H} nodes .*shape \(2, 1\)"):
+            res.step(np.array([0.5, 0.5]), np.zeros((2, 1)), 0)
+        assert res.step(np.array([0.5, 0.5]), np.zeros((2, H)), 0).shape == (2, H)
+    fb = np.zeros(H, np.uint8 if backend == "stochastic" else float)
+    assert res.step(u, fb, 0).shape == (H,)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
