@@ -16,17 +16,18 @@ the bit position is the last axis, leading axes are batch axes.  Both
 take streams packed 8 bits to a byte: :func:`make_independent_copies`
 rotates a packed L-bit stream into n packed copies, and
 :func:`bernstein_mux_packed` runs the adder plus MUX on them, copies and
-coefficients stacked on a new first axis, the coefficients in the pair
-form of :func:`pair_coefficients`.
+the plain coefficient streams beta_0 .. beta_n each stacked on a new
+first axis.
 
 The adder is a carry-save counter: full adders (3 bits to 2) at each
 weight and no carry past weight n, 12 bitwise ops at n = 5 and 20 at
-n = 7.  The MUX tree folds every MUX that a coefficient stream known to
-be constant feeds, all-zero or all-one, as the comparator thresholds 0
-and 2^q - 1 give at every source: at the default fit, words (0, 0, 0,
-255, 255, 255) at n = 5, q = 8, the tree is "count >= 3", two ops in
-place of eight.  Every packed stream keeps its padding bits zero, and
-so does every folded form: none complements a plane without masking it.
+n = 7.  The MUX tree is one rule at every level: it folds every MUX that
+a stream known to be constant feeds, all-zero or all-one, as the
+comparator thresholds 0 and 2^q - 1 give at every source.  At the
+default fit, words (0, 0, 0, 255, 255, 255) at n = 5, q = 8, the tree is
+"count >= 3", two ops in place of fifteen.  Every packed stream keeps its
+padding bits zero, and so does every folded form: none complements a
+plane without masking it.
 """
 
 from __future__ import annotations
@@ -199,9 +200,7 @@ def make_independent_copies(packed, delays, L: int) -> np.ndarray:
     if tail:
         bits = np.unpackbits(packed, axis=-1)
         ring = np.packbits(np.concatenate([bits[..., :L], bits], axis=-1), axis=-1)
-    else:
-        # the bytes give the same ring about 22 us sooner at H=50, L=1000
-        # (2-core Xeon): a tenth of the per-node stochastic step
+    else:  # the bytes give the same ring without unpacking and repacking
         ring = np.concatenate([packed, packed], axis=-1)
     copies = np.empty((len(delays),) + packed.shape, dtype=np.uint8)
     for copy, d in zip(copies, delays):
@@ -230,18 +229,6 @@ def spread_delays(n: int, L: int) -> list[int]:
     return [(j * stride) % L for j in range(n)]
 
 
-def pair_coefficients(beta) -> np.ndarray:
-    """The n + 1 coefficient streams ``beta`` in the pair form that
-    :func:`bernstein_mux_packed` reads: the even streams beta_0, beta_2, ...,
-    beta_{2K-2}, then the pair differences delta_k = beta_{2k+1} ^ beta_{2k},
-    k < K = (n + 1) // 2, then beta_n when n + 1 is odd, stacked on the
-    first axis.  Same shape as ``beta``; a zero padding stays zero.
-    """
-    beta = np.asarray(beta)
-    even, odd = beta[0:len(beta) - 1:2], beta[1::2]
-    return np.concatenate([even, odd ^ even, beta[2 * len(odd):]])
-
-
 def _count_planes(copies) -> list:
     """The bit planes of the ones count across the n ``copies``, lowest
     first: a carry-save counter.  Each weight's bits go three at a time
@@ -268,81 +255,67 @@ def _count_planes(copies) -> list:
     return planes
 
 
-def _fold_mux(hi, lo, select, pairs, k):
+def _fold_mux(hi, lo, select, coeffs, k):
     """mux(hi, lo, select) on MUX-tree nodes: 0 or 1 for a stream known to
-    be all-zero or all-one, else the stream.  Where lo is 1, ``pairs[k]``
-    is an all-one stream: the even entry at lo's first count.
+    be all-zero or all-one, else the stream.  Where lo is 1, ``coeffs[k]``
+    is an all-one stream: the coefficient at lo's first count.
 
     A constant input folds the MUX into one AND or OR, or into the select
     plane.  No form sets a padding bit: lo ^ select is the select's
     complement where lo is all-one, and ~select is only ANDed with a stream."""
     if type(lo) is int:
         if type(hi) is int:  # mux(c, c) = c, mux(1, 0) = select, mux(0, 1) = ~select
-            return lo if hi == lo else select if hi else pairs[k] ^ select
+            return lo if hi == lo else select if hi else coeffs[k] ^ select
         # mux(x, 0) = x & select, mux(x, 1) = x | ~select
-        return hi | (pairs[k] ^ select) if lo else hi & select
+        return hi | (coeffs[k] ^ select) if lo else hi & select
     if type(hi) is int:  # mux(1, x) = x | select, mux(0, x) = x & ~select
         return lo | select if hi else lo & ~select
     return stoch_mux_average(hi, lo, select)
 
 
-def bernstein_mux_packed(copies, pairs, constant=None):
+def bernstein_mux_packed(copies, coeffs, constant=None):
     """Adder + MUX Bernstein node on bit-packed streams, e.g. (n, H, W) words.
 
-    The first axis of ``copies`` (n input copies) and ``pairs`` (the n + 1
-    coefficient streams in the form of :func:`pair_coefficients`) indexes
-    streams; any batch axes lead the word axis.  A carry-save counter adds
-    the copies into n.bit_length() count planes, and a tree of MUX gates
-    selects beta[count]: count plane i picks the odd entry of each pair at
-    level i.  An unpaired last entry passes up, since the count never
-    exceeds n.
+    The first axis of ``copies`` (n input copies) and ``coeffs`` (the n + 1
+    coefficient streams beta_0 .. beta_n) indexes streams; any batch axes
+    lead the word axis.  A carry-save counter adds the copies into
+    n.bit_length() count planes, and a tree of MUX gates selects
+    beta[count]: level 0 is the coefficient streams, and count plane i
+    picks the upper of each pair of level i.  An unpaired last entry passes
+    up, since the count never exceeds n.
 
     ``constant``, if given, has one entry per coefficient stream: 0 for a
     stream known to be all-zero, 1 for one known to be all-one (within the
     stream; its padding is zero), None for any other.  The tree folds every
-    MUX that a constant feeds: two equal constants pass up, 0 below 1 is the
-    select plane, and one constant input leaves a single AND or OR.  At
-    level 0 a pair folds only when both its entries are constant; the other
-    pairs take one stacked MUX, even ^ (plane 0 & delta), over the span from
-    the first to the last of them, as every pair does without ``constant``.
+    MUX that a constant feeds, by one rule at every level: two equal
+    constants pass up, 0 below 1 is the select plane, and one constant
+    input leaves a single AND or OR.
 
     The copies' and coefficients' zero padding counts 0 and selects the
     zero padding of beta_0, so the output padding is zero; no folded form
     complements a plane without masking it.  The result may be a view of
     an input, e.g. a count plane, which is one of the copies at n = 1.
     """
-    n, pairs = len(copies), np.asarray(pairs)
-    if len(pairs) != n + 1:
+    n, coeffs = len(copies), np.asarray(coeffs)
+    if len(coeffs) != n + 1:
         raise ValueError(f"need {n + 1} coefficient streams for {n} copies, "
-                         f"got {len(pairs)}")
+                         f"got {len(coeffs)}")
     if constant is None:
         constant = (None,) * (n + 1)
     elif len(constant) != n + 1:
         raise ValueError(f"need {n + 1} constant entries for {n} copies, got {len(constant)}")
-    planes = _count_planes(copies)
-    p0, half = planes[0], (n + 1) // 2
-    constant, stacked, span = _fold_plan(tuple(constant))
-    if span:
-        a, b = span
-        muxed = pairs[a:b] ^ (p0 & pairs[half + a:half + b])
-    level = [muxed[k - a] if mux else _fold_mux(hi, lo, p0, pairs, k)
-             for k, (lo, hi, mux) in enumerate(zip(constant[::2], constant[1::2], stacked))]
-    if n % 2 == 0:
-        level.append(pairs[-1] if constant[-1] is None else constant[-1])
-    for i, p in enumerate(planes[1:]):
-        level = [_fold_mux(level[j + 1], level[j], p, pairs, j << i) if j + 1 < len(level)
+    constant = _checked_constant(tuple(constant))
+    level = [coeffs[k] if c is None else c for k, c in enumerate(constant)]
+    for i, p in enumerate(_count_planes(copies)):
+        level = [_fold_mux(level[j + 1], level[j], p, coeffs, j << i) if j + 1 < len(level)
                  else level[j] for j in range(0, len(level), 2)]
     # a constant root is every coefficient stream, beta_0 among them
-    return pairs[0] if type(level[0]) is int else level[0]
+    return coeffs[0] if type(level[0]) is int else level[0]
 
 
 @functools.lru_cache(maxsize=64)
-def _fold_plan(constant: tuple) -> tuple:
-    """The checked constant entries; which level-0 pairs take the stacked
-    MUX, one flag a pair: all but those whose both entries are constant; and
-    the span (a, b) from the first of them to the last, or None."""
+def _checked_constant(constant: tuple) -> tuple:
+    """The constant entries, each checked to be 0, 1 or None."""
     if any(c is not None and (type(c) is not int or c not in (0, 1)) for c in constant):
         raise ValueError(f"constant entries must be 0, 1 or None, got {constant}")
-    stacked = tuple(None in (lo, hi) for lo, hi in zip(constant[0::2], constant[1::2]))
-    mux = [k for k, flag in enumerate(stacked) if flag]
-    return constant, stacked, ((mux[0], mux[-1] + 1) if mux else None)
+    return constant

@@ -61,11 +61,10 @@ position, so S = :func:`freerun_phases` and the sources from any one on
 are one run of each cycle.  Node i of macro step t reads source
 (t*H + i) mod S, and the build tabulates, from the sources' words:
 
-* the shared table of A, C, D and the coefficient streams, these in the
-  pair form of :func:`bernstein.pair_coefficients`, the streams whose
-  threshold every node shares: n + 4 stacked rows for sources
-  0 .. S + H - gcd(H, S) - 1 (mod S), of which step t reads H from t*H mod S
-  on as a view;
+* the shared table of A, C, D and the coefficient streams beta_0 .. beta_n,
+  the streams whose threshold every node shares: n + 4 stacked rows for
+  sources 0 .. S + H - gcd(H, S) - 1 (mod S), of which step t reads H from
+  t*H mod S on as a view;
 * X0, a function of node and source that repeats with t*H + i mod
   lcm(H, S): row r is node r mod H at source r mod S;
 * the per-word input and feedback tables UA, of U & A, and FD, of F & D,
@@ -102,20 +101,17 @@ The derivation, for node i:
 * the adder's count at position r sums the copies' bits at r - d_j
   (mod L), d = :func:`bernstein.spread_delays`: a constant plus the u-steps
   and the v-steps crossed, at most n steps; the output bit is beta_c[r] at
-  count c, which the Bernstein MUX reads at a constant count c;
+  count c, row 3 + c of the shared table;
 * so each position's output bit is constant on a grid of its steps, and
   adds the 2-D differences at the grid's corners, ties taken in sorted
   order so that they telescope.  Prefix sums over u and v of all corners
   give every ones count N_i(u, v), and S2B's table maps it to the word.
 
-At q = 8, L = 1000, H = 50 the surface takes 3.3 MB and about 10 ms to
-derive, the time of some 280 table-served gate-chain steps (36 us each,
-the best of 30 rounds of 200 with the cap set between the tables and the
-surface; against about 1.8 us for a macro step of :meth:`Reservoir.run`
-that reads the derived surface, 1.2 us of it the step and 1.0 us of that
-the gather; 2-core x86_64 Xeon VM, Python 3.11, numpy 2.4).  The gather
-reads row u of the surface, flattened to 2^q * H words, with one ``take``
-at v*H + i.
+At q = 8, L = 1000, H = 50 the surface takes 3.3 MB, and its derivation
+costs a few hundred table-served gate-chain steps; a step that reads the
+derived surface is one gather, a small fraction of one gate-chain step.
+The gather reads row u of the surface, flattened to 2^q * H words, with
+one ``take`` at v*H + i.
 """
 
 from __future__ import annotations
@@ -284,7 +280,8 @@ def _input_error(inputs: np.ndarray, bad: np.ndarray, what: str) -> ValueError:
 def _sorted(keys: list[np.ndarray]) -> list[np.ndarray]:
     """Sort equal-shape arrays elementwise, in place, by odd-even
     transposition: keys[0] ends with the least of each element.  About
-    n^2/2 min-max pairs, a tenth of np.sort on a short last axis at n = 5."""
+    n^2/2 min-max pairs, far fewer operations than np.sort on a short
+    last axis at small n."""
     for p in range(len(keys)):
         for j in range(p % 2, len(keys) - 1, 2):
             keys[j], keys[j + 1] = np.minimum(keys[j], keys[j + 1]), np.maximum(keys[j], keys[j + 1])
@@ -359,10 +356,11 @@ class Reservoir:
         self._shared = self._x0 = self._input_table = self._feedback_table = self._sources = None
         self._kept_words = {}
         self._word = word_dtype(q)
-        # a derived per-node surface: S itself and its flattened rows; and the
-        # feedback offsets v*S that a gather from the surface or the feedback
-        # table adds the node or source index to (S = H under per-node)
-        self._surface = self._surface_rows = self._fb_offsets = None
+        # a derived per-node surface: S itself and its flattened rows
+        self._surface = self._surface_rows = None
+        # the feedback offsets v*S that a gather from the surface or the
+        # feedback table adds the node or source index to (S = H under per-node)
+        self._fb_offsets = np.arange(1 << q, dtype=np.intp) * S
         surface_bytes = (H << 2 * q) * np.dtype(word_dtype(q)).itemsize
         self._surface_fits = cfg.reseed_policy == "per-node" and surface_bytes <= _TABLE_MAX_BYTES
 
@@ -395,7 +393,6 @@ class Reservoir:
             # flat rows, v*S + s at feedback word v and source s
             FD = b2s_table(self._words(ROLE_FEEDBACK, src), D, q)
             self._feedback_table = FD.reshape(-1, width)
-            self._fb_offsets = np.arange(1 << q, dtype=np.intp) * S
         elif len(self._sources) <= H:  # every step reads these H sources: keep U and F
             self._kept_words = {role: self._words(role, self._sources)
                                 for role in (ROLE_INPUT, ROLE_FEEDBACK)}
@@ -440,14 +437,14 @@ class Reservoir:
 
     def _shared_streams(self, words) -> np.ndarray:
         """The mix masks A, C and D (:func:`streams.mix_masks`), then the
-        coefficient streams in pair form, packed and stacked on a leading
+        coefficient streams beta_0 .. beta_n, packed and stacked on a leading
         axis, from ``words(role)``, the sources' words of each role: the
         streams whose threshold every node shares."""
         T, SM, SB = (pack(b2s(thr, words(role))) for thr, role in
                      zip(self._thresholds, (ROLE_BIAS, ROLE_SELECT_MIX, ROLE_SELECT_BIAS)))
         coeffs = [pack(b2s(beta, words(ROLE_COEFF_BASE + k)))
                   for k, beta in enumerate(self.beta_words)]
-        return np.stack([*mix_masks(T, SM, SB), *bp.pair_coefficients(coeffs)])
+        return np.stack([*mix_masks(T, SM, SB), *coeffs])
 
     def transfer_surface(self) -> np.ndarray:
         """The per-node surface S, (2^q, 2^q, H) and read-only: S[u, v, i]
@@ -470,7 +467,6 @@ class Reservoir:
             surface = self._derive_surface()
             surface.flags.writeable = False
             self._surface_rows = list(surface.reshape(1 << cfg.q, -1))
-            self._fb_offsets = np.arange(1 << cfg.q, dtype=np.intp) * cfg.H
             self._surface = surface
         return self._surface
 
@@ -495,7 +491,7 @@ class Reservoir:
         size = max(np.min_scalar_type(-most).itemsize, words.itemsize)
         grid = np.zeros((1 << q, 1 << q, H), dtype=f"u{size}")
         np.add.at(grid.reshape(-1), at[~first], diff[~first].astype(grid.dtype))
-        for v in range(1, 1 << q):  # row by row: 1 ms at q = 8, H = 50, np.cumsum 9 ms
+        for v in range(1, 1 << q):  # row by row, in place: np.cumsum is several times slower
             grid[:, v] += grid[:, v - 1]
         steps = grid.view(f"i{size}")
         surface = grid.view(words.dtype) if size == words.itemsize else np.empty_like(grid, words.dtype)
@@ -527,12 +523,11 @@ class Reservoir:
         ut = _sorted(taps(np.where(A, 2 * U + X0, never).astype(itype)))
         vt = _sorted(taps(np.where(D, F, never).astype(itype)))
         count = sum(np.roll(X0, d, axis=1).reshape(-1).astype(itype) for d in self._copy_delays)
-        # bit c of G is beta_c, the Bernstein MUX's output at a constant count c
-        copies, G = np.zeros((n,) + self._x0.shape, dtype=np.uint8), np.zeros(H * L, itype)
+        # bit c of G is beta_c, the Bernstein MUX's output at count c: shared row
+        # 3 + c, unpacked one row at a time so that one row's bits are live, not n + 1
+        G = np.zeros(H * L, itype)
         for c in range(n + 1):
-            copies[:c] = 0xFF
-            out = bp.bernstein_mux_packed(copies, self._shared[3:], self._constant_coeffs)
-            G |= bits(out).reshape(-1).astype(itype) << c
+            G |= bits(self._shared[3 + c]).reshape(-1).astype(itype) << c
         node = np.repeat(self._nodes.astype(np.int32), L)
         at, diff = [], []
         # u-segment k: the positions with k u-steps or more, after the first k
@@ -581,8 +576,7 @@ class Reservoir:
         :meth:`transfer_surface`, which the first step derives, and
         otherwise the gate chain.  The gather is one ``take`` on
         row u of the surface, flattened, at the cached offsets fb*H plus the
-        node index: about 1.2 us a step, against 36 us for a table-served
-        gate chain (q = 8, L = 1000, H = 50; 2-core x86_64 Xeon VM).  A
+        node index, a small fraction of a table-served gate chain.  A
         ``word_dtype(q)`` scalar ``u`` and an ``(H,)`` ndarray ``fb``, as
         :meth:`run` passes them, skip the shape checks that any other input
         takes.  The ideal backends take the signed value, a plain float as
@@ -716,21 +710,20 @@ class Reservoir:
         held = off.astype(dtype) if stochastic else inputs
         width = tau + m * H
         hist = np.full(inputs.shape[:-1] + (width,), zero, dtype=dtype)
+        # one row a sequence, its delay line a view of hist; a 1-D input is one row
+        seqs, lines = held.reshape(-1, m), hist.reshape(-1, width)
         if stochastic:
-            # each row in turn, its delay line a 1-D view of hist: row b of
-            # each block from macro step t = b*m
+            # each row in turn: row b of each block from macro step t = b*m
             B = inputs.shape[-2] if inputs.ndim > 1 else 1
             step = self.step
-            for r, (seq, line) in enumerate(zip(held.reshape(-1, m), hist.reshape(-1, width))):
+            for r, (seq, line) in enumerate(zip(seqs, lines)):
                 t = r % B * m
                 for p, u in enumerate(seq):
                     g = p * H
                     line[tau + g:tau + g + H] = step(u, line[g:g + H], t + p)
         else:
             # every row of a block or stack together, one (rows, H) step per
-            # macro step, a column at a time; a 1-D input as one sequence
-            seqs, lines = ((held.reshape(-1, m), hist.reshape(-1, width)) if held.ndim > 1
-                           else (held, hist))
+            # macro step, a column at a time
             for p, u in enumerate(seqs.T):
                 g = p * H
                 lines[..., tau + g:tau + g + H] = self.step(u, lines[..., g:g + H], p)

@@ -126,11 +126,11 @@ def lfsr_cycle(q: int, taps: int) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(full):
         states.append(s)
         s = (s >> 1) | (((s & taps).bit_count() & 1) << (q - 1))
-    if s != 1:
-        raise ValueError(f"tap mask {taps:#x} is not maximal-length at q={q}")
     cycle = np.array(states, dtype=word_dtype(q))
     pos = np.full(full + 1, -1, dtype=np.int64)
     pos[cycle] = np.arange(full)
+    # a mask that is not maximal-length misses a nonzero state in these
+    # 2^q - 1 steps, whether it is back at state 1 early or not at all
     if (pos[1:] < 0).any():
         raise ValueError(f"tap mask {taps:#x} is not maximal-length at q={q}")
     cycle.flags.writeable = pos.flags.writeable = False
@@ -229,15 +229,15 @@ def b2s_table(words, mask, q: int) -> np.ndarray:
     byte distinct, or two bits of a byte would share a row and one would be
     lost.  8 consecutive words of a maximal LFSR are distinct when its
     period 2^q - 1 is at least 8; the stochastic backend's role count
-    already needs q >= 7.  The padding bits stay zero.  0.8 ms against
-    2.1 ms for comparators in chunks of 16 words at q=8, S=51, L=1000
-    (2-core Xeon).
+    already needs q >= 7.  The padding bits stay zero.  The scatter and the
+    running OR work on packed bytes, 8 bits at a time, where comparators
+    at every word would compare and pack each bit 2^q times.
 
     The running OR goes in blocks of about sqrt(2^q) rows: a scan inside
     every block, then each block takes the last row of the one before, so
-    the Python loop runs about 2*sqrt(2^q) slices (0.3 ms for 256 rows of
-    6.4 KB, 5 ms for 2^16 rows of 32 bytes, against 0.5 ms and 56 ms row by
-    row and 2.4 ms for ``np.bitwise_or.accumulate`` on axis 0, 2-core Xeon).
+    the Python loop runs about 2*sqrt(2^q) slices, not the 2^q of a scan
+    row by row; ``np.bitwise_or.accumulate`` on axis 0 measured slower
+    than either.
     """
     S, L = words.shape
     width = (L + 7) // 8

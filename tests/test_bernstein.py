@@ -1,8 +1,8 @@
 """Bernstein polynomials: the nested evaluator against exact rational
-arithmetic, and the adder + MUX node: the packed bit-sliced kernel, on
-coefficients in pair form, against the count-and-gather reading of the
-circuit, and on copies from separate LFSRs against the polynomial; the
-MUX tree folded on constant coefficient streams against the unfolded one; and the
+arithmetic, and the adder + MUX node: the packed bit-sliced kernel against
+the count-and-gather reading of the circuit, and on copies from separate
+LFSRs against the polynomial; the MUX tree folded on constant coefficient
+streams against the unfolded one and the count-and-gather reading; and the
 packed rotated copies against ``np.roll`` of the unpacked stream."""
 
 import hashlib
@@ -25,7 +25,6 @@ from stochtdr.bernstein import (
     fit_bernstein_coeffs,
     make_independent_copies,
     nested_form,
-    pair_coefficients,
     spread_delays,
 )
 from stochtdr.reservoir import Reservoir, TdrConfig
@@ -79,6 +78,12 @@ def test_degree_above_the_float_range_is_rejected():
         bernstein_basis(0, -1, 0.3)
 
 
+def test_basis_index_outside_0_to_n_is_rejected():
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=rf"basis index k={k} outside 0\.\.2"):
+            bernstein_basis(k, 2, 0.3)
+
+
 def test_ideal_bernstein_step_is_the_basis_sum():
     cfg = TdrConfig(H=6, alpha=0.3, gamma=2.0, n=7, backend="ideal-bernstein")
     res = Reservoir(cfg)
@@ -116,9 +121,7 @@ def test_stochastic_bernstein_eval_matches_count_and_gather(n):
     L = 37
     copy_bits = rng.permuted(np.arange(n)[:, None] < np.arange(L) % (n + 1), axis=0)
     beta_bits = rng.random((n + 1, L)) < 0.5
-    pairs = pair_coefficients(pack(beta_bits))
-    assert pairs.shape == (n + 1, 5)
-    out = np.unpackbits(bernstein_mux_packed(pack(copy_bits), pairs))
+    out = np.unpackbits(bernstein_mux_packed(pack(copy_bits), pack(beta_bits)))
     np.testing.assert_array_equal(out[:L].astype(bool), count_and_gather(copy_bits, beta_bits))
     assert not out[L:].any()
 
@@ -138,19 +141,10 @@ def test_stochastic_bernstein_node_on_independent_copies(u):
                         lfsr_words(q, maximal_taps(q, mask), int(seeds[mask]), L)))
 
     copies = np.stack([stream(u, j) for j in range(n)])
-    pairs = pair_coefficients([stream(b, n + k) for k, b in enumerate(beta)])
-    ones = np.bitwise_count(bernstein_mux_packed(copies, pairs)).sum()
+    coeffs = np.stack([stream(b, n + k) for k, b in enumerate(beta)])
+    ones = np.bitwise_count(bernstein_mux_packed(copies, coeffs)).sum()
     p = exact_eval(beta, u)
     assert abs(ones / L - p) <= 3 * math.sqrt(p * (1 - p) / L) + (n + 1) / 2 / ((1 << q) - 1)
-
-
-@pytest.mark.parametrize("count", [1, 2, 5, 6])
-def test_pair_form_holds_the_even_streams_then_the_pair_differences(count):
-    beta = np.random.default_rng(count).integers(0, 256, (count, 3, 4), dtype=np.uint8)
-    half = count // 2
-    want = [beta[2 * k] for k in range(half)] + \
-           [beta[2 * k + 1] ^ beta[2 * k] for k in range(half)] + list(beta[2 * half:])
-    np.testing.assert_array_equal(pair_coefficients(beta), want)
 
 
 @pytest.mark.parametrize("n,L", [(3, 37), (6, 64), (15, 20)])
@@ -160,7 +154,7 @@ def test_packed_kernel_batch_axes_and_zero_padding(n, L):
     copy_bits = (rng.random((n, 2, 3, L)) < 0.8).astype(np.uint8)
     beta_bits = rng.integers(0, 2, (n + 1, 2, 3, L), dtype=np.uint8)
     out = bernstein_mux_packed(np.packbits(copy_bits, axis=-1),
-                               pair_coefficients(np.packbits(beta_bits, axis=-1)))
+                               np.packbits(beta_bits, axis=-1))
     assert out.shape == (2, 3, -(-L // 8))
     bits = np.unpackbits(out, axis=-1)
     np.testing.assert_array_equal(bits[..., :L], count_and_gather(copy_bits, beta_bits))
@@ -181,19 +175,25 @@ def constant_patterns(n: int, rng):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_folded_mux_equals_the_unfolded_mux(n, L):
     # the same call with the constant rows as plain all-zero and all-one
-    # packed arrays, byte for byte with the padding; bit r of the copies
-    # holds r % (n + 1) ones, so every count occurs, on a batch of 2
+    # packed arrays, byte for byte with the padding, and the count-and-gather
+    # reading of the unpacked bits, which shares no code with the MUX tree;
+    # bit r of the copies holds r % (n + 1) ones, so every count occurs, on
+    # a batch of 2
     rng = np.random.default_rng(10 * n + L)
     copy_bits = rng.permuted(np.arange(n)[:, None, None] < np.arange(L) % (n + 1), axis=0)
-    copies = pack(np.concatenate([copy_bits, ~copy_bits[::-1]], axis=1))
+    copy_bits = np.concatenate([copy_bits, ~copy_bits[::-1]], axis=1)
+    copies = pack(copy_bits)
     free = rng.random((n + 1, 2, L)) < 0.5
     for constant in constant_patterns(n, rng):
         bits = np.stack([f if c is None else np.full_like(f, c) for f, c in zip(free, constant)])
-        pairs = pair_coefficients(pack(bits))
-        out = bernstein_mux_packed(copies, pairs, constant)
-        np.testing.assert_array_equal(out, bernstein_mux_packed(copies, pairs),
+        coeffs = pack(bits)
+        out = bernstein_mux_packed(copies, coeffs, constant)
+        np.testing.assert_array_equal(out, bernstein_mux_packed(copies, coeffs),
                                       err_msg=str(constant))
-        assert not np.unpackbits(out, axis=-1)[..., L:].any(), constant
+        out_bits = np.unpackbits(out, axis=-1)
+        np.testing.assert_array_equal(out_bits[..., :L].astype(bool),
+                                      count_and_gather(copy_bits, bits), err_msg=str(constant))
+        assert not out_bits[..., L:].any(), constant
 
 
 def test_constant_entries_must_match_the_coefficients():

@@ -212,6 +212,18 @@ def test_a_config_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_a_config_file_value_outside_the_choices_exits_2(tmp_path, capsys):
+    # argparse checks the choices of a flag; a file's value meets the same
+    # choices in cli._parse_value
+    path = tmp_path / "config.txt"
+    path.write_text("backend = foo\n")
+    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: invalid value 'foo' for backend; "
+                                       f"choose from {', '.join(BACKENDS)}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_activation_derives_its_grid_size(tmp_path):
     def coefficients(*argv):
         out = tmp_path / "-".join(argv)

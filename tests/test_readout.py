@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from stochtdr.readout import RankDeficiencyError, check_training_rows, predict, ridge_train
+from stochtdr.readout import (
+    RankDeficiencyError,
+    check_training_rows,
+    classification_accuracy,
+    nmse,
+    predict,
+    ridge_train,
+)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.3])
@@ -59,3 +66,35 @@ def test_predict_rejects_weights_of_the_wrong_width():
         predict(w, X[:, :2])
     with pytest.raises(ValueError, match="X has 3 columns, model expects 4"):
         predict(np.append(w, 0.0), X)
+
+
+def test_ridge_rejects_mismatched_shapes_and_non_finite_data():
+    X = np.random.default_rng(7).normal(size=(10, 3))
+    for bad_X, y in ((X, np.ones(9)), (X[:, 0], np.ones(10))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ridge_train(bad_X, y, 1e-3)
+    for bad in (np.nan, np.inf):
+        Xb = X.copy()
+        Xb[4, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ridge_train(Xb, np.ones(10), 1e-3)
+        with pytest.raises(ValueError, match="non-finite"):
+            ridge_train(X, np.where(np.arange(10) == 4, bad, 1.0), 1e-3)
+
+
+def test_nmse_rejects_mismatched_lengths_and_flat_targets():
+    assert nmse([1.0, 3.0], [1.0, 3.0], 2.0) == 0.0
+    assert nmse([1.0, 3.0], [2.0, 2.0], 2.0) == 1.0
+    with pytest.raises(ValueError, match="3 targets vs 2 predictions"):
+        nmse([1.0, 2.0, 3.0], [1.0, 2.0], 2.0)
+    with pytest.raises(ValueError, match="zero variance"):
+        nmse([2.0, 2.0], [1.0, 3.0], 2.0)
+
+
+def test_accuracy_rejects_mismatched_lengths_and_labels_other_than_0_and_1():
+    assert classification_accuracy([0, 1, 1], [0.2, 0.5, 0.4]) == 2 / 3
+    with pytest.raises(ValueError, match="3 labels vs 2 predictions"):
+        classification_accuracy([0, 1, 1], [0.2, 0.7])
+    for labels in ([0, 2, 1], [0, -1, 1], [0, 0.5, 1]):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            classification_accuracy(labels, [0.2, 0.7, 0.9])

@@ -487,6 +487,13 @@ def test_every_lfsr_role_runs_its_own_tap_mask(q):
     assert len(set(res._taps)) == len(res._taps) == ROLE_COEFF_BASE + 10
 
 
+def test_config_rejects_an_unknown_backend_and_reseed_policy():
+    with pytest.raises(ValueError, match="unknown backend 'analog'; choose from"):
+        TdrConfig(H=3, alpha=0.5, gamma=2.0, backend="analog").validate()
+    with pytest.raises(ValueError, match="unknown reseed policy 'per-step'"):
+        TdrConfig(H=3, alpha=0.5, gamma=2.0, reseed_policy="per-step").validate()
+
+
 @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
 def test_config_rejects_non_finite_gamma(gamma):
     with pytest.raises(ValueError, match="not finite"):

@@ -65,11 +65,11 @@ def test_lfsr_period_and_coverage_q8():
 
 @pytest.mark.parametrize("q", supported_widths())
 def test_all_table_masks_are_maximal(q):
-    # lfsr_cycle walks the register from state 1 and raises unless it comes
-    # back after 2^q - 1 steps; its words are checked here without a second
-    # pure-Python walk of a whole q = 16 period: the first 4096 against the
-    # bit-level reference, and every transition, the wrap included, against
-    # the same law applied to all words at once
+    # lfsr_cycle walks the register 2^q - 1 steps from state 1 and raises
+    # unless they visit every nonzero state; its words are checked here
+    # without a second pure-Python walk of a whole q = 16 period: the first
+    # 4096 against the bit-level reference, and every transition, the wrap
+    # included, against the same law applied to all words at once
     full = (1 << q) - 1
     assert list(_TAP_MASKS[q]) == sorted(set(_TAP_MASKS[q]))  # distinct, ascending
     assert len(_TAP_MASKS[q]) == (16 if q >= 7 else [1, 2, 2, 6, 6][q - 2])
@@ -83,6 +83,16 @@ def test_all_table_masks_are_maximal(q):
         assert np.array_equal(np.sort(c), np.arange(1, full + 1)), \
             f"mask {mask:#x} at q={q} is not maximal"
         assert np.array_equal(pos[cycle], np.arange(full))
+
+
+def test_non_maximal_masks_are_rejected():
+    # both kinds at q = 8: 0x01 rotates the register, which is not back at
+    # state 1 after 255 steps; 0x17 is, on a cycle of 15 states
+    for mask, back in ((0x01, False), (0x17, True)):
+        states = reference_lfsr(8, mask, 1, 256)
+        assert (states[255] == 1) == back and len(set(states)) < 255
+        with pytest.raises(ValueError, match=f"tap mask {mask:#x} is not maximal-length at q=8"):
+            lfsr_cycle(8, mask)
 
 
 def test_lfsr_zero_seed_rejected():

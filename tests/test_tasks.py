@@ -94,6 +94,13 @@ def test_narma10_recurrence_rejects_non_finite_inputs(bad):
         narma10_recurrence(u)
 
 
+def test_sine_square_needs_one_sample():
+    assert len(sine_square_generate(1).u) == len(sine_square_generate(1).y) == 1
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="sequence length must be >= 1"):
+            sine_square_generate(m)
+
+
 def test_split_check():
     check_split(7, 7, 5)  # washout + 2 samples in each split is the least
     for args in [(7, 7, -1), (6, 7, 5), (7, 6, 5)]:
